@@ -16,13 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError, DegenerateBasisError, InvalidParameterError
+from .errors import DegenerateBasisError, InvalidParameterError
 from .capacity import default_inner_depth, relative_capacity
 from .energy import basis_from_vectors
 from .exactla import mat_vec, quad
-from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _root_affine
+from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _root_affine, affine_step, cell_corners, walk
 from .harmonic import base_form, extension_matrices
-from .subdivision import cell_count, subdivide
 
 
 @dataclass
@@ -79,42 +78,19 @@ def blowup_cloud(
     Q = base_form(d)
     u1 = [Fraction(x) for x in b1]
     u2 = [Fraction(x) for x in b2]
-    root_scale, root_offset = _root_affine(spec, word)
+
+    def step(state, letter):
+        affine, inv_r, v1, v2 = state
+        data = extension_matrices(d, letter[1])
+        A = data.A[letter[0] - 1]
+        return affine_step(affine, letter), inv_r / data.r, mat_vec(A, v1), mat_vec(A, v2)
 
     cells = []  # (values1, values2, e_mean, mass)
-    count = 0
-
-    def rec(rel_word, depth, scale, offset, inv_r, v1, v2):
-        nonlocal count
-        if depth == m:
-            count += 1
-            if count > budget:
-                raise BudgetExceededError(f"more than {budget} cells at depth {m}")
-            evals = []
-            for kdx in range(d + 1):
-                coord = tuple(offset[t] + (scale if t == kdx else 0) for t in range(d + 1))
-                evals.append(pots[net.coord_index[coord]])
-            e_mean = sum(evals) / (d + 1)
-            mass = inv_r * (quad(Q.M, v1) + quad(Q.M, v2))  # (1/2) sum of 2/r_w masses
-            cells.append((v1, v2, e_mean, mass))
-            return
-        l = spec.label_of(word + rel_word)
-        data = extension_matrices(d, l)
-        sub = subdivide(d, l)
-        for i in range(1, cell_count(d, l) + 1):
-            alpha_off = sub.cells[i - 1]
-            noff = [offset[t] + scale * alpha_off[t] for t in range(d + 1)]
-            rec(
-                rel_word + ((i, l),),
-                depth + 1,
-                scale / l,
-                noff,
-                inv_r / data.r,
-                mat_vec(data.A[i - 1], v1),
-                mat_vec(data.A[i - 1], v2),
-            )
-
-    rec((), 0, root_scale, root_offset, Fraction(1), u1, u2)
+    start = (_root_affine(spec, word), Fraction(1), u1, u2)
+    for _, (affine, inv_r, v1, v2) in walk(spec, m, start, step, root=word, budget=budget):
+        e_mean = sum(pots[net.coord_index[coord]] for coord in cell_corners(affine)) / (d + 1)
+        mass = inv_r * (quad(Q.M, v1) + quad(Q.M, v2))  # (1/2) sum of 2/r_w masses
+        cells.append((v1, v2, e_mean, mass))
 
     # normalization: 1 / max vertex norm of the pair, exact comparison first
     max_sq = Fraction(0)

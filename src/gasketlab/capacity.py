@@ -31,6 +31,7 @@ from .gasket import (
     GasketSpec,
     Word,
     _root_affine,
+    cell_corners,
     dirichlet_solve,
     encode_word,
     enumerate_words,
@@ -53,11 +54,11 @@ def default_inner_depth(spec: GasketSpec) -> int:
 def corner_chain_labels(spec: GasketSpec, word: Word, corner: int, N: int) -> tuple:
     """Labels l_1..l_N of the admissible corner chain i^l1 ... i^lN below word."""
     labels = []
-    w = word
+    key = spec.label_key(word)
     for _ in range(N):
-        l = spec.label_of(w)
+        l = spec.key_label(key)
         labels.append(l)
-        w = w + ((corner, l),)
+        key = spec.child_key(key, (corner, l))
     return tuple(labels)
 
 
@@ -97,9 +98,8 @@ def inner_set(spec: GasketSpec, word: Word, N: int) -> InnerSetDescriptor:
     """Build the inner-set descriptor per the corner-chain construction."""
     if N < 1:
         raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
-    spec.validate_word(word)
     d = spec.d
-    net = level_network(spec, N, root=word)
+    net = level_network(spec, N, root=word)  # validates the word
     corner_words = []
     corner_affines = []
     corner_vertex_coords = []
@@ -107,14 +107,10 @@ def inner_set(spec: GasketSpec, word: Word, N: int) -> InnerSetDescriptor:
         labels = corner_chain_labels(spec, word, corner, N)
         chain = tuple((corner, l) for l in labels)
         absolute = word + chain
-        spec.validate_word(absolute)
-        scale, offset = _root_affine(spec, absolute)
-        corners = set()
-        for k in range(d + 1):
-            corners.add(tuple(offset[t] + (scale if t == k else 0) for t in range(d + 1)))
+        affine = _root_affine(spec, absolute)
         corner_words.append(absolute)
-        corner_affines.append((scale, offset))
-        corner_vertex_coords.append(frozenset(corners))
+        corner_affines.append(affine)
+        corner_vertex_coords.append(frozenset(cell_corners(affine)))
     boundary_coords = frozenset(net.coords[v] for v in net.boundary)
     boundary = set(net.boundary)
     inner_ids = [v for v in range(net.n_vertices) if v not in boundary]
@@ -368,17 +364,6 @@ class A3Report:
         }
 
 
-def _map_ordered(fn, items, threads: int) -> list:
-    """Order-preserving map; a thread pool when threads > 1 (results are
-    aggregated sequentially afterwards, so reports stay deterministic)."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def a3_report(
     spec: GasketSpec,
     m: int,
@@ -390,7 +375,6 @@ def a3_report(
     point_samples: int = 3,
     mode: str = "auto",
     budget: int = DEFAULT_WORD_BUDGET,
-    threads: int = 1,
 ) -> A3Report:
     """Check the mass inequality exactly on every depth-m word and estimate
     the three balance constants on an equispaced word subsample.
@@ -451,23 +435,18 @@ def a3_report(
     cap_mode = None
     sample_rows = []
 
-    def solve_pick(idx):
-        word = words[idx][0]
+    for idx in picks:
+        word, r_w, _ = words[idx]
         rel = relative_capacity(spec, word, N, K, mode=mode, budget=budget)
-        desc = inner_set(spec, word, N)
-        inner = desc.inner_vertex_ids
+        cap_mode = rel.mode
+        cap_rel = float(rel.values[-1])
+        inner = inner_set(spec, word, N).inner_vertex_ids
         pcount = min(point_samples, len(inner))
         pt_caps = []
         for j in range(pcount):
             v = inner[(j * len(inner)) // pcount]
             pt = point_capacity(spec, word, v, K=0, base_depth=N, mode=mode, budget=budget)
             pt_caps.append(float(pt.values[-1]))
-        return rel.mode, float(rel.values[-1]), pt_caps
-
-    solved = _map_ordered(solve_pick, picks, threads)
-    for idx, (used_mode, cap_rel, pt_caps) in zip(picks, solved):
-        word, r_w, _ = words[idx]
-        cap_mode = used_mode
         cap_pt = min(pt_caps) if pt_caps else float("nan")
         inv_r = 1.0 / float(r_w)
         for s_idx, q0, nu_V, osc in per_word_samples[word]:

@@ -20,8 +20,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import blowup as blowup_mod
@@ -86,40 +86,32 @@ def load_spec(path: str) -> GasketSpec:
     return GasketSpec.from_dict(data)
 
 
+@contextmanager
+def _output(out: str | None, **open_args):
+    """The stream a result goes to: the file `out`, else stdout.  A path that
+    cannot be written is an input error."""
+    if not out:
+        yield sys.stdout
+        return
+    try:
+        with open(out, "w", encoding="utf-8", **open_args) as fh:
+            yield fh
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _emit_csv(header: list, rows, out: str | None) -> None:
-    if out:
-        fh = open(out, "w", encoding="utf-8", newline="")
-    else:
-        fh = sys.stdout
-    try:
+    with _output(out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow(row)
-    finally:
-        if out:
-            fh.close()
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("GASKETLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InvalidParameterError(f"GASKETLAB_THREADS must be an integer, got {env!r}")
-    return 1
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -169,7 +161,6 @@ def cmd_dim_estimate(args) -> int:
             "eps": args.eps,
             "delta": args.delta,
             "budget": args.budget,
-            "threads": _threads(args),
         },
         "report": report.to_dict(),
     }
@@ -190,7 +181,6 @@ def cmd_verify_a3(args) -> int:
         point_samples=args.point_samples,
         mode=args.mode,
         budget=args.budget,
-        threads=_threads(args),
     )
     payload = {
         "config": {
@@ -205,7 +195,6 @@ def cmd_verify_a3(args) -> int:
             "point_samples": args.point_samples,
             "mode": args.mode,
             "budget": args.budget,
-            "threads": _threads(args),
         },
         "report": report.to_dict(),
     }
@@ -241,7 +230,6 @@ def cmd_capacity(args) -> int:
             "base_depth": args.base_depth,
             "refine": args.refine,
             "mode": args.mode,
-            "threads": _threads(args),
         },
         "report": {
             "kind": result.kind,
@@ -295,7 +283,6 @@ def cmd_blowup(args) -> int:
             "refine": cloud.refinement,
             "res": args.res,
             "mode": args.mode,
-            "threads": _threads(args),
         },
         "report": {
             "points": cloud.n_points,
@@ -338,7 +325,6 @@ def cmd_hausdorff(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gasketlab", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--threads", type=int, default=None, help="cap worker parallelism (env GASKETLAB_THREADS)")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("renorm", help="print the renormalization factor r for one level")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import (
     NotFoundError,
 )
 from .exactla import det, is_psd, mat_mul, mat_t, mat_vec, quad
-from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word
+from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, walk
 from .harmonic import (
     base_form,
     dual_vector,
@@ -35,7 +36,6 @@ from .harmonic import (
     secondary_vectors,
     theta,
 )
-from .subdivision import cell_count
 
 
 # --- harmonic bases -----------------------------------------------------------
@@ -100,6 +100,17 @@ def basis_from_vectors(d: int, vectors) -> EnergyBasis:
     return EnergyBasis(d=d, raw=vecs, norms=[Q(g, g) for g in vecs], label="user")
 
 
+def _resolve_basis(d: int, basis) -> tuple:
+    """(EnergyBasis, normalized) for a basis argument: None is the normalized
+    default, an EnergyBasis keeps its own normalization, and anything else is
+    a list of boundary vectors whose cell matrices stay exact."""
+    if basis is None:
+        return default_basis(d), True
+    if isinstance(basis, EnergyBasis):
+        return basis, basis.label != "user"
+    return basis_from_vectors(d, basis), False
+
+
 # --- cell energy matrices -----------------------------------------------------
 
 
@@ -138,6 +149,17 @@ def _exact_cell_record(word, r_w, U, Q, basis: EnergyBasis, normalized: bool) ->
     return CellEnergyMatrix(word=word, B=C, nu_mass=mass, eigenvalues=eig, mode="exact")
 
 
+def _transport_step(d: int):
+    """Walk step carrying (A_w G, r_w) from a cell to its child."""
+
+    def step(state, letter):
+        U, r_w = state
+        data = extension_matrices(d, letter[1])
+        return mat_mul(data.A[letter[0] - 1], U), r_w * data.r
+
+    return step
+
+
 def cell_energy_matrix(spec: GasketSpec, word: Word, basis) -> CellEnergyMatrix:
     """Exact energy-measure matrix of one cell.
 
@@ -146,23 +168,9 @@ def cell_energy_matrix(spec: GasketSpec, word: Word, basis) -> CellEnergyMatrix:
     the mass stays exact).
     """
     spec.validate_word(word)
-    if basis is None:
-        basis = default_basis(spec.d)
-        normalized = True
-    elif isinstance(basis, EnergyBasis):
-        normalized = basis.label != "user"
-    else:
-        basis = basis_from_vectors(spec.d, basis)
-        normalized = False
-    Q = base_form(spec.d)
-    G = basis.exact_columns()
-    r_w = Fraction(1)
-    U = G
-    for i, l in word:
-        data = extension_matrices(spec.d, l)
-        U = mat_mul(data.A[i - 1], U)
-        r_w *= data.r
-    return _exact_cell_record(word, r_w, U, Q, basis, normalized)
+    basis, normalized = _resolve_basis(spec.d, basis)
+    U, r_w = reduce(_transport_step(spec.d), word, (basis.exact_columns(), Fraction(1)))
+    return _exact_cell_record(word, r_w, U, base_form(spec.d), basis, normalized)
 
 
 def kusuoka_distribution(
@@ -172,33 +180,13 @@ def kusuoka_distribution(
     budget: int = DEFAULT_WORD_BUDGET,
 ) -> list:
     """One exact record per depth-m word; the masses sum to the depth-0 mass."""
-    if basis is None:
-        basis = default_basis(spec.d)
-        normalized = True
-    elif isinstance(basis, EnergyBasis):
-        normalized = basis.label != "user"
-    else:
-        basis = basis_from_vectors(spec.d, basis)
-        normalized = False
+    basis, normalized = _resolve_basis(spec.d, basis)
     Q = base_form(spec.d)
-    out = []
-    count = 0
-
-    def rec(word, depth, U, r_w):
-        nonlocal count
-        if depth == m:
-            count += 1
-            if count > budget:
-                raise BudgetExceededError(f"more than {budget} cells at depth {m}")
-            out.append(_exact_cell_record(word, r_w, U, Q, basis, normalized))
-            return
-        l = spec.label_of(word)
-        data = extension_matrices(spec.d, l)
-        for i in range(1, cell_count(spec.d, l) + 1):
-            rec(word + ((i, l),), depth + 1, mat_mul(data.A[i - 1], U), r_w * data.r)
-
-    rec((), 0, basis.exact_columns(), Fraction(1))
-    return out
+    start = (basis.exact_columns(), Fraction(1))
+    return [
+        _exact_cell_record(word, r_w, U, Q, basis, normalized)
+        for word, (U, r_w) in walk(spec, m, start, _transport_step(spec.d), budget=budget)
+    ]
 
 
 # --- float scan over depths ---------------------------------------------------
@@ -228,10 +216,10 @@ def _depth_scan(spec: GasketSpec, m: int, basis: EnergyBasis, budget: int):
     stacks = _float_letter_stacks(spec)
     chains = basis.float_columns()[None, :, :]
     inv_r = np.array([1.0])
-    words: list = [()]
+    keys: list = [None]  # label keys of the cells at the previous depth
     for depth in range(1, m + 1):
-        labels = [spec.label_of(w) for w in words]
-        chunk_chains, chunk_inv_r, new_words = [], [], []
+        labels = [spec.key_label(key) for key in keys]
+        chunk_chains, chunk_inv_r, new_keys = [], [], []
         for l in spec.levels:
             idx = [t for t, lab in enumerate(labels) if lab == l]
             if not idx:
@@ -241,13 +229,13 @@ def _depth_scan(spec: GasketSpec, m: int, basis: EnergyBasis, budget: int):
             prod = np.einsum("cij,njk->ncik", A_stack, chains[idx])
             chunk_chains.append(prod.reshape(-1, d + 1, k))
             chunk_inv_r.append(np.repeat(inv_r[idx] / rl, n_children))
-            for t in idx:
-                w = words[t]
-                new_words.extend(w + ((i, l),) for i in range(1, n_children + 1))
+            if depth < m:  # the deepest cells are never expanded
+                for t in idx:
+                    new_keys.extend(spec.child_key(keys[t], (i, l)) for i in range(1, n_children + 1))
         chains = np.concatenate(chunk_chains, axis=0)
         inv_r = np.concatenate(chunk_inv_r)
-        words = new_words
-        if len(words) > budget:
+        keys = new_keys
+        if len(inv_r) > budget:
             raise BudgetExceededError(f"more than {budget} cells at depth {depth}")
         B = 2.0 * inv_r[:, None, None] * np.einsum("nij,ik,nkl->njl", chains, QM, chains)
         masses = np.trace(B, axis1=1, axis2=2) / k
@@ -326,10 +314,7 @@ def index_estimate(
         raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
     if m < 0:
         raise InvalidParameterError(f"depth must be >= 0, got {m}")
-    if basis is None:
-        basis = default_basis(spec.d)
-    elif not isinstance(basis, EnergyBasis):
-        basis = basis_from_vectors(spec.d, basis)
+    basis, _ = _resolve_basis(spec.d, basis)
 
     mean_trend, max_trend, rank2_trend = [], [], []
     d = spec.d

@@ -9,8 +9,10 @@ letter's level equals the label the spec assigns to its prefix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .exactla import (
     eliminate,
     identity,
     mat_mul,
+    mat_vec,
 )
 from .harmonic import extension_matrices
 from .subdivision import cell_count, subdivide
@@ -74,12 +77,27 @@ def _mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def word_hash_unit(seed: int, text: str) -> float:
-    """Deterministic hash of (seed, word encoding) mapped into [0, 1)."""
-    h = _mix64(seed & _MASK64)
+def _mix_text(h: int, text: str) -> int:
+    """Continue the splitmix64 state h over the bytes of text."""
     for b in text.encode("utf-8"):
         h = _mix64(h ^ b)
-    return h / 2.0**64
+    return h
+
+
+def word_hash_unit(seed: int, text: str) -> float:
+    """Deterministic hash of (seed, word encoding) mapped into [0, 1)."""
+    return _mix_text(_mix64(seed & _MASK64), text) / 2.0**64
+
+
+def _spec_value(convert, value, what: str):
+    """convert(value), or a SpecSemanticError naming what was malformed."""
+    try:
+        out = convert(value)
+        if isinstance(value, float) and out != value:  # int() truncates 2.5
+            raise ValueError(value)
+        return out
+    except (TypeError, ValueError, ArithmeticError):
+        raise SpecSemanticError(f"{what} is not a valid {convert.__name__}: {value!r}") from None
 
 
 class GasketSpec:
@@ -97,7 +115,7 @@ class GasketSpec:
     def __init__(self, d: int, levels, labeling=None, measure="natural"):
         if d < 2:
             raise SpecSemanticError(f"dimension must be >= 2, got {d}")
-        levels = tuple(sorted(set(int(l) for l in levels)))
+        levels = tuple(sorted(set(_spec_value(int, l, "level") for l in levels)))
         if not levels or any(l < 2 for l in levels):
             raise SpecSemanticError(f"levels must be a nonempty set of integers >= 2, got {levels}")
         self.d = d
@@ -108,25 +126,43 @@ class GasketSpec:
         self.measure = self._check_measure(measure)
 
     def _check_labeling(self, labeling: dict) -> dict:
+        if not isinstance(labeling, dict):
+            raise SpecSemanticError(f"labeling must be an object, got {labeling!r}")
         kind = labeling.get("type")
         if kind == "homogeneous":
             if len(self.levels) != 1:
                 raise SpecSemanticError("homogeneous labeling needs exactly one level")
             return {"type": "homogeneous"}
         if kind == "explicit":
-            entries = dict(labeling.get("entries", {}))
-            default = labeling.get("default")
-            if default is None or default not in self.levels:
+            default = _spec_value(int, labeling.get("default"), "explicit labeling default")
+            if default not in self.levels:
                 raise SpecSemanticError(f"explicit labeling default {default} not in levels {self.levels}")
-            for text, label in entries.items():
-                parse_word(text)
+            # labels are looked up by canonical text, so "01^3" is stored as "1^3"
+            raw = labeling.get("entries", {})
+            if not isinstance(raw, dict):
+                raise SpecSemanticError(f"explicit entries must map words to labels, got {raw!r}")
+            entries = {}
+            for text, label in raw.items():
+                if not isinstance(text, str):
+                    raise SpecSemanticError(f"explicit entry word must be a string, got {text!r}")
+                label = _spec_value(int, label, f"label for word {text!r}")
                 if label not in self.levels:
                     raise SpecSemanticError(f"label {label} for word {text!r} not in levels {self.levels}")
+                key = encode_word(parse_word(text))
+                if entries.setdefault(key, label) != label:
+                    raise SpecSemanticError(f"conflicting labels for word {key!r}")
             return {"type": "explicit", "entries": entries, "default": default}
         if kind == "seeded":
-            seed = int(labeling.get("seed", 0))
+            seed = _spec_value(int, labeling.get("seed", 0), "seeded labeling seed")
             weights = labeling.get("weights") or {l: 1.0 for l in self.levels}
-            weights = {int(l): float(w) for l, w in weights.items()}
+            if not isinstance(weights, dict):
+                raise SpecSemanticError(f"seeded weights must map levels to numbers, got {weights!r}")
+            weights = {
+                _spec_value(int, l, "seeded weight level"): _spec_value(float, w, f"seeded weight of level {l}")
+                for l, w in weights.items()
+            }
+            if not all(math.isfinite(w) for w in weights.values()):
+                raise SpecSemanticError(f"seeded weights must be finite, got {weights}")
             if set(weights) != set(self.levels):
                 raise SpecSemanticError(f"seeded weights keys {sorted(weights)} != levels {self.levels}")
             if any(w < 0 for w in weights.values()) or sum(weights.values()) <= 0:
@@ -137,7 +173,8 @@ class GasketSpec:
             for l in self.levels:
                 acc += weights[l] / total
                 cum.append((l, acc))
-            return {"type": "seeded", "seed": seed, "weights": weights, "_cum": cum}
+            root = _mix64(seed & _MASK64)
+            return {"type": "seeded", "seed": seed, "weights": weights, "_cum": cum, "_root": root}
         raise SpecSemanticError(f"unknown labeling type {kind!r}")
 
     def _check_measure(self, measure):
@@ -145,11 +182,16 @@ class GasketSpec:
             return "natural"
         if isinstance(measure, dict) and "per_letter" in measure:
             table = {}
-            for l, ws in measure["per_letter"].items():
-                l = int(l)
+            per_letter = measure["per_letter"]
+            if not isinstance(per_letter, dict):
+                raise SpecSemanticError(f"per-letter measure must map levels to weight lists, got {per_letter!r}")
+            for l, ws in per_letter.items():
+                l = _spec_value(int, l, "measure level")
                 if l not in self.levels:
                     raise SpecSemanticError(f"measure weights for level {l} not in levels {self.levels}")
-                ws = [Fraction(w) for w in ws]
+                if not isinstance(ws, (list, tuple)):
+                    raise SpecSemanticError(f"measure weights for level {l} must be a list, got {ws!r}")
+                ws = [_spec_value(Fraction, w, f"measure weight for level {l}") for w in ws]
                 if len(ws) != cell_count(self.d, l):
                     raise SpecSemanticError(f"measure weights for level {l} must have N(l) entries")
                 if any(w <= 0 for w in ws) or sum(ws) != 1:
@@ -160,32 +202,60 @@ class GasketSpec:
             return {"per_letter": table}
         raise SpecSemanticError(f"unknown measure {measure!r}")
 
-    # -- pure word functions --------------------------------------------------
+    # -- label keys -------------------------------------------------------------
+    #
+    # A word's label key fixes its label, and a child's key comes from its
+    # parent's in O(1), so a tree walk never re-reads a whole word.  The root's
+    # key is None.  Seeded: the splitmix64 state over the word's encoding, so
+    # a child continues it over ".i^l" ("i^l" below the root).  Explicit: the
+    # canonical encoding.  Homogeneous: always None.
 
-    def label_of(self, word: Word) -> int:
-        """The subdivision level used below `word`; a pure function of the word."""
+    def child_key(self, key, letter: Letter):
+        """The label key of the word `key` belongs to, extended by `letter`."""
+        kind = self.labeling["type"]
+        if kind == "homogeneous":
+            return None
+        text = f"{letter[0]}^{letter[1]}"
+        if kind == "explicit":
+            return text if key is None else f"{key}.{text}"
+        if key is None:
+            return _mix_text(self.labeling["_root"], text)
+        return _mix_text(key, "." + text)
+
+    def key_label(self, key) -> int:
+        """The label of the word whose label key is `key`."""
         kind = self.labeling["type"]
         if kind == "homogeneous":
             return self.levels[0]
         if kind == "explicit":
-            return self.labeling["entries"].get(encode_word(word), self.labeling["default"])
-        u = word_hash_unit(self.labeling["seed"], encode_word(word))
+            return self.labeling["entries"].get(key or "", self.labeling["default"])
+        u = (self.labeling["_root"] if key is None else key) / 2.0**64
         for l, acc in self.labeling["_cum"]:
             if u < acc:
                 return l
         return self.labeling["_cum"][-1][0]
 
-    def validate_word(self, word: Word) -> None:
-        prefix = ()
-        for i, l in word:
-            expect = self.label_of(prefix)
+    def label_key(self, word: Word):
+        """The label key of `word`, folded letter by letter from the root."""
+        return reduce(self.child_key, word, None)
+
+    def label_of(self, word: Word) -> int:
+        """The subdivision level used below `word`; a pure function of the word."""
+        return self.key_label(self.label_key(word))
+
+    def validate_word(self, word: Word):
+        """Raise unless `word` is admissible; return its label key."""
+        key = None
+        for n, (i, l) in enumerate(word):
+            expect = self.key_label(key)
             if l != expect:
                 raise InadmissibleWordError(
-                    f"letter {i}^{l} after prefix {encode_word(prefix)!r} must have level {expect}"
+                    f"letter {i}^{l} after prefix {encode_word(word[:n])!r} must have level {expect}"
                 )
             if not 1 <= i <= cell_count(self.d, l):
                 raise InadmissibleWordError(f"cell index {i} out of range for level {l}")
-            prefix = prefix + ((i, l),)
+            key = self.child_key(key, (i, l))
+        return key
 
     def cell_data(self, l: int):
         return extension_matrices(self.d, l)
@@ -230,18 +300,18 @@ class GasketSpec:
             raise SpecSemanticError("spec must be a JSON object")
         if "dimension" not in data or "levels" not in data:
             raise SpecSemanticError("spec needs 'dimension' and 'levels'")
+        if not isinstance(data["levels"], list):
+            raise SpecSemanticError(f"levels must be a list of integers, got {data['levels']!r}")
         labeling = data.get("labeling")
-        if labeling is not None:
-            labeling = dict(labeling)
-            if labeling.get("type") == "explicit":
-                entries = {}
-                for item in labeling.get("entries", []):
-                    entries[item["word"]] = int(item["label"])
-                labeling["entries"] = entries
-        measure = data.get("measure", "natural")
-        if isinstance(measure, dict) and "per_letter" in measure:
-            measure = {"per_letter": {int(l): list(ws) for l, ws in measure["per_letter"].items()}}
-        return cls(int(data["dimension"]), data["levels"], labeling, measure)
+        if isinstance(labeling, dict) and labeling.get("type") == "explicit":
+            items = labeling.get("entries", [])
+            if not isinstance(items, list) or not all(
+                isinstance(item, dict) and "word" in item and "label" in item for item in items
+            ):
+                raise SpecSemanticError(f"explicit entries must be a list of {{word, label}} objects, got {items!r}")
+            labeling = dict(labeling, entries={item["word"]: item["label"] for item in items})
+        dimension = _spec_value(int, data["dimension"], "dimension")
+        return cls(dimension, data["levels"], labeling, data.get("measure", "natural"))
 
     def describe(self) -> str:
         kind = self.labeling["type"]
@@ -253,33 +323,52 @@ class GasketSpec:
         return f"d={self.d} T={list(self.levels)} labeling={kind}{extra}"
 
 
-# --- word enumeration ---------------------------------------------------------
+# --- the word-tree walk ---------------------------------------------------------
+
+
+def walk(spec: GasketSpec, m: int, start, step, root: Word = (), budget: int = DEFAULT_WORD_BUDGET):
+    """Yield (word, state) for the admissible depth-m continuations of `root`,
+    in depth-lexicographic order; words are relative to the root.
+
+    `start` is the state at the root and a child's state is
+    step(parent_state, letter), so each caller carries only what it needs.
+    More than `budget` depth-m words raise BudgetExceededError.
+    """
+    if m < 0:
+        raise InvalidParameterError(f"depth must be >= 0, got {m}")
+    key = spec.validate_word(root)
+    if m == 0:
+        yield (), start
+        return
+    children = {l: [(i, l) for i in range(1, cell_count(spec.d, l) + 1)] for l in spec.levels}
+    stack = [((), start, key)]
+    count = 0
+    while stack:
+        word, state, key = stack.pop()
+        letters = children[spec.key_label(key)]
+        if len(word) + 1 < m:
+            # pushed last-first, so cell 1 is walked first
+            for letter in reversed(letters):
+                stack.append((word + (letter,), step(state, letter), spec.child_key(key, letter)))
+            continue
+        count += len(letters)
+        if count > budget:
+            raise BudgetExceededError(f"more than {budget} words at depth {m}")
+        for letter in letters:
+            yield word + (letter,), step(state, letter)
 
 
 def iter_words(spec: GasketSpec, m: int, budget: int = DEFAULT_WORD_BUDGET, root: Word = ()):
     """Yield (word, r_w, mu_w) for the admissible depth-m continuations of
     `root`, in depth-lexicographic order.  r and mu are relative to the root.
     """
-    if m < 0:
-        raise InvalidParameterError(f"depth must be >= 0, got {m}")
-    spec.validate_word(root)
-    count = 0
 
-    def rec(word, depth, r, mu):
-        nonlocal count
-        if depth == m:
-            count += 1
-            if count > budget:
-                raise BudgetExceededError(f"more than {budget} words at depth {m}")
-            yield word[len(root):], r, mu
-            return
-        l = spec.label_of(word)
-        rl = spec.r_of_letter((1, l))
-        for i in range(1, cell_count(spec.d, l) + 1):
-            letter = (i, l)
-            yield from rec(word + (letter,), depth + 1, r * rl, mu * spec.mu_of_letter(letter))
+    def step(state, letter):
+        r, mu = state
+        return r * spec.r_of_letter(letter), mu * spec.mu_of_letter(letter)
 
-    yield from rec(root, 0, Fraction(1), Fraction(1))
+    for word, (r, mu) in walk(spec, m, (Fraction(1), Fraction(1)), step, root, budget):
+        yield word, r, mu
 
 
 def enumerate_words(spec: GasketSpec, m: int, budget: int = DEFAULT_WORD_BUDGET) -> list:
@@ -287,37 +376,39 @@ def enumerate_words(spec: GasketSpec, m: int, budget: int = DEFAULT_WORD_BUDGET)
     return list(iter_words(spec, m, budget))
 
 
+def _exact_sum(by_den: dict) -> Fraction:
+    """The sum of n/d over a {d: n} tally, exact and independent of order."""
+    return sum((Fraction(n, d) for d, n in sorted(by_den.items())), Fraction(0))
+
+
 def measure_total(spec: GasketSpec, m: int, budget: int = DEFAULT_WORD_BUDGET) -> Fraction:
     """Exact sum of mu over the depth-m words (streaming; no list is built)."""
     by_den: dict = {}
     for _, _, mu in iter_words(spec, m, budget):
         by_den[mu.denominator] = by_den.get(mu.denominator, 0) + mu.numerator
-    return sum((Fraction(n, d) for d, n in sorted(by_den.items())), Fraction(0))
+    return _exact_sum(by_den)
 
 
 def measure_totals(spec: GasketSpec, m: int, budget: int = DEFAULT_WORD_BUDGET) -> list:
-    """Exact per-depth mass sums [depth 0 .. m] from a single tree walk."""
+    """Exact per-depth mass sums [depth 0 .. m] from a single tree walk.
+
+    The walk carries the masses of every prefix of a word.  A prefix is
+    tallied at its first depth-m descendant, the one that continues it with
+    cell 1 only, so each node of the tree is counted once.
+    """
     sums = [{} for _ in range(m + 1)]
-    nodes = 0
 
-    def add(depth, mu):
-        acc = sums[depth]
-        acc[mu.denominator] = acc.get(mu.denominator, 0) + mu.numerator
+    def step(path, letter):
+        return path + (path[-1] * spec.mu_of_letter(letter),)
 
-    def rec(word, depth, mu):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"more than {budget} tree nodes to depth {m}")
-        add(depth, mu)
-        if depth == m:
-            return
-        l = spec.label_of(word)
-        for i in range(1, cell_count(spec.d, l) + 1):
-            rec(word + ((i, l),), depth + 1, mu * spec.mu_of_letter((i, l)))
-
-    rec((), 0, Fraction(1))
-    return [sum((Fraction(n, d) for d, n in sorted(acc.items())), Fraction(0)) for acc in sums]
+    for word, path in walk(spec, m, (Fraction(1),), step, budget=budget):
+        k = m
+        while k > 0 and word[k - 1][0] == 1:
+            k -= 1
+        for depth in range(k, m + 1):
+            mu = path[depth]
+            sums[depth][mu.denominator] = sums[depth].get(mu.denominator, 0) + mu.numerator
+    return [_exact_sum(acc) for acc in sums]
 
 
 def chain_matrix(spec: GasketSpec, word: Word):
@@ -336,25 +427,38 @@ def harmonic_values(spec: GasketSpec, m: int, u, budget: int = DEFAULT_WORD_BUDG
     u = [Fraction(x) if not isinstance(x, float) else x for x in u]
     if len(u) != spec.d + 1:
         raise InvalidParameterError(f"boundary vector must have {spec.d + 1} entries")
-    out = {}
-    count = 0
 
-    def rec(word, depth, vec):
-        nonlocal count
-        if depth == m:
-            count += 1
-            if count > budget:
-                raise BudgetExceededError(f"more than {budget} words at depth {m}")
-            out[word] = vec
-            return
-        l = spec.label_of(word)
-        mats = extension_matrices(spec.d, l).A
-        for i in range(1, cell_count(spec.d, l) + 1):
-            nxt = [sum(row[j] * vec[j] for j in range(len(vec))) for row in mats[i - 1]]
-            rec(word + ((i, l),), depth + 1, nxt)
+    def step(vec, letter):
+        i, l = letter
+        return mat_vec(extension_matrices(spec.d, l).A[i - 1], vec)
 
-    rec((), 0, list(u))
-    return out
+    return dict(walk(spec, m, u, step, budget=budget))
+
+
+# --- cell geometry ------------------------------------------------------------
+#
+# A cell's map psi(x) = scale * x + offset in barycentric coordinates is
+# carried as the pair (scale, offset).
+
+
+def affine_step(affine, letter: Letter) -> tuple:
+    """The map of the child cell `letter` inside the cell with map `affine`."""
+    scale, offset = affine
+    i, l = letter
+    alpha = subdivide(len(offset) - 1, l).cells[i - 1]
+    return scale / l, [offset[k] + scale * alpha[k] for k in range(len(offset))]
+
+
+def _root_affine(spec: GasketSpec, root: Word) -> tuple:
+    """The map of the root word's cell, composed letter by letter."""
+    return reduce(affine_step, root, (Fraction(1), [Fraction(0)] * (spec.d + 1)))
+
+
+def cell_corners(affine) -> list:
+    """Exact coordinates of a cell's d+1 corners, in corner order."""
+    scale, offset = affine
+    n = len(offset)
+    return [tuple(offset[t] + (scale if t == k else 0) for t in range(n)) for k in range(n)]
 
 
 # --- conductance networks -----------------------------------------------------
@@ -396,31 +500,17 @@ class ConductanceNetwork:
         return len(connected_components(self.adjacency())) == 1
 
 
-def _root_affine(spec: GasketSpec, root: Word):
-    """Compose the root word's affine map as (scale, offset) in barycentric
-    coordinates; psi(x) = scale * x + offset."""
-    scale = Fraction(1)
-    offset = [Fraction(0)] * (spec.d + 1)
-    for i, l in root:
-        sub = subdivide(spec.d, l)
-        alpha = sub.cells[i - 1]
-        offset = [offset[k] + scale * alpha[k] for k in range(spec.d + 1)]
-        scale = scale / l
-    return scale, offset
-
-
 def level_network(
     spec: GasketSpec, m: int, root: Word = (), budget: int = DEFAULT_WORD_BUDGET
 ) -> ConductanceNetwork:
     """The depth-m cell network below `root`: vertices are the distinct
     images of the simplex corners, each cell contributes complete-graph edges
-    with conductance 1/r_w (relative to the root)."""
+    with conductance 1/r_w (relative to the root).  Vertex ids follow the
+    order in which the walk first reaches each corner."""
     spec.validate_word(root)
     d = spec.d
-    root_scale, root_offset = _root_affine(spec, root)
-    root_r = Fraction(1)
-    for letter in root:
-        root_r *= spec.r_of_letter(letter)
+    root_affine = _root_affine(spec, root)
+    root_r = math.prod((spec.r_of_letter(letter) for letter in root), start=Fraction(1))
 
     coords: list = []
     coord_index: dict = {}
@@ -435,39 +525,20 @@ def level_network(
             coords.append(coord)
         return v
 
-    count = 0
+    def step(state, letter):
+        affine, r = state
+        return affine_step(affine, letter), r * spec.r_of_letter(letter)
 
-    def rec(word, depth, scale, offset, r):
-        nonlocal count
-        if depth == m:
-            count += 1
-            if count > budget:
-                raise BudgetExceededError(f"more than {budget} cells at depth {m}")
-            ids = []
-            for k in range(d + 1):
-                coord = tuple(offset[t] + (scale if t == k else 0) for t in range(d + 1))
-                ids.append(vid_of(coord))
-            w = 1 / r
-            for a in range(d + 1):
-                for b in range(a + 1, d + 1):
-                    i, j = ids[a], ids[b]
-                    key = (i, j) if i < j else (j, i)
-                    edges[key] = edges.get(key, Fraction(0)) + w
-            cells.append((word, tuple(ids), w))
-            return
-        l = spec.label_of(root + word)
-        sub = subdivide(d, l)
-        rl = spec.r_of_letter((1, l))
-        for i in range(1, cell_count(d, l) + 1):
-            alpha = sub.cells[i - 1]
-            noff = [offset[k] + scale * alpha[k] for k in range(d + 1)]
-            rec(word + ((i, l),), depth + 1, scale / l, noff, r * rl)
-
-    rec((), 0, root_scale, root_offset, Fraction(1))
-    boundary = []
-    for k in range(d + 1):
-        coord = tuple(root_offset[t] + (root_scale if t == k else 0) for t in range(d + 1))
-        boundary.append(vid_of(coord))
+    for word, (affine, r) in walk(spec, m, (root_affine, Fraction(1)), step, root, budget):
+        ids = tuple(vid_of(coord) for coord in cell_corners(affine))
+        w = 1 / r
+        for a in range(d + 1):
+            for b in range(a + 1, d + 1):
+                i, j = ids[a], ids[b]
+                key = (i, j) if i < j else (j, i)
+                edges[key] = edges.get(key, Fraction(0)) + w
+        cells.append((word, ids, w))
+    boundary = [vid_of(coord) for coord in cell_corners(root_affine)]
     return ConductanceNetwork(
         d=d,
         coords=coords,

@@ -157,3 +157,47 @@ def test_hausdorff_floor_grows_with_dimension(tmp_path, capsys):
         payload = json.loads(capsys.readouterr().out)
         values.append(payload["report"]["dimension_floor_log_half_d_plus_1"])
     assert all(values[i + 1] > values[i] for i in range(len(values) - 1))
+
+
+SEEDED = {"type": "seeded", "seed": 1, "weights": {"2": 1.0, "3": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "spec_text",
+    [
+        '{"dimension": 2, "levels": "ab"}',
+        '{"dimension": "x", "levels": [2]}',
+        '{"dimension": 2, "levels": [2.5]}',
+        json.dumps({"dimension": 2, "levels": [2, 3], "labeling": dict(SEEDED, weights={"2": "a", "3": 1})}),
+        json.dumps({"dimension": 2, "levels": [2, 3], "labeling": dict(SEEDED, seed="abc")}),
+        '{"dimension": 2, "levels": [2, 3], "labeling": {"type": "seeded", "weights": {"2": NaN, "3": 1}}}',
+        '{"dimension": 2, "levels": [2], "measure": {"per_letter": {"2": ["x", "1/2", "1/2"]}}}',
+        '{"dimension": 2, "levels": [2], "labeling": "x"}',
+        '{"dimension": 2, "levels": [2, 3], "labeling": {"type": "explicit", "entries": [{"word": ""}], "default": 2}}',
+        '{"dimension": 2, "levels": [2, 3], "labeling": {"type": "explicit",'
+        ' "entries": [{"word": "1^3", "label": 3}, {"word": "01^3", "label": 2}], "default": 2}}',
+    ],
+    ids=["levels-str", "dimension-str", "level-fraction", "weight-str", "seed-str", "weight-nan", "per-letter-str",
+         "labeling-str", "entry-no-label", "entry-conflict"],
+)
+def test_malformed_spec_exits_2_with_one_line(spec_text, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(spec_text)
+    assert main(["words", "--spec", str(path), "--depth", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["words", "--depth", "1"], ["hausdorff"]])
+def test_unwritable_output_exits_2_with_one_line(argv, sg_spec, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    assert main(argv + ["--spec", sg_spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+def test_explicit_entry_words_are_normalized(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text('{"dimension": 2, "levels": [2, 3], "labeling": {"type": "explicit",'
+                    ' "entries": [{"word": "", "label": 3}, {"word": "01^3", "label": 3}], "default": 2}}')
+    assert load_spec(str(path)).label_of(((1, 3),)) == 3

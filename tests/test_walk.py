@@ -1,0 +1,169 @@
+"""Property tests of the word-tree walk and the incremental label keys, across
+dimensions, level sets, labelings, seeds and measures."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gasketlab.gasket import (
+    GasketSpec,
+    encode_word,
+    iter_words,
+    measure_totals,
+    walk,
+    word_hash_unit,
+)
+from gasketlab.harmonic import extension_matrices
+from gasketlab.subdivision import cell_count
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def specs(draw):
+    d = draw(st.sampled_from([2, 3]))
+    levels = sorted(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4, unique=True)))
+    kinds = ["seeded", "explicit"] + (["homogeneous"] if len(levels) == 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "homogeneous":
+        labeling = None
+    elif kind == "seeded":
+        weights = {l: float(draw(st.integers(0, 4))) for l in levels}
+        if not any(weights.values()):
+            weights[levels[0]] = 1.0
+        labeling = {"type": "seeded", "seed": draw(st.integers(-(2**70), 2**70)), "weights": weights}
+    else:
+        default = draw(st.sampled_from(levels))
+        # letters of the default level make most of the entries reachable
+        letters = st.sampled_from([(i, l) for l in levels for i in range(1, min(cell_count(d, l), 4) + 1)])
+        letters |= st.sampled_from([(i, default) for i in range(1, 4)])
+        words = st.lists(letters, max_size=3).map(lambda w: encode_word(tuple(w)))
+        entries = draw(st.dictionaries(words, st.sampled_from(levels), max_size=8))
+        labeling = {"type": "explicit", "entries": entries, "default": default}
+    measure = "natural"
+    if draw(st.booleans()):
+        table = {}
+        for l in levels:
+            raw = draw(st.lists(st.integers(1, 9), min_size=cell_count(d, l), max_size=cell_count(d, l)))
+            table[l] = [Fraction(x, sum(raw)) for x in raw]
+        measure = {"per_letter": table}
+    return GasketSpec(d, levels, labeling, measure)
+
+
+def max_depth(spec: GasketSpec) -> int:
+    """The deepest walk that stays below a few thousand words."""
+    widest = max(cell_count(spec.d, l) for l in spec.levels)
+    m = 0
+    while widest ** (m + 1) <= 4000:
+        m += 1
+    return m
+
+
+def reference_label(spec: GasketSpec, word) -> int:
+    """The label from the whole word: the hash of its encoding, or the entry."""
+    labeling = spec.labeling
+    if labeling["type"] == "homogeneous":
+        return spec.levels[0]
+    text = encode_word(word)
+    if labeling["type"] == "explicit":
+        return labeling["entries"].get(text, labeling["default"])
+    u = word_hash_unit(labeling["seed"], text)
+    weights = labeling["weights"]
+    total = sum(weights[l] for l in spec.levels)
+    acc = 0.0
+    for l in spec.levels:
+        acc += weights[l] / total
+        if u < acc:
+            return l
+    return spec.levels[-1]
+
+
+def reference_words(spec: GasketSpec, m: int, root=()) -> list:
+    """Admissible depth-m continuations of root, level by level."""
+    words = [root]
+    for _ in range(m):
+        words = [
+            w + ((i, l),)
+            for w in words
+            for l in [reference_label(spec, w)]
+            for i in range(1, cell_count(spec.d, l) + 1)
+        ]
+    return [w[len(root):] for w in words]
+
+
+def walked_words(spec: GasketSpec, m: int, root=()) -> list:
+    return [w for w, _ in walk(spec, m, None, lambda state, letter: None, root=root)]
+
+
+@PROPERTY
+@given(specs(), st.data())
+def test_label_keys_match_the_whole_word_reference(spec, data):
+    m = max_depth(spec)
+    for word in data.draw(st.lists(st.sampled_from(reference_words(spec, m)), max_size=10)):
+        key = None
+        for n in range(len(word) + 1):
+            prefix = word[:n]
+            assert spec.key_label(key) == reference_label(spec, prefix)
+            assert spec.label_of(prefix) == reference_label(spec, prefix)
+            if spec.labeling["type"] == "seeded" and prefix:
+                assert key / 2.0**64 == word_hash_unit(spec.labeling["seed"], encode_word(prefix))
+            if n < len(word):
+                key = spec.child_key(key, word[n])
+        assert spec.validate_word(word) == key == spec.label_key(word)
+
+
+@PROPERTY
+@given(specs(), st.data())
+def test_walk_yields_the_admissible_words_in_depth_lex_order(spec, data):
+    m = data.draw(st.integers(0, max_depth(spec)))
+    words = walked_words(spec, m)
+    assert words == sorted(reference_words(spec, m))
+
+
+@PROPERTY
+@given(specs(), st.data())
+def test_walk_below_a_root_is_the_matching_suffixes(spec, data):
+    m = max_depth(spec)
+    k = data.draw(st.integers(0, m))
+    full = walked_words(spec, m)
+    root = data.draw(st.sampled_from(full))[:k]
+    assert walked_words(spec, m - k, root) == [w[k:] for w in full if w[:k] == root]
+
+
+@PROPERTY
+@given(specs(), st.data())
+def test_iter_words_weights_are_the_per_letter_products(spec, data):
+    m = data.draw(st.integers(0, max_depth(spec)))
+    k = data.draw(st.integers(0, m))
+    root = data.draw(st.sampled_from(walked_words(spec, k)))
+    for word, r, mu in iter_words(spec, m - k, root=root):
+        want_r, want_mu = Fraction(1), Fraction(1)
+        for i, l in word:
+            want_r *= extension_matrices(spec.d, l).r
+            if spec.measure == "natural":
+                want_mu *= Fraction(1, cell_count(spec.d, l))
+            else:
+                want_mu *= spec.measure["per_letter"][l][i - 1]
+        assert (r, mu) == (want_r, want_mu)
+
+
+@PROPERTY
+@given(specs())
+def test_measure_totals_are_one_at_every_depth(spec):
+    m = max_depth(spec)
+    assert measure_totals(spec, m) == [1] * (m + 1)
+
+
+def test_explicit_entries_are_matched_by_canonical_text():
+    spec = GasketSpec(2, [2, 3], {"type": "explicit", "entries": {"": 3, "01^3": 3, "1^3.2^3": 3}, "default": 2})
+    assert spec.labeling["entries"] == {"": 3, "1^3": 3, "1^3.2^3": 3}
+    assert spec.label_of(((1, 3),)) == 3
+    below = [w[2] for w in walked_words(spec, 3) if w[:2] == ((1, 3), (2, 3))]
+    assert below == [(i, 3) for i in range(1, 7)]
+
+
+def test_walk_rejects_a_negative_depth():
+    with pytest.raises(ValueError):
+        list(walk(GasketSpec(2, [2]), -1, None, lambda state, letter: None))
