@@ -10,10 +10,9 @@ from .blowup import BlowupCloud, blowup_cloud, density_grid
 from .capacity import (
     A3Report,
     CapacityResult,
-    InnerSetDescriptor,
     a3_report,
     default_inner_depth,
-    inner_set,
+    inner_set_pins,
     point_capacity,
     relative_capacity,
 )

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateBasisError, InvalidParameterError
-from .capacity import default_inner_depth, relative_capacity
+from .capacity import _capacities, default_inner_depth, inner_set_pins
 from .energy import basis_from_vectors
 from .exactla import mat_vec, quad
 from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _root_affine, affine_step, cell_corners, walk
@@ -69,10 +70,11 @@ def blowup_cloud(
     if N is None:
         N = default_inner_depth(spec)
     k_eff = max(K, m - N)
-    cap = relative_capacity(spec, word, N, k_eff, mode=mode, budget=budget)
+    pins = partial(inner_set_pins, spec, word, N)
+    cap = _capacities("inner-set", spec, word, N, k_eff, pins, mode, budget, finest_only=True)
     net = cap.finest_network
     pots = cap.finest_potentials
-    exact = cap.mode in ("exact", "direct")
+    exact = cap.mode == "exact"
 
     d = spec.d
     Q = base_form(d)
@@ -130,7 +132,7 @@ def blowup_cloud(
         masses=masses,
         e_means=e_means,
         total_mass=total,
-        mode="exact" if exact else "float",
+        mode=cap.mode,
     )
 
 

@@ -1,28 +1,32 @@
 """Discrete relative capacities, equilibrium potentials, inner sets, and the
 empirical energy/capacity balance report.
 
-The inner set below a word excludes one length-N corner chain per corner; by
-finite ramification the only network vertices interior to an excluded chain
-cell are the deeper subdivision vertices it encloses, so at the base depth N
-the inner vertex set is everything except the word's own corners.
+The inner set below a word excludes one N-deep corner chain per corner.  On
+a network of depth >= N below the word, its capacity problem pins the word's
+own corners to 0, and pins to 1 every vertex of a cell outside the chains
+and every corner of a chain cell; the vertices strictly inside a chain cell
+are free.  By finite ramification cells meet only at corners, so on the
+depth-N network every vertex except the word's corners is pinned to 1.  The
+relative capacity is then the energy of the chain cells' corner edges,
+d * sum over the corners of 1/r_chain, and the networks are exact traces, so
+every refinement reproduces that value.
 
 Capacity values are computed on root-normalized networks (the root cell
 carries conductance weight 1).  The balance constants are scale invariant,
 so the root factor cancels out of every reported ratio.
+
+A value is "exact" unless a float solve produced it; a result or report is
+"exact" or "float" when all of its values are, and "mixed" otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 
-from .errors import (
-    EmptyInnerSetError,
-    InvalidParameterError,
-    InvalidVertexError,
-)
+from .errors import InvalidParameterError, InvalidVertexError
 from .energy import corner_decay_N
 from .exactla import mat_mul, mat_t
 from .gasket import (
@@ -53,6 +57,8 @@ def default_inner_depth(spec: GasketSpec) -> int:
 
 def corner_chain_labels(spec: GasketSpec, word: Word, corner: int, N: int) -> tuple:
     """Labels l_1..l_N of the admissible corner chain i^l1 ... i^lN below word."""
+    if N < 1:
+        raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
     labels = []
     key = spec.label_key(word)
     for _ in range(N):
@@ -62,71 +68,39 @@ def corner_chain_labels(spec: GasketSpec, word: Word, corner: int, N: int) -> tu
     return tuple(labels)
 
 
-@dataclass
-class InnerSetDescriptor:
-    """The inner set below one word: everything except N-deep corner chains."""
-
-    word: Word
-    N: int
-    corner_words: list = field(repr=False)       # absolute excluded words
-    corner_affines: list = field(repr=False)     # (scale, offset) of each excluded cell
-    corner_vertex_coords: list = field(repr=False)
-    boundary_coords: frozenset = frozenset()
-    inner_vertex_ids: list = field(default_factory=list, repr=False)
-    inner_vertex_coords: list = field(default_factory=list, repr=False)
-    network: ConductanceNetwork = None
-
-    def classify(self, coord) -> str:
-        """'boundary' for the word's own corners, 'excluded' for points
-        strictly inside an excluded chain cell, else 'inner'.
-
-        A barycentric point lies in the closed cell with map x -> scale x + o
-        iff every coordinate is >= the offset's (the preimage coordinates are
-        then nonnegative and sum to 1 automatically).
-        """
-        if coord in self.boundary_coords:
-            return "boundary"
-        for (scale, offset), corners in zip(self.corner_affines, self.corner_vertex_coords):
-            if coord in corners:
-                continue
-            if all(coord[k] >= offset[k] for k in range(len(coord))):
-                return "excluded"
-        return "inner"
+def inner_set_pins(spec: GasketSpec, word: Word, N: int, net: ConductanceNetwork) -> dict:
+    """The boundary values of the inner-set capacity problem on `net`, a
+    network of depth >= N below `word`: 0 on the word's corners, 1 on every
+    vertex of a cell outside the N-deep corner chains and on every corner of
+    a chain cell.  Vertices strictly inside a chain cell are left free."""
+    if net.root != word or net.depth < N:
+        raise InvalidParameterError(f"inner-set pins need a network of depth >= {N} below the word")
+    one = Fraction(1)
+    pins = {}
+    chains = set()
+    for corner in range(1, spec.d + 2):
+        chain = tuple((corner, l) for l in corner_chain_labels(spec, word, corner, N))
+        chains.add(chain)
+        for coord in cell_corners(_root_affine(spec, word + chain)):
+            pins[net.coord_index[coord]] = one
+    for rel, ids, _ in net.cells:
+        if rel[:N] not in chains:
+            pins.update(dict.fromkeys(ids, one))
+    pins.update(dict.fromkeys(net.boundary, Fraction(0)))
+    return pins
 
 
-def inner_set(spec: GasketSpec, word: Word, N: int) -> InnerSetDescriptor:
-    """Build the inner-set descriptor per the corner-chain construction."""
-    if N < 1:
-        raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
-    d = spec.d
-    net = level_network(spec, N, root=word)  # validates the word
-    corner_words = []
-    corner_affines = []
-    corner_vertex_coords = []
-    for corner in range(1, d + 2):
-        labels = corner_chain_labels(spec, word, corner, N)
-        chain = tuple((corner, l) for l in labels)
-        absolute = word + chain
-        affine = _root_affine(spec, absolute)
-        corner_words.append(absolute)
-        corner_affines.append(affine)
-        corner_vertex_coords.append(frozenset(cell_corners(affine)))
-    boundary_coords = frozenset(net.coords[v] for v in net.boundary)
-    boundary = set(net.boundary)
-    inner_ids = [v for v in range(net.n_vertices) if v not in boundary]
-    if not inner_ids:
-        raise EmptyInnerSetError(f"no inner vertices below {encode_word(word)!r} at N={N}")
-    return InnerSetDescriptor(
-        word=word,
-        N=N,
-        corner_words=corner_words,
-        corner_affines=corner_affines,
-        corner_vertex_coords=corner_vertex_coords,
-        boundary_coords=boundary_coords,
-        inner_vertex_ids=inner_ids,
-        inner_vertex_coords=[net.coords[v] for v in inner_ids],
-        network=net,
-    )
+def _point_pins(coord, net: ConductanceNetwork) -> dict:
+    """0 on the word's corners and 1 on the vertex at `coord`."""
+    pins = dict.fromkeys(net.boundary, Fraction(0))
+    pins[net.coord_index[coord]] = Fraction(1)
+    return pins
+
+
+def _joint_mode(modes) -> str:
+    """The arithmetic mode of values with the given modes."""
+    modes = set(modes) or {"exact"}
+    return modes.pop() if len(modes) == 1 else "mixed"
 
 
 @dataclass
@@ -156,6 +130,47 @@ class CapacityResult:
         return out
 
 
+def _capacities(
+    kind: str,
+    spec: GasketSpec,
+    word: Word,
+    base_depth: int,
+    K: int,
+    pins,
+    mode: str,
+    budget: int,
+    base: ConductanceNetwork | None = None,
+    finest_only: bool = False,
+) -> CapacityResult:
+    """Solve the capacity problem that pins(network) poses on the networks of
+    depth base_depth + k below the word, for k = 0..K, or for k = K alone when
+    finest_only.  `base` is the depth-base_depth network, when already built."""
+    if K < 0:
+        raise InvalidParameterError(f"refinement must be >= 0, got {K}")
+    refinements = [K] if finest_only else list(range(K + 1))
+    values = []
+    modes = []
+    for k in refinements:
+        if k == 0 and base is not None:
+            net = base
+        else:
+            net = level_network(spec, base_depth + k, root=word, budget=budget)
+        pots, energy, used_mode = dirichlet_solve(net, pins(net), mode=mode)
+        values.append(energy)
+        modes.append("float" if used_mode == "float" else "exact")
+    return CapacityResult(
+        kind=kind,
+        word=word,
+        base_depth=base_depth,
+        refinements=refinements,
+        values=values,
+        root_r=net.root_r,
+        mode=_joint_mode(modes),
+        finest_network=net,
+        finest_potentials=pots,
+    )
+
+
 def relative_capacity(
     spec: GasketSpec,
     word: Word,
@@ -166,37 +181,8 @@ def relative_capacity(
 ) -> CapacityResult:
     """Capacity between the inner set and the word's own corners, estimated on
     networks of depth N..N+K below the word (non-increasing in the depth)."""
-    if K < 0:
-        raise InvalidParameterError(f"refinement must be >= 0, got {K}")
-    desc = inner_set(spec, word, N)
-    values = []
-    refinements = []
-    finest = None
-    used_mode = mode
-    for k in range(K + 1):
-        net = desc.network if k == 0 else level_network(spec, N + k, root=word, budget=budget)
-        bmap = {}
-        for v in range(net.n_vertices):
-            cls = desc.classify(net.coords[v])
-            if cls == "boundary":
-                bmap[v] = Fraction(0)
-            elif cls == "inner":
-                bmap[v] = Fraction(1)
-        pots, energy, used_mode = dirichlet_solve(net, bmap, mode=mode)
-        values.append(energy)
-        refinements.append(k)
-        finest = (net, pots)
-    return CapacityResult(
-        kind="inner-set",
-        word=word,
-        base_depth=N,
-        refinements=refinements,
-        values=values,
-        root_r=finest[0].root_r,
-        mode=used_mode,
-        finest_network=finest[0],
-        finest_potentials=finest[1],
-    )
+    pins = partial(inner_set_pins, spec, word, N)
+    return _capacities("inner-set", spec, word, N, K, pins, mode, budget)
 
 
 def point_capacity(
@@ -218,31 +204,8 @@ def point_capacity(
         raise InvalidVertexError(f"vertex {vertex} not in depth-{base_depth} network")
     if vertex in base.boundary:
         raise InvalidVertexError("point capacity target must not be a corner of the word")
-    coord = base.coords[vertex]
-    values = []
-    refinements = []
-    finest = None
-    used_mode = mode
-    for k in range(K + 1):
-        net = base if k == 0 else level_network(spec, base_depth + k, root=word, budget=budget)
-        x = net.coord_index[coord]
-        bmap = {v: Fraction(0) for v in net.boundary}
-        bmap[x] = Fraction(1)
-        pots, energy, used_mode = dirichlet_solve(net, bmap, mode=mode)
-        values.append(energy)
-        refinements.append(k)
-        finest = (net, pots)
-    return CapacityResult(
-        kind="point",
-        word=word,
-        base_depth=base_depth,
-        refinements=refinements,
-        values=values,
-        root_r=base.root_r,
-        mode=used_mode,
-        finest_network=finest[0],
-        finest_potentials=finest[1],
-    )
+    pins = partial(_point_pins, base.coords[vertex])
+    return _capacities("point", spec, word, base_depth, K, pins, mode, budget, base=base)
 
 
 # --- the balance report ---------------------------------------------------------
@@ -432,21 +395,26 @@ def a3_report(
     C_a = float(worst_ratio)
     C_b = 0.0
     C_c = 0.0
-    cap_mode = None
+    cap_modes = []
     sample_rows = []
 
     for idx in picks:
         word, r_w, _ = words[idx]
-        rel = relative_capacity(spec, word, N, K, mode=mode, budget=budget)
-        cap_mode = rel.mode
+        # one depth-N network per word: the point samples and, when K = 0, the
+        # relative capacity are solved on it; only the depth-N+K value is read
+        base = level_network(spec, N, root=word, budget=budget)
+        pins = partial(inner_set_pins, spec, word, N)
+        rel = _capacities("inner-set", spec, word, N, K, pins, mode, budget, base=base, finest_only=True)
         cap_rel = float(rel.values[-1])
-        inner = inner_set(spec, word, N).inner_vertex_ids
+        cap_modes.append(rel.mode)
+        inner = [v for v in range(base.n_vertices) if v not in base.boundary]
         pcount = min(point_samples, len(inner))
         pt_caps = []
         for j in range(pcount):
-            v = inner[(j * len(inner)) // pcount]
-            pt = point_capacity(spec, word, v, K=0, base_depth=N, mode=mode, budget=budget)
+            pins = partial(_point_pins, base.coords[inner[(j * len(inner)) // pcount]])
+            pt = _capacities("point", spec, word, N, 0, pins, mode, budget, base=base)
             pt_caps.append(float(pt.values[-1]))
+            cap_modes.append(pt.mode)
         cap_pt = min(pt_caps) if pt_caps else float("nan")
         inv_r = 1.0 / float(r_w)
         for s_idx, q0, nu_V, osc in per_word_samples[word]:
@@ -487,6 +455,6 @@ def a3_report(
         C_a=C_a,
         C_b=C_b,
         C_c=C_c,
-        arithmetic_mode=cap_mode or "exact",
+        arithmetic_mode=_joint_mode(cap_modes),
         rows=sample_rows,
     )

@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -33,7 +34,6 @@ from .errors import (
     DisconnectedNetworkError,
     EigenRelationError,
     EmptyBoundaryError,
-    EmptyInnerSetError,
     GasketLabError,
     InadmissibleWordError,
     InvalidParameterError,
@@ -65,7 +65,6 @@ _NUMERIC_ERRORS = (
     EigenRelationError,
     SingularInteriorError,
     DisconnectedNetworkError,
-    EmptyInnerSetError,
     NotFoundError,
 )
 
@@ -98,6 +97,13 @@ def _output(out: str | None, **open_args):
             yield fh
     except OSError as exc:
         raise InvalidParameterError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
+
+
+def _rationals(text: str, flag: str) -> list:
+    try:
+        return [Fraction(x) for x in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise InvalidParameterError(f"{flag} must be comma-separated rationals, got {text!r}") from None
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -217,7 +223,7 @@ def cmd_capacity(args) -> int:
             spec, word, args.point, K=args.refine, base_depth=args.base_depth, mode=args.mode
         )
     else:
-        n = args.inner_n if args.inner_n else capacity_mod.default_inner_depth(spec)
+        n = capacity_mod.default_inner_depth(spec) if args.inner_n is None else args.inner_n
         result = capacity_mod.relative_capacity(spec, word, n, K=args.refine, mode=args.mode)
     values = [frac_str(v) if isinstance(v, Fraction) else v for v in result.values]
     payload = {
@@ -250,8 +256,8 @@ def cmd_blowup(args) -> int:
     if (args.b1 is None) != (args.b2 is None):
         raise InvalidParameterError("give both --b1 and --b2 or neither")
     if args.b1:
-        b1 = [Fraction(x) for x in args.b1.split(",")]
-        b2 = [Fraction(x) for x in args.b2.split(",")]
+        b1 = _rationals(args.b1, "--b1")
+        b2 = _rationals(args.b2, "--b2")
     else:
         basis = energy_mod.default_basis(spec.d)
         b1, b2 = basis.raw[0], basis.raw[1]
@@ -406,7 +412,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+        return code
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -416,6 +424,11 @@ def main(argv=None) -> int:
     except GasketLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`): stop quietly, and point
+        # stdout at devnull so the interpreter's final flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -48,10 +48,6 @@ class InvalidVertexError(GasketLabError, ValueError):
     """A vertex reference does not belong to the network in question."""
 
 
-class EmptyInnerSetError(GasketLabError):
-    """An inner-set construction excluded every available vertex."""
-
-
 class NotFoundError(GasketLabError):
     """A searched-for integer (e.g. a decay depth) does not exist in range."""
 

@@ -172,16 +172,15 @@ def eliminate(adj: dict, keep) -> tuple[dict, list]:
     keep = set(keep)
     work = {v: dict(nbrs) for v, nbrs in adj.items()}
     steps = []
-    todo = sorted(v for v in work if v not in keep)
-    todo_set = set(todo)
-    while todo_set:
-        v = min(todo_set, key=lambda x: (len(work[x]), x))
-        todo_set.discard(v)
+    todo = {v for v in work if v not in keep}
+    while todo:
+        v = min(todo, key=lambda x: (len(work[x]), x))
+        todo.discard(v)
         nbrs = work.pop(v)
         total = sum(nbrs.values())
         if total == 0:
             raise DisconnectedNetworkError("isolated vertex during elimination")
-        inv = Fraction(1) / total if isinstance(total, (int, Fraction)) else 1.0 / total
+        inv = Fraction(1) / total
         coeffs = {u: c * inv for u, c in nbrs.items()}
         steps.append((v, coeffs))
         items = list(nbrs.items())

@@ -575,7 +575,8 @@ def dirichlet_solve(
     for v in boundary:
         if not 0 <= v < n:
             raise InvalidVertexError(f"boundary vertex {v} not in network")
-    if not net.is_connected():
+    adj = net.adjacency()
+    if len(connected_components(adj)) != 1:
         raise DisconnectedNetworkError("network is not connected")
 
     exact_values = all(isinstance(x, (int, Fraction)) for x in boundary.values())
@@ -587,18 +588,14 @@ def dirichlet_solve(
     free = [v for v in range(n) if v not in boundary]
     if not free:
         values = {v: boundary[v] for v in range(n)}
-        adj = net.adjacency()
-        energy = edge_energy(adj, values)
-        return values, energy, "direct"
+        return values, edge_energy(adj, values), "direct"
 
     if mode == "exact":
         if not exact_values:
             raise InvalidParameterError("exact mode requires rational boundary values")
-        adj = net.adjacency()
         _, steps = eliminate(adj, set(boundary))
         values = back_substitute(steps, {v: Fraction(x) for v, x in boundary.items()})
-        energy = edge_energy(net.adjacency(), values)
-        return values, energy, "exact"
+        return values, edge_energy(adj, values), "exact"
 
     return _dirichlet_float(net, boundary, rtol)
 

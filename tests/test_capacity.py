@@ -2,18 +2,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasketlab.capacity import (
     a3_report,
     corner_chain_labels,
     default_inner_depth,
-    inner_set,
+    inner_set_pins,
     point_capacity,
     relative_capacity,
     sample_direction,
 )
 from gasketlab.errors import InvalidParameterError, InvalidVertexError
-from gasketlab.gasket import GasketSpec, level_network
+from gasketlab.gasket import GasketSpec, _root_affine, cell_corners, level_network
+from gasketlab.harmonic import extension_matrices
+from gasketlab.subdivision import cell_count
 
 
 @pytest.fixture(scope="module")
@@ -33,17 +37,22 @@ def test_default_inner_depth(sg, mixed):
 
 
 def test_inner_set_depth1_is_the_three_midpoints(sg):
-    desc = inner_set(sg, (), 1)
+    net = level_network(sg, 1)
+    pins = inner_set_pins(sg, (), 1, net)
     half = Fraction(1, 2)
-    assert set(desc.inner_vertex_coords) == {
+    inner = {net.coords[v] for v, x in pins.items() if x == 1}
+    assert inner == {
         (half, half, Fraction(0)),
         (half, Fraction(0), half),
         (Fraction(0), half, half),
     }
-    boundary = {desc.network.coords[v] for v in desc.network.boundary}
-    assert not (set(desc.inner_vertex_coords) & boundary)
+    boundary = {net.coords[v] for v in net.boundary}
+    assert boundary == {net.coords[v] for v, x in pins.items() if x == 0}
+    assert not (inner & boundary)
     with pytest.raises(InvalidParameterError):
-        inner_set(sg, (), 0)
+        inner_set_pins(sg, (), 0, level_network(sg, 0))
+    with pytest.raises(InvalidParameterError):
+        inner_set_pins(sg, (), 2, net)
 
 
 def test_inner_set_corner_chains_follow_labels(mixed):
@@ -54,20 +63,33 @@ def test_inner_set_corner_chains_follow_labels(mixed):
     for l in labels:
         assert mixed.label_of(probe) == l
         probe = probe + ((2, l),)
-    desc = inner_set(mixed, w, 3)
-    assert len(desc.corner_words) == 3
-    for cw in desc.corner_words:
-        mixed.validate_word(cw)
+    chains = [tuple((c, l) for l in corner_chain_labels(mixed, w, c, 3)) for c in (1, 2, 3)]
+    assert len(set(chains)) == 3
+    for chain in chains:
+        mixed.validate_word(w + chain)
+    # the chain cells are the cells of the depth-3 network whose pins are not all 1
+    net = level_network(mixed, 3, root=w)
+    pins = inner_set_pins(mixed, w, 3, net)
+    assert {rel for rel, ids, _ in net.cells if any(pins[v] == 0 for v in ids)} == set(chains)
 
 
 def test_inner_set_classification(sg):
-    desc = inner_set(sg, (), 2)
     net3 = level_network(sg, 3)
-    kinds = {desc.classify(net3.coords[v]) for v in range(net3.n_vertices)}
-    assert kinds == {"boundary", "excluded", "inner"}
-    # the word's own corners are boundary
-    for v in net3.boundary:
-        assert desc.classify(net3.coords[v]) == "boundary"
+    pins = inner_set_pins(sg, (), 2, net3)
+    free = [v for v in range(net3.n_vertices) if v not in pins]
+    assert set(pins.values()) == {0, 1} and free
+    # the word's own corners are pinned to 0
+    assert {v for v, x in pins.items() if x == 0} == set(net3.boundary)
+    # a free vertex lies in a closed chain cell (every coordinate at least the
+    # cell's offset) without being one of its corners
+    chains = [_root_affine(sg, tuple((c, l) for l in corner_chain_labels(sg, (), c, 2))) for c in (1, 2, 3)]
+    for v in range(net3.n_vertices):
+        coord = net3.coords[v]
+        inside = any(
+            coord not in cell_corners(affine) and all(x >= o for x, o in zip(coord, affine[1]))
+            for affine in chains
+        )
+        assert inside == (v in free)
 
 
 def test_relative_capacity_monotone_and_trace_exact(sg):
@@ -177,3 +199,57 @@ def test_a3_scaling_covariance_on_homogeneous_spec(sg):
     deeper = a3_report(sg, 3, samples=16, K=1, seed=0, cap_words=6)
     assert abs(shallow.C_b - deeper.C_b) < 1e-9
     assert abs(shallow.C_c - deeper.C_c) < 1e-9
+
+
+# --- properties across dimensions, level sets and seeded labelings -------------
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def inner_set_cases(draw):
+    """(spec, word, N, K) with networks of at most ~1,500 cells below the word."""
+    d = draw(st.sampled_from([2, 3]))
+    levels = sorted(draw(st.lists(st.sampled_from([2, 3, 4] if d == 2 else [2, 3]), min_size=1, unique=True)))
+    labeling = None
+    if len(levels) > 1 or draw(st.booleans()):
+        weights = {l: float(draw(st.integers(1, 3))) for l in levels}
+        labeling = {"type": "seeded", "seed": draw(st.integers(0, 2**32)), "weights": weights}
+    spec = GasketSpec(d, levels, labeling)
+    word = ()
+    for _ in range(draw(st.integers(0, 2))):
+        l = spec.label_of(word)
+        word += ((draw(st.integers(1, cell_count(d, l))), l),)
+    widest = max(cell_count(d, l) for l in levels)
+    deepest = 3 if d == 3 else 4
+    while widest**deepest > 1500:
+        deepest -= 1
+    N = draw(st.integers(1, min(3, deepest)))
+    K = draw(st.integers(0, min(1, deepest - N)))
+    return spec, word, N, K
+
+
+@PROPERTY
+@given(inner_set_cases())
+def test_relative_capacity_is_the_corner_chain_sum_at_every_refinement(case):
+    spec, word, N, K = case
+    expect = Fraction(0)
+    for corner in range(1, spec.d + 2):
+        r_chain = Fraction(1)
+        for l in corner_chain_labels(spec, word, corner, N):
+            r_chain *= extension_matrices(spec.d, l).r
+        expect += spec.d / r_chain
+    res = relative_capacity(spec, word, N, K, mode="exact")
+    assert res.refinements == list(range(K + 1))
+    assert res.values == [expect] * (K + 1)
+    assert res.mode == "exact"
+
+
+@PROPERTY
+@given(inner_set_cases())
+def test_depth_n_pins_fix_every_vertex_but_the_word_corners_to_one(case):
+    spec, word, N, _ = case
+    net = level_network(spec, N, root=word)
+    pins = inner_set_pins(spec, word, N, net)
+    corners = set(net.boundary)
+    assert pins == {v: Fraction(0 if v in corners else 1) for v in range(net.n_vertices)}

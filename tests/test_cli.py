@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gasketlab.cli import load_spec, main
 from gasketlab.errors import SpecParseError, SpecSemanticError
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture()
@@ -201,3 +207,49 @@ def test_explicit_entry_words_are_normalized(tmp_path):
     path.write_text('{"dimension": 2, "levels": [2, 3], "labeling": {"type": "explicit",'
                     ' "entries": [{"word": "", "label": 3}, {"word": "01^3", "label": 3}], "default": 2}}')
     assert load_spec(str(path)).label_of(((1, 3),)) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["blowup", "--depth", "1", "--b1", "1,0,x", "--b2", "0,1,0"],
+        ["blowup", "--depth", "1", "--b1", "1/0,0,0", "--b2", "0,1,0"],
+        ["verify-a3", "--depth", "1", "--inner-n", "0"],
+        ["capacity", "--point", "5", "--base-depth", "2", "--refine", "-1"],
+        ["capacity", "--inner-n", "0"],
+    ],
+    ids=["b1-not-rational", "b1-zero-denominator", "verify-inner-n-0", "point-refine-negative", "capacity-inner-n-0"],
+)
+def test_malformed_argument_exits_2_with_one_line(argv, sg_spec, capsys):
+    assert main(argv + ["--spec", sg_spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, mode",
+    [
+        (["capacity", "--refine", "0"], "exact"),
+        (["capacity", "--inner-n", "2", "--refine", "1", "--mode", "float"], "mixed"),
+        (["verify-a3", "--depth", "1", "--samples", "2", "--refine", "0", "--mode", "float"], "mixed"),
+        (["verify-a3", "--depth", "1", "--samples", "2", "--refine", "1", "--mode", "float"], "float"),
+    ],
+    ids=["all-pinned-solve-is-exact", "pinned-and-cg", "pinned-capacity-and-cg-points", "all-cg"],
+)
+def test_arithmetic_mode_covers_every_printed_value(argv, mode, sg_spec, capsys):
+    assert main(argv + ["--spec", sg_spec]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["arithmetic_mode"] == mode
+
+
+def test_closed_stdout_ends_quietly(sg_spec):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gasketlab.cli", "words", "--spec", sg_spec, "--depth", "9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    # 3^9 rows are far more than a pipe buffers, so the writer meets the closed end
+    assert proc.stdout.readline().startswith(b"word,r_num,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0
+    assert err == b""
