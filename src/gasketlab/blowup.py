@@ -3,9 +3,14 @@ rescaled harmonic pair into the plane and bin the resulting weighted cloud.
 
 Per depth-m subcell the pushed point is the image under the rescaled pair of
 the subcell's vertex average, and the weight is e^2 times the subcell's
-combined energy mass, where e is the discrete equilibrium potential of the
-inner-set capacity problem.  Only pairs (two harmonic directions) are
-supported; that is the shape the limiting-measure argument consumes.
+combined energy mass, where e is the mean over the subcell's corners of the
+equilibrium potential of the inner-set capacity problem.  That potential
+needs no solve.  On the depth-N network below the word the inner-set pins fix
+every vertex: 0 on the word's corners and 1 everywhere else.  Below depth N
+cells meet only at their corners, so inside a cell the potential is the
+harmonic extension of its corner values, e_child = A_letter e_parent.  Only
+pairs (two harmonic directions) are supported; that is the shape the
+limiting-measure argument consumes.
 """
 
 from __future__ import annotations
@@ -13,15 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateBasisError, InvalidParameterError
-from .capacity import _capacities, default_inner_depth, inner_set_pins
+from .capacity import default_inner_depth
 from .energy import basis_from_vectors
 from .exactla import mat_vec, quad
-from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _root_affine, affine_step, cell_corners, walk
+from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, walk
 from .harmonic import base_form, extension_matrices
 
 
@@ -32,14 +36,12 @@ class BlowupCloud:
     word: Word
     depth: int
     inner_depth: int
-    refinement: int
     alpha: float
     points: np.ndarray = field(repr=False)       # (n, 2) floats in the unit disk
-    weights: list = field(repr=False)            # e^2 * mass, exact in rational mode
+    weights: list = field(repr=False)            # e^2 * mass, exact
     masses: list = field(repr=False)
     e_means: list = field(repr=False)
-    total_mass: Fraction | float = Fraction(0)
-    mode: str = "exact"
+    total_mass: Fraction = Fraction(0)
 
     @property
     def n_points(self) -> int:
@@ -52,47 +54,48 @@ def blowup_cloud(
     b1,
     b2,
     m: int,
-    K: int = 0,
     N: int | None = None,
-    mode: str = "auto",
     budget: int = DEFAULT_WORD_BUDGET,
 ) -> BlowupCloud:
     """Build the weighted cloud for the harmonic pair (b1, b2) below `word`.
 
-    The equilibrium potential is solved at refinement max(K, m - N) so its
-    values exist at every depth-m vertex; masses are root normalized.
+    The walk carries the potential at each cell's corners: down to depth N
+    the corner cell i keeps its parent's value at corner i and every other
+    corner value is 1; deeper the values follow the extension matrices.
+    Masses are root normalized.
     """
     basis = basis_from_vectors(spec.d, [b1, b2])
     if basis.size != 2:
         raise DegenerateBasisError("exactly two harmonic directions are required")
-    if m < 0:
-        raise InvalidParameterError(f"depth must be >= 0, got {m}")
     if N is None:
         N = default_inner_depth(spec)
-    k_eff = max(K, m - N)
-    pins = partial(inner_set_pins, spec, word, N)
-    cap = _capacities("inner-set", spec, word, N, k_eff, pins, mode, budget, finest_only=True)
-    net = cap.finest_network
-    pots = cap.finest_potentials
-    exact = cap.mode == "exact"
+    if N < 1:
+        raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
 
     d = spec.d
     Q = base_form(d)
+    one = Fraction(1)
     u1 = [Fraction(x) for x in b1]
     u2 = [Fraction(x) for x in b2]
 
     def step(state, letter):
-        affine, inv_r, v1, v2 = state
-        data = extension_matrices(d, letter[1])
-        A = data.A[letter[0] - 1]
-        return affine_step(affine, letter), inv_r / data.r, mat_vec(A, v1), mat_vec(A, v2)
+        to_n, inv_r, v1, v2, e = state
+        i, l = letter
+        data = extension_matrices(d, l)
+        A = data.A[i - 1]
+        if to_n > 0:
+            # a child's corner is a corner of its parent only at corner i of
+            # the corner cell i; a new vertex is no corner of the word, so 1
+            e = [x if k == i - 1 else one for k, x in enumerate(e)]
+        elif min(e) != max(e):  # A is row-stochastic, so it keeps a constant
+            e = mat_vec(A, e)
+        return to_n - 1, inv_r / data.r, mat_vec(A, v1), mat_vec(A, v2), e
 
     cells = []  # (values1, values2, e_mean, mass)
-    start = (_root_affine(spec, word), Fraction(1), u1, u2)
-    for _, (affine, inv_r, v1, v2) in walk(spec, m, start, step, root=word, budget=budget):
-        e_mean = sum(pots[net.coord_index[coord]] for coord in cell_corners(affine)) / (d + 1)
+    start = (N, one, u1, u2, [Fraction(0)] * (d + 1))
+    for _, (_, inv_r, v1, v2, e) in walk(spec, m, start, step, root=word, budget=budget):
         mass = inv_r * (quad(Q.M, v1) + quad(Q.M, v2))  # (1/2) sum of 2/r_w masses
-        cells.append((v1, v2, e_mean, mass))
+        cells.append((v1, v2, sum(e) / (d + 1), mass))
 
     # normalization: 1 / max vertex norm of the pair, exact comparison first
     max_sq = Fraction(0)
@@ -107,16 +110,13 @@ def blowup_cloud(
 
     points = np.empty((len(cells), 2))
     weights, masses, e_means = [], [], []
-    total = Fraction(0) if exact else 0.0
+    total = Fraction(0)
     for idx, (v1, v2, e_mean, mass) in enumerate(cells):
         h1 = sum(v1) / (d + 1)
         h2 = sum(v2) / (d + 1)
         points[idx, 0] = alpha * float(h1)
         points[idx, 1] = alpha * float(h2)
-        if exact:
-            w = e_mean * e_mean * mass
-        else:
-            w = float(e_mean) * float(e_mean) * float(mass)
+        w = e_mean * e_mean * mass
         weights.append(w)
         masses.append(mass)
         e_means.append(e_mean)
@@ -125,14 +125,12 @@ def blowup_cloud(
         word=word,
         depth=m,
         inner_depth=N,
-        refinement=k_eff,
         alpha=alpha,
         points=points,
         weights=weights,
         masses=masses,
         e_means=e_means,
         total_mass=total,
-        mode=cap.mode,
     )
 
 

@@ -105,9 +105,8 @@ def _joint_mode(modes) -> str:
 
 @dataclass
 class CapacityResult:
-    """Capacity estimates over nested refinements, with the equilibrium
-    potential on the finest network.  Values are root normalized; divide by
-    root_r for the absolute scale."""
+    """Capacity estimates over nested refinements.  Values are root
+    normalized; divide by root_r for the absolute scale."""
 
     kind: str
     word: Word
@@ -116,8 +115,6 @@ class CapacityResult:
     values: list
     root_r: Fraction = Fraction(1)
     mode: str = "exact"
-    finest_network: ConductanceNetwork = None
-    finest_potentials: dict = None
 
     @property
     def absolute_values(self) -> list:
@@ -155,7 +152,7 @@ def _capacities(
             net = base
         else:
             net = level_network(spec, base_depth + k, root=word, budget=budget)
-        pots, energy, used_mode = dirichlet_solve(net, pins(net), mode=mode)
+        _, energy, used_mode = dirichlet_solve(net, pins(net), mode=mode)
         values.append(energy)
         modes.append("float" if used_mode == "float" else "exact")
     return CapacityResult(
@@ -166,8 +163,6 @@ def _capacities(
         values=values,
         root_r=net.root_r,
         mode=_joint_mode(modes),
-        finest_network=net,
-        finest_potentials=pots,
     )
 
 
@@ -349,6 +344,10 @@ def a3_report(
     """
     if samples < 1:
         raise InvalidParameterError("need at least one sample per word")
+    if cap_words < 1:
+        raise InvalidParameterError("need at least one capacity word")
+    if point_samples < 1:
+        raise InvalidParameterError("need at least one point sample per word")
     if N is None:
         N = default_inner_depth(spec)
     d = spec.d
@@ -415,7 +414,7 @@ def a3_report(
             pt = _capacities("point", spec, word, N, 0, pins, mode, budget, base=base)
             pt_caps.append(float(pt.values[-1]))
             cap_modes.append(pt.mode)
-        cap_pt = min(pt_caps) if pt_caps else float("nan")
+        cap_pt = min(pt_caps)
         inv_r = 1.0 / float(r_w)
         for s_idx, q0, nu_V, osc in per_word_samples[word]:
             nu_U_abs = 2.0 * q0 * inv_r

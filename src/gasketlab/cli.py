@@ -261,9 +261,7 @@ def cmd_blowup(args) -> int:
     else:
         basis = energy_mod.default_basis(spec.d)
         b1, b2 = basis.raw[0], basis.raw[1]
-    cloud = blowup_mod.blowup_cloud(
-        spec, word, b1, b2, args.depth, K=args.refine, mode=args.mode, budget=args.budget
-    )
+    cloud = blowup_mod.blowup_cloud(spec, word, b1, b2, args.depth, budget=args.budget)
     if args.out_cloud:
         rows = (
             [encode_word(cloud.word), float(x), float(y), float(w), float(e)]
@@ -279,22 +277,19 @@ def cmd_blowup(args) -> int:
             if grid[i, j] != 0.0
         )
         _emit_csv(["row", "col", "mass"], rows, args.out_grid)
-    total = cloud.total_mass
     payload = {
         "config": {
             "subcommand": "blowup",
             "spec": spec.to_dict(),
             "word": args.word,
             "depth": args.depth,
-            "refine": cloud.refinement,
             "res": args.res,
-            "mode": args.mode,
         },
         "report": {
             "points": cloud.n_points,
             "alpha": cloud.alpha,
-            "total_mass": frac_str(total) if isinstance(total, Fraction) else total,
-            "arithmetic_mode": cloud.mode,
+            "total_mass": frac_str(cloud.total_mass),
+            "arithmetic_mode": "exact",
         },
     }
     _emit_json(payload, args.out)
@@ -390,11 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--word", default="")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--refine", type=int, default=0)
     p.add_argument("--res", type=int, default=64)
     p.add_argument("--b1", default=None, help="comma-separated rationals")
     p.add_argument("--b2", default=None)
-    p.add_argument("--mode", choices=["exact", "float", "auto"], default="auto")
     p.add_argument("--budget", type=int, default=10_000_000)
     p.add_argument("--out", default=None)
     p.add_argument("--out-cloud", default=None)

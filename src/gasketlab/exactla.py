@@ -8,7 +8,6 @@ float paths live with their callers.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,14 +15,6 @@ from .errors import DisconnectedNetworkError, SingularInteriorError
 
 Vec = list
 Mat = list
-
-
-def frac_mat(rows) -> Mat:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def frac_vec(entries) -> Vec:
-    return [Fraction(x) for x in entries]
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
@@ -107,20 +98,6 @@ def is_psd(m: Mat) -> bool:
             if det(sub) < 0:
                 return False
     return True
-
-
-def largest_generalized_eigenvalue_2x2(a: Mat, b: Mat) -> float:
-    """Largest root of det(A - t B) = 0 for symmetric 2x2 rational A, B with B > 0.
-
-    The quadratic's coefficients are exact; only the final square root is
-    floating point.
-    """
-    # det(A - t B) = det(B) t^2 - (a00*b11 + a11*b00 - 2*a01*b01) t + det(A)
-    c2 = det(b)
-    c1 = -(a[0][0] * b[1][1] + a[1][1] * b[0][0] - 2 * a[0][1] * b[0][1])
-    c0 = det(a)
-    disc = max(c1 * c1 - 4 * c2 * c0, Fraction(0))
-    return (-float(c1) + math.sqrt(float(disc))) / (2 * float(c2))
 
 
 # --- sparse conductance networks -------------------------------------------

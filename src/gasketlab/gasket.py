@@ -494,11 +494,6 @@ class ConductanceNetwork:
             adj[j][i] = adj[j].get(i, 0) + c
         return adj
 
-    def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return True
-        return len(connected_components(self.adjacency())) == 1
-
 
 def level_network(
     spec: GasketSpec, m: int, root: Word = (), budget: int = DEFAULT_WORD_BUDGET

@@ -217,7 +217,7 @@ def test_criterion_9_capacity_solver_oracle_and_monotone_sequences():
 def test_criterion_10_blowup_conservation():
     with Criterion(10, "cloud mass exact in rational mode; grid sums at 64 and 256"):
         basis = default_basis(2)
-        cloud = blowup_cloud(SG, (), basis.raw[0], basis.raw[1], m=3, K=0, mode="exact")
+        cloud = blowup_cloud(SG, (), basis.raw[0], basis.raw[1], m=3)
         assert isinstance(cloud.total_mass, Fraction)
         assert cloud.total_mass == sum(
             e * e * mass for e, mass in zip(cloud.e_means, cloud.masses)

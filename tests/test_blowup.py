@@ -2,11 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasketlab.blowup import BlowupCloud, blowup_cloud, density_grid
+from gasketlab.capacity import inner_set_pins
 from gasketlab.energy import default_basis
-from gasketlab.errors import DegenerateBasisError, InvalidParameterError
-from gasketlab.gasket import GasketSpec
+from gasketlab.errors import DegenerateBasisError, InadmissibleWordError, InvalidParameterError
+from gasketlab.gasket import GasketSpec, dirichlet_solve, level_network
+from gasketlab.subdivision import cell_count
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +21,7 @@ def sg():
 @pytest.fixture(scope="module")
 def cloud(sg):
     basis = default_basis(2)
-    return blowup_cloud(sg, (), basis.raw[0], basis.raw[1], m=3, K=0, mode="exact")
+    return blowup_cloud(sg, (), basis.raw[0], basis.raw[1], m=3)
 
 
 def test_cloud_exact_mass_conservation(cloud):
@@ -39,7 +43,7 @@ def test_cloud_alpha_normalizes_vertex_values(sg):
     from gasketlab.exactla import mat_vec
     from gasketlab.harmonic import extension_matrices
 
-    cloud = blowup_cloud(sg, (), basis.raw[0], basis.raw[1], m=2, K=0, mode="exact")
+    cloud = blowup_cloud(sg, (), basis.raw[0], basis.raw[1], m=2)
     data = extension_matrices(2, 2)
     best = 0.0
     for i in (1, 2, 3):
@@ -54,6 +58,16 @@ def test_cloud_alpha_normalizes_vertex_values(sg):
 def test_cloud_rejects_degenerate_pair(sg):
     with pytest.raises(DegenerateBasisError):
         blowup_cloud(sg, (), [1, 0, 0], [2, 1, 1], m=2)  # second = first + const
+
+
+def test_cloud_rejects_bad_depths_and_words(sg):
+    basis = default_basis(2)
+    with pytest.raises(InvalidParameterError):
+        blowup_cloud(sg, (), basis.raw[0], basis.raw[1], m=2, N=0)
+    with pytest.raises(InvalidParameterError):
+        blowup_cloud(sg, (), basis.raw[0], basis.raw[1], m=-1)
+    with pytest.raises(InadmissibleWordError):
+        blowup_cloud(sg, ((1, 3),), basis.raw[0], basis.raw[1], m=1)
 
 
 def test_grid_conservation_and_refinement(cloud):
@@ -71,7 +85,6 @@ def test_grid_empty_cloud_and_resolution_floor(cloud):
         word=(),
         depth=0,
         inner_depth=1,
-        refinement=0,
         alpha=1.0,
         points=np.zeros((0, 2)),
         weights=[],
@@ -88,7 +101,52 @@ def test_mass_concentrates_where_equilibrium_potential_is_high(sg):
     # frozen qualitative threshold: >= 90% of the mass sits on subcells with
     # e > 1/2 at depth 8 (the oracle run gives ~0.99)
     basis = default_basis(2)
-    cloud = blowup_cloud(sg, (), basis.raw[0], basis.raw[1], m=8, K=0, mode="float")
+    cloud = blowup_cloud(sg, (), basis.raw[0], basis.raw[1], m=8)
     total = float(cloud.total_mass)
     high = sum(float(w) for w, e in zip(cloud.weights, cloud.e_means) if float(e) > 0.5)
     assert high / total >= 0.90
+
+
+# --- the equilibrium potential against the inner-set solve ----------------------
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def cloud_cases(draw):
+    """(spec, word, N, m) with at most ~1,500 cells below the word at depth
+    max(N, m)."""
+    d = draw(st.sampled_from([2, 3]))
+    levels = sorted(draw(st.lists(st.sampled_from([2, 3, 4] if d == 2 else [2, 3]), min_size=1, unique=True)))
+    labeling = None
+    if len(levels) > 1 or draw(st.booleans()):
+        weights = {l: float(draw(st.integers(1, 3))) for l in levels}
+        labeling = {"type": "seeded", "seed": draw(st.integers(0, 2**32)), "weights": weights}
+    spec = GasketSpec(d, levels, labeling)
+    word = ()
+    for _ in range(draw(st.integers(0, 2))):
+        l = spec.label_of(word)
+        word += ((draw(st.integers(1, cell_count(d, l))), l),)
+    widest = max(cell_count(d, l) for l in levels)
+    deepest = 1
+    while widest ** (deepest + 1) <= 1500:
+        deepest += 1
+    N = draw(st.integers(1, min(3, deepest)))
+    m = draw(st.integers(0, min(N + 2, deepest)))
+    return spec, word, N, m
+
+
+@PROPERTY
+@given(cloud_cases())
+def test_equilibrium_potential_is_the_inner_set_solve(case):
+    spec, word, N, m = case
+    basis = default_basis(spec.d)
+    cloud = blowup_cloud(spec, word, basis.raw[0], basis.raw[1], m=m, N=N)
+    net = level_network(spec, max(N, m), root=word)
+    pots, _, _ = dirichlet_solve(net, inner_set_pins(spec, word, N, net), mode="exact")
+    # the depth-m cells in walk order, their corners found on the solved network
+    cells = level_network(spec, m, root=word)
+    expect = [sum(pots[net.coord_index[cells.coords[v]]] for v in ids) / (spec.d + 1) for _, ids, _ in cells.cells]
+    assert cloud.e_means == expect
+    assert all(0 <= e <= 1 for e in cloud.e_means)
+    assert all(0 <= x <= 1 for x in pots.values())

@@ -99,8 +99,6 @@ def test_relative_capacity_monotone_and_trace_exact(sg):
     assert all(vals[i + 1] <= vals[i] for i in range(len(vals) - 1))
     # the discrete networks are exact traces, so the estimates agree exactly
     assert vals[0] == vals[1] == vals[2]
-    pots = res.finest_potentials
-    assert all(0 <= v <= 1 for v in pots.values())
 
 
 def test_relative_capacity_scaling_is_inverse_root_weight(sg):
@@ -135,7 +133,6 @@ def test_point_capacity_midpoint_oracle(sg):
     x[free] = np.linalg.solve(L[np.ix_(free, free)], -L[np.ix_(free, list(fixed))] @ x[list(fixed)])
     oracle = x @ L @ x
     assert abs(float(res.values[0]) - oracle) < 1e-12
-    assert all(0 <= v <= 1 for v in res.finest_potentials.values())
 
 
 def test_point_capacity_validates_vertex(sg):

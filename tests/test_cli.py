@@ -1,14 +1,19 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasketlab.cli import load_spec, main
 from gasketlab.errors import SpecParseError, SpecSemanticError
+from gasketlab.subdivision import cell_count
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -217,8 +222,13 @@ def test_explicit_entry_words_are_normalized(tmp_path):
         ["verify-a3", "--depth", "1", "--inner-n", "0"],
         ["capacity", "--point", "5", "--base-depth", "2", "--refine", "-1"],
         ["capacity", "--inner-n", "0"],
+        ["verify-a3", "--depth", "1", "--point-samples", "0"],
+        ["verify-a3", "--depth", "1", "--point-samples", "-2"],
+        ["verify-a3", "--depth", "1", "--cap-words", "0"],
+        ["verify-a3", "--depth", "1", "--cap-words", "-1"],
     ],
-    ids=["b1-not-rational", "b1-zero-denominator", "verify-inner-n-0", "point-refine-negative", "capacity-inner-n-0"],
+    ids=["b1-not-rational", "b1-zero-denominator", "verify-inner-n-0", "point-refine-negative", "capacity-inner-n-0",
+         "point-samples-0", "point-samples-negative", "cap-words-0", "cap-words-negative"],
 )
 def test_malformed_argument_exits_2_with_one_line(argv, sg_spec, capsys):
     assert main(argv + ["--spec", sg_spec]) == 2
@@ -253,3 +263,106 @@ def test_closed_stdout_ends_quietly(sg_spec):
     err = proc.stderr.read()
     assert proc.wait() == 0
     assert err == b""
+
+
+# --- spec fuzz: any spec JSON ends in exit 0 or in exit 2 with one line ----------
+
+# Wrong-typed, non-finite and out-of-range leaves.  Junk text has no digits and
+# numbers stay below 5, so no spec is merely huge (d <= 4, levels <= 5).
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), "2", "2.5", "1/0", [], {}]),
+    st.floats(-1, 4),
+    st.integers(-1, 1),
+    st.text(alphabet="ab^. ", max_size=3),
+    st.lists(st.integers(-1, 5), max_size=2),
+)
+BAD_KEYS = st.sampled_from(["x", "2.5", "-1", "1", "9", ""])
+# sampled, not st.integers, which hypothesis draws near 0 far more often
+ONE_IN_SIX = st.sampled_from([False] * 5 + [True])
+
+
+@st.composite
+def well_formed_specs(draw) -> dict:
+    d = draw(st.integers(2, 4))
+    levels = sorted(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3, unique=True)))
+    spec = {"dimension": d, "levels": levels}
+    kinds = ["seeded", "explicit"] + (["homogeneous", "absent"] if len(levels) == 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "homogeneous":
+        spec["labeling"] = {"type": "homogeneous"}
+    elif kind == "seeded":
+        weights = {str(l): float(draw(st.integers(1, 3))) for l in levels}
+        spec["labeling"] = {"type": "seeded", "seed": draw(st.integers(-(2**70), 2**70)), "weights": weights}
+    elif kind == "explicit":
+        letters = st.tuples(st.integers(1, 3), st.sampled_from(levels))
+        words = st.lists(letters, max_size=2).map(lambda w: ".".join(f"{i}^{l}" for i, l in w))
+        entries = draw(st.dictionaries(words, st.sampled_from(levels), max_size=3))
+        spec["labeling"] = {
+            "type": "explicit",
+            "entries": [{"word": w, "label": l} for w, l in entries.items()],
+            "default": draw(st.sampled_from(levels)),
+        }
+    if draw(st.booleans()):
+        spec["measure"] = "natural"
+    elif draw(st.booleans()):
+        spec["measure"] = {"per_letter": {str(l): [f"1/{cell_count(d, l)}"] * cell_count(d, l) for l in levels}}
+    return spec
+
+
+def broken(draw, value):
+    """`value` with one leaf replaced by junk, or one key or entry dropped or renamed."""
+    if isinstance(value, (dict, list)) and value and not draw(ONE_IN_SIX):
+        out = dict(value) if isinstance(value, dict) else list(value)
+        key = draw(st.sampled_from(list(out) if isinstance(out, dict) else range(len(out))))
+        action = draw(st.sampled_from(["drop", "rename", "leaf"] if isinstance(out, dict) else ["drop", "leaf"]))
+        if action == "drop":
+            del out[key]
+        elif action == "rename":
+            out[draw(BAD_KEYS)] = out.pop(key)
+        else:
+            out[key] = broken(draw, out[key])
+        return out
+    return draw(JUNK)
+
+
+@st.composite
+def spec_texts(draw):
+    """A well-formed spec with up to two of its fields broken, or rarely not
+    an object at all."""
+    spec = draw(well_formed_specs())
+    if draw(ONE_IN_SIX) and draw(ONE_IN_SIX):
+        return json.dumps(draw(JUNK))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(["dimension", "levels", "labeling", "measure"]))
+        if draw(ONE_IN_SIX):
+            spec.pop(key, None)
+        else:
+            spec[key] = broken(draw, spec.get(key))
+    return json.dumps(spec)
+
+
+def run_cli(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec_texts())
+def test_any_spec_json_exits_0_or_2_with_one_line(tmp_path_factory, spec_text):
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(spec_text)
+    codes = []
+    for argv in (["words", "--depth", "1"], ["hausdorff"]):
+        code, err = run_cli(argv + ["--spec", str(path)])
+        if code == 0:
+            assert err == "", (spec_text, argv, err)
+        else:
+            assert code == 2, (spec_text, argv, code, err)
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (spec_text, err)
+        codes.append(code)
+    # both subcommands read the spec the same way
+    assert codes[0] == codes[1], spec_text

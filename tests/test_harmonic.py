@@ -1,10 +1,14 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gasketlab.energy import kusuoka_distribution
 from gasketlab.errors import InvalidParameterError
+from gasketlab.gasket import GasketSpec
 from gasketlab.exactla import adjacency_from_edges, eliminate, mat_vec
 from gasketlab.harmonic import (
     _level_solve,
@@ -19,7 +23,7 @@ from gasketlab.harmonic import (
     spectral_data,
     theta,
 )
-from gasketlab.subdivision import subdivide, vertex_table
+from gasketlab.subdivision import cell_count, subdivide, vertex_table
 
 
 def brute_force_edge_sum(d, f):
@@ -143,7 +147,7 @@ def test_extension_matrix_classical_corner():
 
 
 def test_extension_matrices_are_stochastic_with_entries_in_unit_interval():
-    for d, l in [(2, 2), (2, 3), (3, 2)]:
+    for d, l in product((2, 3, 4), range(2, 6)):
         data = extension_matrices(d, l)
         for A in data.A:
             for row in A:
@@ -202,3 +206,50 @@ def test_spectral_report_and_inner_products():
     assert v1 == [Fraction(0), Fraction(1, 2), Fraction(1, 2)]
     assert theta(2, (2, 3)) == max(Fraction(1, 5) / Fraction(3, 5), Fraction(1, 15) / Fraction(7, 15))
     assert theta(2, (2, 3)) < 1
+
+
+# --- properties across d in {2, 3, 4} and l in {2..5} ----------------------------
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def boundary_data(draw):
+    """(d, l, u) with u a rational boundary vector."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    l = draw(st.integers(2, 5))
+    u = draw(st.lists(st.fractions(-10, 10, max_denominator=50), min_size=d + 1, max_size=d + 1))
+    return d, l, u
+
+
+@PROPERTY
+@given(boundary_data())
+def test_cell_energies_sum_to_r_times_the_energy(case):
+    d, l, u = case
+    data = extension_matrices(d, l)
+    Q = base_form(d)
+    assert sum(Q(mat_vec(A, u)) for A in data.A) == data.r * Q(u)
+
+
+@st.composite
+def small_trees(draw):
+    """(spec, m) with at most 300 words at depth m."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    levels = sorted(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3, unique=True)))
+    labeling = None
+    if len(levels) > 1:
+        weights = {l: float(draw(st.integers(1, 3))) for l in levels}
+        labeling = {"type": "seeded", "seed": draw(st.integers(0, 2**32)), "weights": weights}
+    widest = max(cell_count(d, l) for l in levels)
+    deepest = 0
+    while widest ** (deepest + 1) <= 300:
+        deepest += 1
+    return GasketSpec(d, levels, labeling), draw(st.integers(0, deepest))
+
+
+@PROPERTY
+@given(small_trees())
+def test_kusuoka_masses_sum_to_the_root_mass(case):
+    spec, m = case
+    root = kusuoka_distribution(spec, 0)[0].nu_mass
+    assert sum(c.nu_mass for c in kusuoka_distribution(spec, m)) == root
