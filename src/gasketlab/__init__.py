@@ -11,6 +11,7 @@ from .capacity import (
     A3Report,
     CapacityResult,
     a3_report,
+    corner_chain_capacity,
     default_inner_depth,
     inner_set_pins,
     point_capacity,

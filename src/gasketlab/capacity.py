@@ -21,7 +21,7 @@ A value is "exact" unless a float solve produced it; a result or report is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm
@@ -66,6 +66,19 @@ def corner_chain_labels(spec: GasketSpec, word: Word, corner: int, N: int) -> tu
         labels.append(l)
         key = spec.child_key(key, (corner, l))
     return tuple(labels)
+
+
+def corner_chain_capacity(spec: GasketSpec, word: Word, N: int) -> Fraction:
+    """The root-normalized relative capacity below `word` from the corner-chain
+    identity: d * sum over the corners of 1/r_chain, where r_chain is the
+    product of r over the labels of the corner's N-deep chain."""
+    total = Fraction(0)
+    for corner in range(1, spec.d + 2):
+        r_chain = Fraction(1)
+        for l in corner_chain_labels(spec, word, corner, N):
+            r_chain *= extension_matrices(spec.d, l).r
+        total += 1 / r_chain
+    return spec.d * total
 
 
 def inner_set_pins(spec: GasketSpec, word: Word, N: int, net: ConductanceNetwork) -> dict:
@@ -137,17 +150,15 @@ def _capacities(
     mode: str,
     budget: int,
     base: ConductanceNetwork | None = None,
-    finest_only: bool = False,
 ) -> CapacityResult:
     """Solve the capacity problem that pins(network) poses on the networks of
-    depth base_depth + k below the word, for k = 0..K, or for k = K alone when
-    finest_only.  `base` is the depth-base_depth network, when already built."""
+    depth base_depth + k below the word, for k = 0..K.  `base` is the
+    depth-base_depth network, when already built."""
     if K < 0:
         raise InvalidParameterError(f"refinement must be >= 0, got {K}")
-    refinements = [K] if finest_only else list(range(K + 1))
     values = []
     modes = []
-    for k in refinements:
+    for k in range(K + 1):
         if k == 0 and base is not None:
             net = base
         else:
@@ -159,7 +170,7 @@ def _capacities(
         kind=kind,
         word=word,
         base_depth=base_depth,
-        refinements=refinements,
+        refinements=list(range(K + 1)),
         values=values,
         root_r=net.root_r,
         mode=_joint_mode(modes),
@@ -267,18 +278,7 @@ class A3SampleRow:
     ratio_c: float
 
     def as_list(self) -> list:
-        return [
-            self.word,
-            self.sample_id,
-            self.nu_U,
-            self.nu_V,
-            self.osc,
-            self.cap_rel,
-            self.cap_pt,
-            self.ratio_a,
-            self.ratio_b,
-            self.ratio_c,
-        ]
+        return list(astuple(self))
 
 
 @dataclass
@@ -338,10 +338,14 @@ def a3_report(
     the three balance constants on an equispaced word subsample.
 
     The inequality nu_h(U) <= 2 nu_h(V) is decided in integer arithmetic for
-    `samples` seeded directions per word.  Capacities (hence C_b and C_c) use
-    the Dirichlet solver on networks below each subsampled word; all three
+    `samples` seeded directions per word.  C_b uses the relative capacity of
+    each subsampled word from the corner-chain identity, exact at every
+    refinement, so K only labels the report.  C_c uses point capacities from
+    the Dirichlet solver on the depth-N network below the word.  All three
     constants are scale invariant, so root normalization cancels.
     """
+    if K < 0:
+        raise InvalidParameterError(f"refinement must be >= 0, got {K}")
     if samples < 1:
         raise InvalidParameterError("need at least one sample per word")
     if cap_words < 1:
@@ -394,26 +398,22 @@ def a3_report(
     C_a = float(worst_ratio)
     C_b = 0.0
     C_c = 0.0
-    cap_modes = []
+    cap_modes = ["exact"]  # every cap_rel comes from the identity
     sample_rows = []
 
     for idx in picks:
         word, r_w, _ = words[idx]
-        # one depth-N network per word: the point samples and, when K = 0, the
-        # relative capacity are solved on it; only the depth-N+K value is read
+        cap_rel = float(corner_chain_capacity(spec, word, N))
+        # the point samples are solved on one depth-N network per word
         base = level_network(spec, N, root=word, budget=budget)
-        pins = partial(inner_set_pins, spec, word, N)
-        rel = _capacities("inner-set", spec, word, N, K, pins, mode, budget, base=base, finest_only=True)
-        cap_rel = float(rel.values[-1])
-        cap_modes.append(rel.mode)
         inner = [v for v in range(base.n_vertices) if v not in base.boundary]
         pcount = min(point_samples, len(inner))
         pt_caps = []
         for j in range(pcount):
-            pins = partial(_point_pins, base.coords[inner[(j * len(inner)) // pcount]])
-            pt = _capacities("point", spec, word, N, 0, pins, mode, budget, base=base)
-            pt_caps.append(float(pt.values[-1]))
-            cap_modes.append(pt.mode)
+            pins = _point_pins(base.coords[inner[(j * len(inner)) // pcount]], base)
+            _, energy, used_mode = dirichlet_solve(base, pins, mode=mode)
+            pt_caps.append(float(energy))
+            cap_modes.append("float" if used_mode == "float" else "exact")
         cap_pt = min(pt_caps)
         inv_r = 1.0 / float(r_w)
         for s_idx, q0, nu_V, osc in per_word_samples[word]:

@@ -250,6 +250,8 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_blowup(args) -> int:
+    if args.res < 8:
+        raise InvalidParameterError(f"--res must be >= 8, got {args.res}")
     spec = load_spec(args.spec)
     word = parse_word(args.word)
     spec.validate_word(word)
@@ -323,9 +325,22 @@ def cmd_hausdorff(args) -> int:
 # --- argument wiring -------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is an input error: one line and exit 2, no usage block."""
+
+    def error(self, message):
+        raise InvalidParameterError(message)
+
+
+def _int_list(text: str) -> list:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gasketlab", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="gasketlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("renorm", help="print the renormalization factor r for one level")
@@ -336,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectra", help="print r, s and contraction ratios for levels")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--level", type=int, default=None)
-    p.add_argument("--levels", type=lambda s: [int(x) for x in s.split(",")], default=None)
+    p.add_argument("--levels", type=_int_list, default=None)
     p.set_defaults(func=cmd_spectra)
 
     p = sub.add_parser("words", help="emit the admissible words of one depth as CSV")
@@ -402,9 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # so a closed stdout fails here, not at exit
         return code

@@ -124,13 +124,6 @@ class CellEnergyMatrix:
     eigenvalues: list = field(default_factory=list)
     mode: str = "exact"
 
-    @property
-    def ratio21(self) -> float:
-        lam = self.eigenvalues
-        if len(lam) < 2 or lam[0] <= 0:
-            return 0.0
-        return lam[1] / lam[0]
-
 
 def _exact_cell_record(word, r_w, U, Q, basis: EnergyBasis, normalized: bool) -> CellEnergyMatrix:
     """Build a record from the exact transported columns U = A_w G."""

@@ -40,6 +40,7 @@ from .subdivision import cell_count, subdivide
 
 DEFAULT_WORD_BUDGET = 10_000_000
 DEFAULT_EXACT_LIMIT = 50_000
+CG_RTOL = 1e-12
 
 Letter = tuple
 Word = tuple
@@ -256,9 +257,6 @@ class GasketSpec:
                 raise InadmissibleWordError(f"cell index {i} out of range for level {l}")
             key = self.child_key(key, (i, l))
         return key
-
-    def cell_data(self, l: int):
-        return extension_matrices(self.d, l)
 
     def r_of_letter(self, letter: Letter) -> Fraction:
         return extension_matrices(self.d, letter[1]).r
@@ -554,15 +552,14 @@ def dirichlet_solve(
     net: ConductanceNetwork,
     boundary: dict,
     mode: str = "auto",
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
-    rtol: float = 1e-12,
 ):
     """Minimize the conductance-weighted energy subject to boundary values.
 
     Returns (potentials, energy, used_mode); potentials is a dict over all
     vertex ids.  In exact mode the solve is a rational star-mesh elimination;
     in float mode a Jacobi-preconditioned conjugate gradient with relative
-    residual <= rtol.
+    residual <= CG_RTOL.  "auto" is exact for rational boundary values on at
+    most DEFAULT_EXACT_LIMIT vertices.
     """
     if not boundary:
         raise EmptyBoundaryError("no boundary vertices given")
@@ -576,7 +573,7 @@ def dirichlet_solve(
 
     exact_values = all(isinstance(x, (int, Fraction)) for x in boundary.values())
     if mode == "auto":
-        mode = "exact" if exact_values and n <= exact_limit else "float"
+        mode = "exact" if exact_values and n <= DEFAULT_EXACT_LIMIT else "float"
     if mode not in ("exact", "float"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
 
@@ -592,10 +589,10 @@ def dirichlet_solve(
         values = back_substitute(steps, {v: Fraction(x) for v, x in boundary.items()})
         return values, edge_energy(adj, values), "exact"
 
-    return _dirichlet_float(net, boundary, rtol)
+    return _dirichlet_float(net, boundary)
 
 
-def _dirichlet_float(net: ConductanceNetwork, boundary: dict, rtol: float):
+def _dirichlet_float(net: ConductanceNetwork, boundary: dict):
     from scipy.sparse import coo_matrix
     from scipy.sparse.linalg import cg
 
@@ -631,12 +628,12 @@ def _dirichlet_float(net: ConductanceNetwork, boundary: dict, rtol: float):
     from scipy.sparse import diags
 
     M = diags(1.0 / diag)
-    sol, info = cg(L, rhs, rtol=rtol, atol=0.0, maxiter=20 * len(free) + 1000, M=M)
+    sol, info = cg(L, rhs, rtol=CG_RTOL, atol=0.0, maxiter=20 * len(free) + 1000, M=M)
     if info != 0:
         raise SolverError(f"conjugate gradient did not converge (info={info})")
     resid = np.linalg.norm(L @ sol - rhs)
     scale = np.linalg.norm(rhs)
-    if scale > 0 and resid / scale > 10 * rtol:
+    if scale > 0 and resid / scale > 10 * CG_RTOL:
         raise SolverError(f"residual {resid / scale:.2e} above tolerance")
     for v, val in zip(free, sol):
         x[v] = val

@@ -63,11 +63,6 @@ class SimplexSubdivision:
     vertices: list = field(repr=False)          # id -> coordinate tuple
     vertex_index: dict = field(repr=False)      # coordinate tuple -> id
     cell_vertices: list = field(repr=False)
-    corner_cells: tuple = ()
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.cells)
 
     @property
     def n_vertices(self) -> int:
@@ -116,7 +111,6 @@ def subdivide(d: int, l: int) -> SimplexSubdivision:
         vertices=vertices,
         vertex_index=vertex_index,
         cell_vertices=cell_vertices,
-        corner_cells=tuple(range(d + 1)),
     )
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gasketlab.capacity import (
     a3_report,
+    corner_chain_capacity,
     corner_chain_labels,
     default_inner_depth,
     inner_set_pins,
@@ -15,7 +16,7 @@ from gasketlab.capacity import (
     sample_direction,
 )
 from gasketlab.errors import InvalidParameterError, InvalidVertexError
-from gasketlab.gasket import GasketSpec, _root_affine, cell_corners, level_network
+from gasketlab.gasket import GasketSpec, _root_affine, cell_corners, encode_word, enumerate_words, level_network
 from gasketlab.harmonic import extension_matrices
 from gasketlab.subdivision import cell_count
 
@@ -189,6 +190,20 @@ def test_a3_report_is_deterministic(sg):
     assert [row.as_list() for row in r1.rows] == [row.as_list() for row in r2.rows]
 
 
+@pytest.mark.parametrize("K", [0, 1])
+def test_a3_report_relative_capacity_is_the_refined_solve(K, sg, mixed):
+    # the report reads cap_rel from the corner-chain identity; the solve on the
+    # depth-N+K network is the oracle
+    for spec, m, N in ((sg, 2, 2), (mixed, 1, 2)):
+        rep = a3_report(spec, m, N=N, samples=2, K=K, cap_words=3, point_samples=1)
+        r_of = {encode_word(w): (w, r_w) for w, r_w, _ in enumerate_words(spec, m)}
+        assert rep.rows and rep.K == K
+        for row in rep.rows:
+            word, r_w = r_of[row.word]
+            solved = relative_capacity(spec, word, N, K, mode="exact").values[-1]
+            assert row.cap_rel == float(solved) * (1.0 / float(r_w))
+
+
 def test_a3_scaling_covariance_on_homogeneous_spec(sg):
     # self-similarity: the constants reproduce across depths because every
     # root-normalized capacity below a word equals the root's
@@ -240,6 +255,7 @@ def test_relative_capacity_is_the_corner_chain_sum_at_every_refinement(case):
     assert res.refinements == list(range(K + 1))
     assert res.values == [expect] * (K + 1)
     assert res.mode == "exact"
+    assert corner_chain_capacity(spec, word, N) == expect
 
 
 @PROPERTY

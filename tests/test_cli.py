@@ -226,9 +226,13 @@ def test_explicit_entry_words_are_normalized(tmp_path):
         ["verify-a3", "--depth", "1", "--point-samples", "-2"],
         ["verify-a3", "--depth", "1", "--cap-words", "0"],
         ["verify-a3", "--depth", "1", "--cap-words", "-1"],
+        ["verify-a3", "--depth", "1", "--refine", "-1"],
+        ["blowup", "--depth", "2", "--res", "4"],
+        ["words", "--depth", "x"],
     ],
     ids=["b1-not-rational", "b1-zero-denominator", "verify-inner-n-0", "point-refine-negative", "capacity-inner-n-0",
-         "point-samples-0", "point-samples-negative", "cap-words-0", "cap-words-negative"],
+         "point-samples-0", "point-samples-negative", "cap-words-0", "cap-words-negative", "verify-refine-negative",
+         "blowup-res-below-8", "depth-not-int"],
 )
 def test_malformed_argument_exits_2_with_one_line(argv, sg_spec, capsys):
     assert main(argv + ["--spec", sg_spec]) == 2
@@ -242,13 +246,41 @@ def test_malformed_argument_exits_2_with_one_line(argv, sg_spec, capsys):
         (["capacity", "--refine", "0"], "exact"),
         (["capacity", "--inner-n", "2", "--refine", "1", "--mode", "float"], "mixed"),
         (["verify-a3", "--depth", "1", "--samples", "2", "--refine", "0", "--mode", "float"], "mixed"),
-        (["verify-a3", "--depth", "1", "--samples", "2", "--refine", "1", "--mode", "float"], "float"),
+        (["verify-a3", "--depth", "1", "--samples", "2", "--refine", "1", "--mode", "float"], "mixed"),
     ],
-    ids=["all-pinned-solve-is-exact", "pinned-and-cg", "pinned-capacity-and-cg-points", "all-cg"],
+    ids=["all-pinned-solve-is-exact", "pinned-and-cg", "pinned-capacity-and-cg-points", "identity-capacity-and-cg-points"],
 )
 def test_arithmetic_mode_covers_every_printed_value(argv, mode, sg_spec, capsys):
     assert main(argv + ["--spec", sg_spec]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["arithmetic_mode"] == mode
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectra", "--dim", "2", "--levels", "a"], ["words", "--depth", "1"], ["frobnicate"], []],
+    ids=["levels-not-int", "spec-missing", "unknown-subcommand", "no-subcommand"],
+)
+def test_argument_error_exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["words", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gasketlab words")
+
+
+def test_blowup_checks_res_before_writing(sg_spec, tmp_path, capsys):
+    cloudf = tmp_path / "c.csv"
+    argv = ["blowup", "--spec", sg_spec, "--depth", "2", "--res", "4", "--out-cloud", str(cloudf)]
+    assert main(argv + ["--out-grid", str(tmp_path / "g.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not cloudf.exists() and not (tmp_path / "g.csv").exists()
 
 
 def test_closed_stdout_ends_quietly(sg_spec):
