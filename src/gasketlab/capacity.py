@@ -110,6 +110,18 @@ def _point_pins(coord, net: ConductanceNetwork) -> dict:
     return pins
 
 
+def _misses(coord):
+    """The `level_network` stop predicate that keeps whole every cell whose
+    closure does not hold the point `coord`: the closed cell with map
+    (scale, offset) holds it iff coord[k] >= offset[k] for every k."""
+
+    def stop(state):
+        (_, offset), _ = state
+        return any(x < o for x, o in zip(coord, offset))
+
+    return stop
+
+
 def _joint_mode(modes) -> str:
     """The arithmetic mode of values with the given modes."""
     modes = set(modes) or {"exact"}
@@ -149,20 +161,17 @@ def _capacities(
     pins,
     mode: str,
     budget: int,
-    base: ConductanceNetwork | None = None,
+    stop=None,
 ) -> CapacityResult:
     """Solve the capacity problem that pins(network) poses on the networks of
-    depth base_depth + k below the word, for k = 0..K.  `base` is the
-    depth-base_depth network, when already built."""
+    depth base_depth + k below the word, for k = 0..K, each built by
+    level_network with the walk's `stop`."""
     if K < 0:
         raise InvalidParameterError(f"refinement must be >= 0, got {K}")
     values = []
     modes = []
     for k in range(K + 1):
-        if k == 0 and base is not None:
-            net = base
-        else:
-            net = level_network(spec, base_depth + k, root=word, budget=budget)
+        net = level_network(spec, base_depth + k, root=word, budget=budget, stop=stop)
         _, energy, used_mode = dirichlet_solve(net, pins(net), mode=mode)
         values.append(energy)
         modes.append("float" if used_mode == "float" else "exact")
@@ -202,16 +211,22 @@ def point_capacity(
 ) -> CapacityResult:
     """Capacity between one finite-level vertex and the word's corners.
 
-    The vertex id refers to the depth-base_depth network below the word; the
-    refinements re-identify it by its exact coordinates.
+    The vertex id refers to the depth-base_depth network below the word,
+    which gives the vertex its exact coordinates.  Refinement k solves on the
+    depth-(base_depth + k) network refined only in the cells whose closure
+    holds the vertex; every other cell stays whole as its complete graph with
+    conductance 1/r_w, the exact trace of the cells below it.  So each value
+    equals the solve on the full depth-(base_depth + k) network, and each
+    refinement is a distinct network that is solved.
     """
     base = level_network(spec, base_depth, root=word, budget=budget)
     if not 0 <= vertex < base.n_vertices:
         raise InvalidVertexError(f"vertex {vertex} not in depth-{base_depth} network")
     if vertex in base.boundary:
         raise InvalidVertexError("point capacity target must not be a corner of the word")
-    pins = partial(_point_pins, base.coords[vertex])
-    return _capacities("point", spec, word, base_depth, K, pins, mode, budget, base=base)
+    coord = base.coords[vertex]
+    pins = partial(_point_pins, coord)
+    return _capacities("point", spec, word, base_depth, K, pins, mode, budget, stop=_misses(coord))
 
 
 # --- the balance report ---------------------------------------------------------
@@ -340,8 +355,10 @@ def a3_report(
     The inequality nu_h(U) <= 2 nu_h(V) is decided in integer arithmetic for
     `samples` seeded directions per word.  C_b uses the relative capacity of
     each subsampled word from the corner-chain identity, exact at every
-    refinement, so K only labels the report.  C_c uses point capacities from
-    the Dirichlet solver on the depth-N network below the word.  All three
+    refinement, so K only labels the report.  C_c uses point capacities at
+    vertices of the depth-N network below the word, each solved on that
+    network refined only in the cells that hold the vertex (see
+    point_capacity), which gives the same exact value.  All three
     constants are scale invariant, so root normalization cancels.
     """
     if K < 0:
@@ -404,14 +421,16 @@ def a3_report(
     for idx in picks:
         word, r_w, _ = words[idx]
         cap_rel = float(corner_chain_capacity(spec, word, N))
-        # the point samples are solved on one depth-N network per word
+        # the point samples are vertices of the depth-N network below the word,
+        # each solved on its own trace-reduced depth-N network
         base = level_network(spec, N, root=word, budget=budget)
         inner = [v for v in range(base.n_vertices) if v not in base.boundary]
         pcount = min(point_samples, len(inner))
         pt_caps = []
         for j in range(pcount):
-            pins = _point_pins(base.coords[inner[(j * len(inner)) // pcount]], base)
-            _, energy, used_mode = dirichlet_solve(base, pins, mode=mode)
+            coord = base.coords[inner[(j * len(inner)) // pcount]]
+            net = level_network(spec, N, root=word, budget=budget, stop=_misses(coord))
+            _, energy, used_mode = dirichlet_solve(net, _point_pins(coord, net), mode=mode)
             pt_caps.append(float(energy))
             cap_modes.append("float" if used_mode == "float" else "exact")
         cap_pt = min(pt_caps)

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 
 from . import blowup as blowup_mod
@@ -87,16 +87,27 @@ def load_spec(path: str) -> GasketSpec:
 
 @contextmanager
 def _output(out: str | None, **open_args):
-    """The stream a result goes to: the file `out`, else stdout.  A path that
-    cannot be written is an input error."""
+    """The stream a result goes to: the file `out`, else stdout.  A file is
+    written under a temporary name in its directory and renamed to `out` only
+    once the result is complete, so a run that fails leaves no partial file;
+    a link, device or pipe is written in place, through the path itself.  A
+    path that cannot be written is an input error."""
     if not out:
         yield sys.stdout
         return
+    in_place = os.path.islink(out) or (os.path.exists(out) and not os.path.isfile(out))
+    head, tail = os.path.split(out)
+    tmp = out if in_place else os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        with open(out, "w", encoding="utf-8", **open_args) as fh:
+        with open(tmp, "w", encoding="utf-8", **open_args) as fh:
             yield fh
+        os.replace(tmp, out)
     except OSError as exc:
         raise InvalidParameterError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
+    finally:
+        if not in_place:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 def _rationals(text: str, flag: str) -> list:
@@ -145,6 +156,8 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_words(args) -> int:
+    if args.depth < 0:  # the walk checks only once the first row is asked for
+        raise InvalidParameterError(f"depth must be >= 0, got {args.depth}")
     spec = load_spec(args.spec)
     rows = (
         [encode_word(w), r.numerator, r.denominator, mu.numerator, mu.denominator]

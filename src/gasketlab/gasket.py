@@ -324,13 +324,17 @@ class GasketSpec:
 # --- the word-tree walk ---------------------------------------------------------
 
 
-def walk(spec: GasketSpec, m: int, start, step, root: Word = (), budget: int = DEFAULT_WORD_BUDGET):
+def walk(
+    spec: GasketSpec, m: int, start, step, root: Word = (), budget: int = DEFAULT_WORD_BUDGET, stop=None
+):
     """Yield (word, state) for the admissible depth-m continuations of `root`,
     in depth-lexicographic order; words are relative to the root.
 
     `start` is the state at the root and a child's state is
     step(parent_state, letter), so each caller carries only what it needs.
-    More than `budget` depth-m words raise BudgetExceededError.
+    With `stop`, a node above depth m whose state satisfies stop(state) is
+    yielded as a leaf and not walked below, so the leaves have mixed depths.
+    More than `budget` leaves raise BudgetExceededError.
     """
     if m < 0:
         raise InvalidParameterError(f"depth must be >= 0, got {m}")
@@ -343,6 +347,12 @@ def walk(spec: GasketSpec, m: int, start, step, root: Word = (), budget: int = D
     count = 0
     while stack:
         word, state, key = stack.pop()
+        if stop is not None and stop(state):
+            count += 1
+            if count > budget:
+                raise BudgetExceededError(f"more than {budget} words at depth {m}")
+            yield word, state
+            continue
         letters = children[spec.key_label(key)]
         if len(word) + 1 < m:
             # pushed last-first, so cell 1 is walked first
@@ -464,7 +474,8 @@ def cell_corners(affine) -> list:
 
 @dataclass
 class ConductanceNetwork:
-    """Finite weighted graph built from the depth-m cells below a root word.
+    """Finite weighted graph built from the depth-m cells below a root word,
+    or, when level_network was given a stop, from cells of depth at most m.
 
     Coordinates are exact barycentric rationals; conductances are exact
     rationals normalized so the root cell has weight 1 (the root's own r
@@ -494,12 +505,19 @@ class ConductanceNetwork:
 
 
 def level_network(
-    spec: GasketSpec, m: int, root: Word = (), budget: int = DEFAULT_WORD_BUDGET
+    spec: GasketSpec, m: int, root: Word = (), budget: int = DEFAULT_WORD_BUDGET, stop=None
 ) -> ConductanceNetwork:
     """The depth-m cell network below `root`: vertices are the distinct
     images of the simplex corners, each cell contributes complete-graph edges
     with conductance 1/r_w (relative to the root).  Vertex ids follow the
-    order in which the walk first reaches each corner."""
+    order in which the walk first reaches each corner.
+
+    `stop` is passed to the walk, on the state ((scale, offset), r_w) of a
+    cell: a cell above depth m that it stops is kept whole, as its complete
+    graph with conductance 1/r_w, exactly as a depth-m cell is.  That graph
+    is the exact trace of every cell below it, so the network is the trace
+    of the depth-m network onto its own vertices, and a Dirichlet problem
+    that pins only vertices of it has the same energy on both."""
     spec.validate_word(root)
     d = spec.d
     root_affine = _root_affine(spec, root)
@@ -522,7 +540,7 @@ def level_network(
         affine, r = state
         return affine_step(affine, letter), r * spec.r_of_letter(letter)
 
-    for word, (affine, r) in walk(spec, m, (root_affine, Fraction(1)), step, root, budget):
+    for word, (affine, r) in walk(spec, m, (root_affine, Fraction(1)), step, root, budget, stop):
         ids = tuple(vid_of(coord) for coord in cell_corners(affine))
         w = 1 / r
         for a in range(d + 1):

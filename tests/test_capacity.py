@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasketlab import capacity
 from gasketlab.capacity import (
+    _misses,
+    _point_pins,
     a3_report,
     corner_chain_capacity,
     corner_chain_labels,
@@ -16,7 +19,15 @@ from gasketlab.capacity import (
     sample_direction,
 )
 from gasketlab.errors import InvalidParameterError, InvalidVertexError
-from gasketlab.gasket import GasketSpec, _root_affine, cell_corners, encode_word, enumerate_words, level_network
+from gasketlab.gasket import (
+    GasketSpec,
+    _root_affine,
+    cell_corners,
+    dirichlet_solve,
+    encode_word,
+    enumerate_words,
+    level_network,
+)
 from gasketlab.harmonic import extension_matrices
 from gasketlab.subdivision import cell_count
 
@@ -266,3 +277,96 @@ def test_depth_n_pins_fix_every_vertex_but_the_word_corners_to_one(case):
     pins = inner_set_pins(spec, word, N, net)
     corners = set(net.boundary)
     assert pins == {v: Fraction(0 if v in corners else 1) for v in range(net.n_vertices)}
+
+
+@st.composite
+def point_cases(draw):
+    """(spec, word, vertex, base_depth, K) with full networks of at most ~400
+    cells below the word and a vertex that is not one of the word's corners."""
+    d = draw(st.sampled_from([2, 3]))
+    levels = sorted(draw(st.lists(st.sampled_from([2, 3, 4] if d == 2 else [2, 3]), min_size=1, unique=True)))
+    if draw(st.booleans()):
+        weights = {l: float(draw(st.integers(1, 3))) for l in levels}
+        labeling = {"type": "seeded", "seed": draw(st.integers(0, 2**32)), "weights": weights}
+    else:
+        # entries on admissible words, so that they are reached
+        default = draw(st.sampled_from(levels))
+        entries = {}
+        for _ in range(draw(st.integers(0, 4))):
+            entry = ()
+            for _ in range(draw(st.integers(0, 2))):
+                l = entries.get(encode_word(entry), default)
+                entry += ((draw(st.integers(1, cell_count(d, l))), l),)
+            entries.setdefault(encode_word(entry), draw(st.sampled_from(levels)))
+        labeling = {"type": "explicit", "entries": entries, "default": default}
+    spec = GasketSpec(d, levels, labeling)
+    word = ()
+    for _ in range(draw(st.integers(0, 2))):
+        l = spec.label_of(word)
+        word += ((draw(st.integers(1, cell_count(d, l))), l),)
+    K = draw(st.integers(0, 1))
+    widest = max(cell_count(d, l) for l in levels)
+    deepest = 1
+    while widest ** (deepest + 1) <= 400:
+        deepest += 1
+    base_depth = draw(st.integers(1, max(1, deepest - K)))
+    base = level_network(spec, base_depth, root=word)
+    vertex = draw(st.sampled_from([v for v in range(base.n_vertices) if v not in base.boundary]))
+    return spec, word, vertex, base_depth, K
+
+
+@PROPERTY
+@given(point_cases())
+def test_point_capacity_is_the_full_network_solve(case):
+    # the trace-reduced network gives the full depth-m solve's exact energy,
+    # and it is refined to depth m in exactly the cells at the vertex
+    spec, word, vertex, base_depth, K = case
+    res = point_capacity(spec, word, vertex, K, base_depth, mode="exact")
+    assert res.refinements == list(range(K + 1)) and res.mode == "exact"
+    coord = level_network(spec, base_depth, root=word).coords[vertex]
+    for k in range(K + 1):
+        full = level_network(spec, base_depth + k, root=word)
+        _, energy, _ = dirichlet_solve(full, _point_pins(coord, full), mode="exact")
+        assert res.values[k] == energy
+        reduced = level_network(spec, base_depth + k, root=word, stop=_misses(coord))
+        assert set(reduced.coords) <= set(full.coords)
+        at = [{rel for rel, ids, _ in net.cells if net.coord_index[coord] in ids} for net in (reduced, full)]
+        assert at[0] == at[1]
+
+
+def _record_networks_and_solves(monkeypatch):
+    """Wrap the network builder and the solver that capacity calls; return the
+    lists they append (depth, stopped, vertices) and solved vertex counts to."""
+    built, solved = [], []
+
+    def network(spec, m, root=(), budget=capacity.DEFAULT_WORD_BUDGET, stop=None):
+        net = level_network(spec, m, root, budget, stop)
+        built.append((m, stop is not None, net.n_vertices))
+        return net
+
+    def solve(net, boundary, mode="auto"):
+        solved.append(net.n_vertices)
+        return dirichlet_solve(net, boundary, mode)
+
+    monkeypatch.setattr(capacity, "level_network", network)
+    monkeypatch.setattr(capacity, "dirichlet_solve", solve)
+    return built, solved
+
+
+def test_point_capacity_solves_only_reduced_networks(sg, monkeypatch):
+    built, solved = _record_networks_and_solves(monkeypatch)
+    point_capacity(sg, (), 5, K=1, base_depth=6)
+    assert len(solved) == 2 and max(solved) < 100
+    # the one whole network is the depth-6 numbering; both depths are solved reduced
+    assert [(m, n) for m, stopped, n in built if not stopped] == [(6, 1095)]
+    assert [m for m, stopped, _ in built if stopped] == [6, 7]
+
+
+def test_a3_point_samples_solve_only_reduced_networks(mixed, monkeypatch):
+    built, solved = _record_networks_and_solves(monkeypatch)
+    N = default_inner_depth(mixed)
+    a3_report(mixed, 3, samples=2, cap_words=1, point_samples=3)
+    assert len(solved) == 3 and max(solved) < 100
+    whole = [(m, n) for m, stopped, n in built if not stopped]
+    assert len(whole) == 1 and whole[0][0] == N and whole[0][1] > 100
+    assert [m for m, stopped, _ in built if stopped] == [N] * 3

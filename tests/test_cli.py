@@ -84,6 +84,35 @@ def test_words_csv_file(sg_spec, tmp_path):
     assert rows[1].startswith("1^2.1^2,9,25,1,9")
 
 
+def test_words_budget_failure_leaves_no_file(sg_spec, tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    assert main(["words", "--spec", sg_spec, "--depth", "6", "--budget", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: more than 10 words at depth 6\n"
+    assert list(tmp_path.iterdir()) == [Path(sg_spec)]
+    # a file already there keeps its contents
+    out.write_text("old\n")
+    assert main(["words", "--spec", sg_spec, "--depth", "6", "--budget", "10", "--out", str(out)]) == 2
+    assert out.read_text() == "old\n"
+    assert sorted(tmp_path.iterdir()) == sorted([Path(sg_spec), out])
+
+
+def test_words_negative_depth_prints_nothing(sg_spec, capsys):
+    assert main(["words", "--spec", sg_spec, "--depth", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: depth must be >= 0, got -1\n"
+
+
+def test_out_through_a_link_writes_its_target(sg_spec, tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["words", "--spec", sg_spec, "--depth", "1", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text().splitlines()[0] == "word,r_num,r_den,mu_num,mu_den"
+
+
 def test_exit_codes(sg_spec, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dimension": 2, "levels": [2, 3]}')

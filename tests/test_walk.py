@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasketlab.errors import BudgetExceededError
 from gasketlab.gasket import (
     GasketSpec,
     encode_word,
@@ -154,6 +155,26 @@ def test_iter_words_weights_are_the_per_letter_products(spec, data):
 def test_measure_totals_are_one_at_every_depth(spec):
     m = max_depth(spec)
     assert measure_totals(spec, m) == [1] * (m + 1)
+
+
+@PROPERTY
+@given(specs(), st.data())
+def test_a_stopped_walk_yields_the_cut_of_the_full_walk(spec, data):
+    # the state is the word itself, and the walk stops at a random set of nodes
+    m = max_depth(spec)
+    full = walked_words(spec, m)
+    above = sorted({w[:k] for w in full for k in range(m)})
+    stopped = data.draw(st.sets(st.sampled_from(above), max_size=6))
+    expect = list(dict.fromkeys(next((w[:k] for k in range(m) if w[:k] in stopped), w) for w in full))
+
+    def step(word, letter):
+        return word + (letter,)
+
+    leaves = list(walk(spec, m, (), step, stop=stopped.__contains__))
+    assert [w for w, _ in leaves] == expect
+    assert all(state == w for w, state in leaves)
+    with pytest.raises(BudgetExceededError):
+        list(walk(spec, m, (), step, budget=len(expect) - 1, stop=stopped.__contains__))
 
 
 def test_explicit_entries_are_matched_by_canonical_text():
