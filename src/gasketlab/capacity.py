@@ -13,10 +13,8 @@ every refinement reproduces that value.
 
 Capacity values are computed on root-normalized networks (the root cell
 carries conductance weight 1).  The balance constants are scale invariant,
-so the root factor cancels out of every reported ratio.
-
-A value is "exact" unless a float solve produced it; a result or report is
-"exact" or "float" when all of its values are, and "mixed" otherwise.
+so the root factor cancels out of every reported ratio.  Every capacity
+is an exact rational.
 """
 
 from __future__ import annotations
@@ -122,12 +120,6 @@ def _misses(coord):
     return stop
 
 
-def _joint_mode(modes) -> str:
-    """The arithmetic mode of values with the given modes."""
-    modes = set(modes) or {"exact"}
-    return modes.pop() if len(modes) == 1 else "mixed"
-
-
 @dataclass
 class CapacityResult:
     """Capacity estimates over nested refinements.  Values are root
@@ -139,17 +131,10 @@ class CapacityResult:
     refinements: list
     values: list
     root_r: Fraction = Fraction(1)
-    mode: str = "exact"
 
     @property
     def absolute_values(self) -> list:
-        out = []
-        for v in self.values:
-            if isinstance(v, Fraction):
-                out.append(v / self.root_r)
-            else:
-                out.append(v / float(self.root_r))
-        return out
+        return [v / self.root_r for v in self.values]
 
 
 def _capacities(
@@ -159,7 +144,6 @@ def _capacities(
     base_depth: int,
     K: int,
     pins,
-    mode: str,
     budget: int,
     stop=None,
 ) -> CapacityResult:
@@ -169,12 +153,9 @@ def _capacities(
     if K < 0:
         raise InvalidParameterError(f"refinement must be >= 0, got {K}")
     values = []
-    modes = []
     for k in range(K + 1):
         net = level_network(spec, base_depth + k, root=word, budget=budget, stop=stop)
-        _, energy, used_mode = dirichlet_solve(net, pins(net), mode=mode)
-        values.append(energy)
-        modes.append("float" if used_mode == "float" else "exact")
+        values.append(dirichlet_solve(net, pins(net))[1])
     return CapacityResult(
         kind=kind,
         word=word,
@@ -182,7 +163,6 @@ def _capacities(
         refinements=list(range(K + 1)),
         values=values,
         root_r=net.root_r,
-        mode=_joint_mode(modes),
     )
 
 
@@ -191,13 +171,12 @@ def relative_capacity(
     word: Word,
     N: int,
     K: int = 0,
-    mode: str = "auto",
     budget: int = DEFAULT_WORD_BUDGET,
 ) -> CapacityResult:
     """Capacity between the inner set and the word's own corners, estimated on
     networks of depth N..N+K below the word (non-increasing in the depth)."""
     pins = partial(inner_set_pins, spec, word, N)
-    return _capacities("inner-set", spec, word, N, K, pins, mode, budget)
+    return _capacities("inner-set", spec, word, N, K, pins, budget)
 
 
 def point_capacity(
@@ -206,7 +185,6 @@ def point_capacity(
     vertex: int,
     K: int = 0,
     base_depth: int = 1,
-    mode: str = "auto",
     budget: int = DEFAULT_WORD_BUDGET,
 ) -> CapacityResult:
     """Capacity between one finite-level vertex and the word's corners.
@@ -226,7 +204,7 @@ def point_capacity(
         raise InvalidVertexError("point capacity target must not be a corner of the word")
     coord = base.coords[vertex]
     pins = partial(_point_pins, coord)
-    return _capacities("point", spec, word, base_depth, K, pins, mode, budget, stop=_misses(coord))
+    return _capacities("point", spec, word, base_depth, K, pins, budget, stop=_misses(coord))
 
 
 # --- the balance report ---------------------------------------------------------
@@ -314,7 +292,6 @@ class A3Report:
     C_a: float
     C_b: float
     C_c: float
-    arithmetic_mode: str
     rows: list = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
@@ -333,7 +310,7 @@ class A3Report:
             "C_a": self.C_a,
             "C_b": self.C_b,
             "C_c": self.C_c,
-            "arithmetic_mode": self.arithmetic_mode,
+            "arithmetic_mode": "exact",
         }
 
 
@@ -346,7 +323,6 @@ def a3_report(
     seed: int = 0,
     cap_words: int = 8,
     point_samples: int = 3,
-    mode: str = "auto",
     budget: int = DEFAULT_WORD_BUDGET,
 ) -> A3Report:
     """Check the mass inequality exactly on every depth-m word and estimate
@@ -415,7 +391,6 @@ def a3_report(
     C_a = float(worst_ratio)
     C_b = 0.0
     C_c = 0.0
-    cap_modes = ["exact"]  # every cap_rel comes from the identity
     sample_rows = []
 
     for idx in picks:
@@ -430,9 +405,7 @@ def a3_report(
         for j in range(pcount):
             coord = base.coords[inner[(j * len(inner)) // pcount]]
             net = level_network(spec, N, root=word, budget=budget, stop=_misses(coord))
-            _, energy, used_mode = dirichlet_solve(net, _point_pins(coord, net), mode=mode)
-            pt_caps.append(float(energy))
-            cap_modes.append("float" if used_mode == "float" else "exact")
+            pt_caps.append(float(dirichlet_solve(net, _point_pins(coord, net))[1]))
         cap_pt = min(pt_caps)
         inv_r = 1.0 / float(r_w)
         for s_idx, q0, nu_V, osc in per_word_samples[word]:
@@ -473,6 +446,5 @@ def a3_report(
         C_a=C_a,
         C_b=C_b,
         C_c=C_c,
-        arithmetic_mode=_joint_mode(cap_modes),
         rows=sample_rows,
     )

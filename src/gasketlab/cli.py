@@ -41,7 +41,6 @@ from .errors import (
     NotFoundError,
     ProportionalityError,
     SingularInteriorError,
-    SolverError,
     SpecParseError,
     SpecSemanticError,
 )
@@ -60,7 +59,6 @@ _INPUT_ERRORS = (
     BudgetExceededError,
 )
 _NUMERIC_ERRORS = (
-    SolverError,
     ProportionalityError,
     EigenRelationError,
     SingularInteriorError,
@@ -198,7 +196,6 @@ def cmd_verify_a3(args) -> int:
         seed=args.seed,
         cap_words=args.cap_words,
         point_samples=args.point_samples,
-        mode=args.mode,
         budget=args.budget,
     )
     payload = {
@@ -212,7 +209,6 @@ def cmd_verify_a3(args) -> int:
             "seed": args.seed,
             "cap_words": args.cap_words,
             "point_samples": args.point_samples,
-            "mode": args.mode,
             "budget": args.budget,
         },
         "report": report.to_dict(),
@@ -232,13 +228,10 @@ def cmd_capacity(args) -> int:
     word = parse_word(args.word)
     spec.validate_word(word)
     if args.point is not None:
-        result = capacity_mod.point_capacity(
-            spec, word, args.point, K=args.refine, base_depth=args.base_depth, mode=args.mode
-        )
+        result = capacity_mod.point_capacity(spec, word, args.point, K=args.refine, base_depth=args.base_depth)
     else:
         n = capacity_mod.default_inner_depth(spec) if args.inner_n is None else args.inner_n
-        result = capacity_mod.relative_capacity(spec, word, n, K=args.refine, mode=args.mode)
-    values = [frac_str(v) if isinstance(v, Fraction) else v for v in result.values]
+        result = capacity_mod.relative_capacity(spec, word, n, K=args.refine)
     payload = {
         "config": {
             "subcommand": "capacity",
@@ -248,14 +241,13 @@ def cmd_capacity(args) -> int:
             "point": args.point,
             "base_depth": args.base_depth,
             "refine": args.refine,
-            "mode": args.mode,
         },
         "report": {
             "kind": result.kind,
             "refinements": result.refinements,
-            "values": values,
+            "values": [frac_str(v) for v in result.values],
             "root_r": frac_str(result.root_r),
-            "arithmetic_mode": result.mode,
+            "arithmetic_mode": "exact",
         },
     }
     _emit_json(payload, args.out)
@@ -392,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-words", type=int, default=8)
     p.add_argument("--point-samples", type=int, default=3)
-    p.add_argument("--mode", choices=["exact", "float", "auto"], default="auto")
     p.add_argument("--budget", type=int, default=10_000_000)
     p.add_argument("--out", default=None)
     p.add_argument("--rows-out", default=None)
@@ -405,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", type=int, default=None)
     p.add_argument("--base-depth", type=int, default=1)
     p.add_argument("--refine", type=int, default=1)
-    p.add_argument("--mode", choices=["exact", "float", "auto"], default="auto")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_capacity)
 

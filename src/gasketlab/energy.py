@@ -122,7 +122,6 @@ class CellEnergyMatrix:
     B: list = field(repr=False)
     nu_mass: Fraction | float = Fraction(0)
     eigenvalues: list = field(default_factory=list)
-    mode: str = "exact"
 
 
 def _exact_cell_record(word, r_w, U, Q, basis: EnergyBasis, normalized: bool) -> CellEnergyMatrix:
@@ -136,10 +135,10 @@ def _exact_cell_record(word, r_w, U, Q, basis: EnergyBasis, normalized: bool) ->
         Bf = [[float(C[i][j]) * scale[i] * scale[j] for j in range(k)] for i in range(k)]
         mass = sum(C[i][i] / (2 * basis.norms[i]) for i in range(k)) / k
         eig = sorted(np.linalg.eigvalsh(np.array(Bf)).tolist(), reverse=True)
-        return CellEnergyMatrix(word=word, B=Bf, nu_mass=mass, eigenvalues=eig, mode="exact")
+        return CellEnergyMatrix(word=word, B=Bf, nu_mass=mass, eigenvalues=eig)
     mass = sum(C[i][i] for i in range(k)) / k
     eig = sorted(np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in C])).tolist(), reverse=True)
-    return CellEnergyMatrix(word=word, B=C, nu_mass=mass, eigenvalues=eig, mode="exact")
+    return CellEnergyMatrix(word=word, B=C, nu_mass=mass, eigenvalues=eig)
 
 
 def _transport_step(d: int):
@@ -397,7 +396,8 @@ def _corner_chain_ok(d: int, corner: int, labels, c: Fraction) -> bool:
 
 
 def _corner_chain_sup(d: int, corner: int, labels) -> float:
-    """Float value of the same sup, for reporting."""
+    """Float value of the same sup, for reporting: the largest eigenvalue of
+    the pencil (D G D, r_chain G), read from (r_chain G)^-1 D G D."""
     Q = base_form(d)
     frame = _quotient_frame(d, corner)
     G = np.array([[float(Q(a, b)) for b in frame] for a in frame])
@@ -407,10 +407,7 @@ def _corner_chain_sup(d: int, corner: int, labels) -> float:
         r_chain *= float(data.r)
         s_chain *= float(data.s)
     D = np.diag([r_chain] + [s_chain] * (d - 1))
-    from scipy.linalg import eigh
-
-    vals = eigh(D @ G @ D, r_chain * G, eigvals_only=True)
-    return float(vals[-1])
+    return float(np.linalg.eigvals(np.linalg.solve(r_chain * G, D @ G @ D)).real.max())
 
 
 def corner_decay_N(spec_or_dims, c, max_N: int = 64) -> int:
@@ -431,17 +428,15 @@ def corner_decay_N(spec_or_dims, c, max_N: int = 64) -> int:
         raise InvalidParameterError(f"contraction target must be in (0,1), got {c}")
     from itertools import combinations_with_replacement
 
-    worst_sup = None
+    def chains(N):
+        return (
+            (corner, labels) for corner in range(1, d + 2) for labels in combinations_with_replacement(levels, N)
+        )
+
     for N in range(1, max_N + 1):
-        ok = True
-        worst_sup = 0.0
-        for corner in range(1, d + 2):
-            for labels in combinations_with_replacement(levels, N):
-                if not _corner_chain_ok(d, corner, labels, c):
-                    ok = False
-                    worst_sup = max(worst_sup, _corner_chain_sup(d, corner, labels))
-        if ok:
+        if all(_corner_chain_ok(d, corner, labels, c) for corner, labels in chains(N)):
             return N
+    worst_sup = max(_corner_chain_sup(d, corner, labels) for corner, labels in chains(max_N))
     raise NotFoundError(
         f"no N <= {max_N} achieves contraction {c}; worst sup at N={max_N} is {worst_sup:.6g}"
     )

@@ -58,7 +58,3 @@ class SpecParseError(GasketLabError, ValueError):
 
 class SpecSemanticError(GasketLabError, ValueError):
     """A gasket spec file parsed but violates the schema's semantics."""
-
-
-class SolverError(GasketLabError):
-    """A numerical solver failed to reach the required residual."""

@@ -2,8 +2,7 @@
 
 Dense matrices are lists of lists of Fraction; vectors are lists of Fraction.
 Conductance networks are adjacency dicts {v: {u: c}} with positive rational
-edge weights, interpreted as graph Laplacians.  Everything here is exact;
-float paths live with their callers.
+edge weights, interpreted as graph Laplacians.  Everything here is exact.
 """
 
 from __future__ import annotations

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
-import numpy as np
-
 from .errors import (
     BudgetExceededError,
     DisconnectedNetworkError,
@@ -23,7 +21,6 @@ from .errors import (
     InadmissibleWordError,
     InvalidParameterError,
     InvalidVertexError,
-    SolverError,
     SpecSemanticError,
 )
 from .exactla import (
@@ -39,8 +36,6 @@ from .harmonic import extension_matrices
 from .subdivision import cell_count, subdivide
 
 DEFAULT_WORD_BUDGET = 10_000_000
-DEFAULT_EXACT_LIMIT = 50_000
-CG_RTOL = 1e-12
 
 Letter = tuple
 Word = tuple
@@ -566,18 +561,13 @@ def level_network(
 # --- Dirichlet problems -------------------------------------------------------
 
 
-def dirichlet_solve(
-    net: ConductanceNetwork,
-    boundary: dict,
-    mode: str = "auto",
-):
+def dirichlet_solve(net: ConductanceNetwork, boundary: dict):
     """Minimize the conductance-weighted energy subject to boundary values.
 
-    Returns (potentials, energy, used_mode); potentials is a dict over all
-    vertex ids.  In exact mode the solve is a rational star-mesh elimination;
-    in float mode a Jacobi-preconditioned conjugate gradient with relative
-    residual <= CG_RTOL.  "auto" is exact for rational boundary values on at
-    most DEFAULT_EXACT_LIMIT vertices.
+    Returns (potentials, energy, method); potentials is a dict over all
+    vertex ids.  The boundary values must be rationals (int or Fraction),
+    and the solve is an exact rational star-mesh elimination ("exact"), or
+    no solve at all when every vertex is pinned ("direct").
     """
     if not boundary:
         raise EmptyBoundaryError("no boundary vertices given")
@@ -585,79 +575,15 @@ def dirichlet_solve(
     for v in boundary:
         if not 0 <= v < n:
             raise InvalidVertexError(f"boundary vertex {v} not in network")
+    if not all(isinstance(x, (int, Fraction)) for x in boundary.values()):
+        raise InvalidParameterError("boundary values must be rationals (int or Fraction)")
     adj = net.adjacency()
     if len(connected_components(adj)) != 1:
         raise DisconnectedNetworkError("network is not connected")
 
-    exact_values = all(isinstance(x, (int, Fraction)) for x in boundary.values())
-    if mode == "auto":
-        mode = "exact" if exact_values and n <= DEFAULT_EXACT_LIMIT else "float"
-    if mode not in ("exact", "float"):
-        raise InvalidParameterError(f"unknown mode {mode!r}")
-
-    free = [v for v in range(n) if v not in boundary]
-    if not free:
+    if len(boundary) == n:
         values = {v: boundary[v] for v in range(n)}
         return values, edge_energy(adj, values), "direct"
-
-    if mode == "exact":
-        if not exact_values:
-            raise InvalidParameterError("exact mode requires rational boundary values")
-        _, steps = eliminate(adj, set(boundary))
-        values = back_substitute(steps, {v: Fraction(x) for v, x in boundary.items()})
-        return values, edge_energy(adj, values), "exact"
-
-    return _dirichlet_float(net, boundary)
-
-
-def _dirichlet_float(net: ConductanceNetwork, boundary: dict):
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.linalg import cg
-
-    n = net.n_vertices
-    free = [v for v in range(n) if v not in boundary]
-    pos = {v: k for k, v in enumerate(free)}
-    x = np.zeros(n)
-    for v, val in boundary.items():
-        x[v] = float(val)
-
-    rows, cols, data = [], [], []
-    rhs = np.zeros(len(free))
-    diag = np.zeros(len(free))
-    for (i, j), c in net.edges.items():
-        c = float(c)
-        fi, fj = i in pos, j in pos
-        if fi:
-            diag[pos[i]] += c
-        if fj:
-            diag[pos[j]] += c
-        if fi and fj:
-            rows.append(pos[i]); cols.append(pos[j]); data.append(-c)
-            rows.append(pos[j]); cols.append(pos[i]); data.append(-c)
-        elif fi:
-            rhs[pos[i]] += c * x[j]
-        elif fj:
-            rhs[pos[j]] += c * x[i]
-    rows.extend(range(len(free)))
-    cols.extend(range(len(free)))
-    data.extend(diag)
-    L = coo_matrix((data, (rows, cols)), shape=(len(free), len(free))).tocsr()
-
-    from scipy.sparse import diags
-
-    M = diags(1.0 / diag)
-    sol, info = cg(L, rhs, rtol=CG_RTOL, atol=0.0, maxiter=20 * len(free) + 1000, M=M)
-    if info != 0:
-        raise SolverError(f"conjugate gradient did not converge (info={info})")
-    resid = np.linalg.norm(L @ sol - rhs)
-    scale = np.linalg.norm(rhs)
-    if scale > 0 and resid / scale > 10 * CG_RTOL:
-        raise SolverError(f"residual {resid / scale:.2e} above tolerance")
-    for v, val in zip(free, sol):
-        x[v] = val
-    values = {v: float(x[v]) for v in range(n)}
-    energy = 0.0
-    for (i, j), c in net.edges.items():
-        dxy = x[i] - x[j]
-        energy += float(c) * dxy * dxy
-    return values, energy, "float"
+    _, steps = eliminate(adj, set(boundary))
+    values = back_substitute(steps, {v: Fraction(x) for v, x in boundary.items()})
+    return values, edge_energy(adj, values), "exact"

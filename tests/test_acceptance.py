@@ -204,13 +204,13 @@ def test_criterion_9_capacity_solver_oracle_and_monotone_sequences():
             n_inner = default_inner_depth(spec)
             words = [w for w, _, _ in enumerate_words(spec, 2)]
             for word in (words[0], words[len(words) // 2]):
-                rel = relative_capacity(spec, word, n_inner, K=1, mode="exact")
+                rel = relative_capacity(spec, word, n_inner, K=1)
                 assert all(
                     rel.values[i + 1] <= rel.values[i] for i in range(len(rel.values) - 1)
                 ), (name, word)
                 desc_net = level_network(spec, n_inner, root=word)
                 inner = [v for v in range(desc_net.n_vertices) if v not in desc_net.boundary]
-                pt = point_capacity(spec, word, inner[0], K=1, base_depth=n_inner, mode="exact")
+                pt = point_capacity(spec, word, inner[0], K=1, base_depth=n_inner)
                 assert all(pt.values[i + 1] <= pt.values[i] for i in range(len(pt.values) - 1))
 
 

@@ -143,7 +143,7 @@ def test_equilibrium_potential_is_the_inner_set_solve(case):
     basis = default_basis(spec.d)
     cloud = blowup_cloud(spec, word, basis.raw[0], basis.raw[1], m=m, N=N)
     net = level_network(spec, max(N, m), root=word)
-    pots, _, _ = dirichlet_solve(net, inner_set_pins(spec, word, N, net), mode="exact")
+    pots, _, _ = dirichlet_solve(net, inner_set_pins(spec, word, N, net))
     # the depth-m cells in walk order, their corners found on the solved network
     cells = level_network(spec, m, root=word)
     expect = [sum(pots[net.coord_index[cells.coords[v]]] for v in ids) / (spec.d + 1) for _, ids, _ in cells.cells]

@@ -105,8 +105,8 @@ def test_inner_set_classification(sg):
 
 
 def test_relative_capacity_monotone_and_trace_exact(sg):
-    res = relative_capacity(sg, (), 4, K=2, mode="exact")
-    assert res.mode == "exact"
+    res = relative_capacity(sg, (), 4, K=2)
+    assert all(isinstance(v, Fraction) for v in res.values)
     vals = res.values
     assert all(vals[i + 1] <= vals[i] for i in range(len(vals) - 1))
     # the discrete networks are exact traces, so the estimates agree exactly
@@ -114,8 +114,8 @@ def test_relative_capacity_monotone_and_trace_exact(sg):
 
 
 def test_relative_capacity_scaling_is_inverse_root_weight(sg):
-    root = relative_capacity(sg, (), 2, K=0, mode="exact")
-    below = relative_capacity(sg, ((1, 2), (1, 2)), 2, K=0, mode="exact")
+    root = relative_capacity(sg, (), 2, K=0)
+    below = relative_capacity(sg, ((1, 2), (1, 2)), 2, K=0)
     # homogeneous gasket: the root-normalized value reproduces itself below any
     # word, and the absolute value picks up the 1/r_w factor exactly
     assert below.values[0] == root.values[0]
@@ -126,7 +126,7 @@ def test_relative_capacity_scaling_is_inverse_root_weight(sg):
 def test_point_capacity_midpoint_oracle(sg):
     net = level_network(sg, 1)
     mid = [v for v in range(net.n_vertices) if v not in net.boundary][0]
-    res = point_capacity(sg, (), mid, K=2, base_depth=1, mode="exact")
+    res = point_capacity(sg, (), mid, K=2, base_depth=1)
     assert res.values[0] == res.values[1] == res.values[2]
     # independent dense float solve on the 6-vertex level-1 network
     n = net.n_vertices
@@ -211,7 +211,7 @@ def test_a3_report_relative_capacity_is_the_refined_solve(K, sg, mixed):
         assert rep.rows and rep.K == K
         for row in rep.rows:
             word, r_w = r_of[row.word]
-            solved = relative_capacity(spec, word, N, K, mode="exact").values[-1]
+            solved = relative_capacity(spec, word, N, K).values[-1]
             assert row.cap_rel == float(solved) * (1.0 / float(r_w))
 
 
@@ -262,10 +262,10 @@ def test_relative_capacity_is_the_corner_chain_sum_at_every_refinement(case):
         for l in corner_chain_labels(spec, word, corner, N):
             r_chain *= extension_matrices(spec.d, l).r
         expect += spec.d / r_chain
-    res = relative_capacity(spec, word, N, K, mode="exact")
+    res = relative_capacity(spec, word, N, K)
     assert res.refinements == list(range(K + 1))
     assert res.values == [expect] * (K + 1)
-    assert res.mode == "exact"
+    assert all(isinstance(v, Fraction) for v in res.values)
     assert corner_chain_capacity(spec, word, N) == expect
 
 
@@ -321,12 +321,12 @@ def test_point_capacity_is_the_full_network_solve(case):
     # the trace-reduced network gives the full depth-m solve's exact energy,
     # and it is refined to depth m in exactly the cells at the vertex
     spec, word, vertex, base_depth, K = case
-    res = point_capacity(spec, word, vertex, K, base_depth, mode="exact")
-    assert res.refinements == list(range(K + 1)) and res.mode == "exact"
+    res = point_capacity(spec, word, vertex, K, base_depth)
+    assert res.refinements == list(range(K + 1)) and all(isinstance(v, Fraction) for v in res.values)
     coord = level_network(spec, base_depth, root=word).coords[vertex]
     for k in range(K + 1):
         full = level_network(spec, base_depth + k, root=word)
-        _, energy, _ = dirichlet_solve(full, _point_pins(coord, full), mode="exact")
+        _, energy, _ = dirichlet_solve(full, _point_pins(coord, full))
         assert res.values[k] == energy
         reduced = level_network(spec, base_depth + k, root=word, stop=_misses(coord))
         assert set(reduced.coords) <= set(full.coords)
@@ -344,9 +344,9 @@ def _record_networks_and_solves(monkeypatch):
         built.append((m, stop is not None, net.n_vertices))
         return net
 
-    def solve(net, boundary, mode="auto"):
+    def solve(net, boundary):
         solved.append(net.n_vertices)
-        return dirichlet_solve(net, boundary, mode)
+        return dirichlet_solve(net, boundary)
 
     monkeypatch.setattr(capacity, "level_network", network)
     monkeypatch.setattr(capacity, "dirichlet_solve", solve)

@@ -156,8 +156,7 @@ def test_verify_a3_deterministic_and_rows(sg_spec, tmp_path):
 
 
 def test_capacity_subcommand(sg_spec, capsys):
-    assert main(["capacity", "--spec", sg_spec, "--inner-n", "2", "--refine", "1",
-                 "--mode", "exact"]) == 0
+    assert main(["capacity", "--spec", sg_spec, "--inner-n", "2", "--refine", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     vals = payload["report"]["values"]
     assert len(vals) == 2 and vals[0] == vals[1]
@@ -258,10 +257,12 @@ def test_explicit_entry_words_are_normalized(tmp_path):
         ["verify-a3", "--depth", "1", "--refine", "-1"],
         ["blowup", "--depth", "2", "--res", "4"],
         ["words", "--depth", "x"],
+        ["capacity", "--mode", "exact"],
+        ["verify-a3", "--depth", "1", "--mode", "float"],
     ],
     ids=["b1-not-rational", "b1-zero-denominator", "verify-inner-n-0", "point-refine-negative", "capacity-inner-n-0",
          "point-samples-0", "point-samples-negative", "cap-words-0", "cap-words-negative", "verify-refine-negative",
-         "blowup-res-below-8", "depth-not-int"],
+         "blowup-res-below-8", "depth-not-int", "capacity-mode-removed", "verify-mode-removed"],
 )
 def test_malformed_argument_exits_2_with_one_line(argv, sg_spec, capsys):
     assert main(argv + ["--spec", sg_spec]) == 2
@@ -273,11 +274,8 @@ def test_malformed_argument_exits_2_with_one_line(argv, sg_spec, capsys):
     "argv, mode",
     [
         (["capacity", "--refine", "0"], "exact"),
-        (["capacity", "--inner-n", "2", "--refine", "1", "--mode", "float"], "mixed"),
-        (["verify-a3", "--depth", "1", "--samples", "2", "--refine", "0", "--mode", "float"], "mixed"),
-        (["verify-a3", "--depth", "1", "--samples", "2", "--refine", "1", "--mode", "float"], "mixed"),
     ],
-    ids=["all-pinned-solve-is-exact", "pinned-and-cg", "pinned-capacity-and-cg-points", "identity-capacity-and-cg-points"],
+    ids=["all-pinned-solve-is-exact"],
 )
 def test_arithmetic_mode_covers_every_printed_value(argv, mode, sg_spec, capsys):
     assert main(argv + ["--spec", sg_spec]) == 0
@@ -324,6 +322,20 @@ def test_closed_stdout_ends_quietly(sg_spec):
     err = proc.stderr.read()
     assert proc.wait() == 0
     assert err == b""
+
+
+def test_verify_a3_and_blowup_import_no_scipy(sg_spec, tmp_path):
+    # scipy is a test dependency only, so no run of the program may import it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys\n"
+        "from gasketlab.cli import main\n"
+        f"assert main(['verify-a3', '--spec', {sg_spec!r}, '--depth', '1', '--out', {str(tmp_path / 'a3.json')!r}]) == 0\n"
+        f"assert main(['blowup', '--spec', {sg_spec!r}, '--depth', '2', '--out', {str(tmp_path / 'b.json')!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))[:5]\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 # --- spec fuzz: any spec JSON ends in exit 0 or in exit 2 with one line ----------

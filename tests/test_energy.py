@@ -147,6 +147,31 @@ def test_corner_decay_matches_float_generalized_eigenvalue_oracle(sg):
     assert corner_decay_N(mixed, Fraction(1, 6)) == 4  # the all-2 chain is worst
 
 
+def test_corner_chain_sup_matches_generalized_eigh():
+    from itertools import combinations_with_replacement
+
+    from scipy.linalg import eigh
+
+    from gasketlab.energy import _corner_chain_sup, _quotient_frame
+
+    # the numpy sup is the top generalized eigenvalue of (D G D, r_chain G)
+    for d in (2, 3, 4):
+        Q = base_form(d)
+        for corner in range(1, d + 2):
+            frame = _quotient_frame(d, corner)
+            G = np.array([[float(Q(a, b)) for b in frame] for a in frame])
+            for N in (1, 2):
+                for labels in combinations_with_replacement((2, 3), N):
+                    r_c = float(np.prod([float(extension_matrices(d, l).r) for l in labels]))
+                    s_c = float(np.prod([float(extension_matrices(d, l).s) for l in labels]))
+                    D = np.diag([r_c] + [s_c] * (d - 1))
+                    expect = eigh(D @ G @ D, r_c * G, eigvals_only=True)[-1]
+                    assert _corner_chain_sup(d, corner, labels) == pytest.approx(expect, rel=1e-12)
+    # the failure message names the worst sup of the longest chains tried
+    with pytest.raises(NotFoundError, match=rf"worst sup at N=2 is {_corner_chain_sup(2, 1, (2, 2)):.6g}$"):
+        corner_decay_N((2, (2, 3)), Fraction(1, 10**9), max_N=2)
+
+
 def test_corner_decay_finite_for_required_dimension_range():
     for d in (2, 3):
         for levels in ([2], [2, 3], [2, 3, 4]):

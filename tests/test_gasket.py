@@ -8,6 +8,7 @@ from gasketlab.errors import (
     DisconnectedNetworkError,
     EmptyBoundaryError,
     InadmissibleWordError,
+    InvalidParameterError,
     SpecSemanticError,
 )
 from gasketlab.exactla import connected_components, identity, mat_mul
@@ -235,8 +236,23 @@ def test_dirichlet_all_boundary_and_constant(sg):
 def test_dirichlet_exact_matches_float(sg):
     net = level_network(sg, 3)
     bmap = {net.boundary[0]: Fraction(1), net.boundary[1]: Fraction(0), net.boundary[2]: Fraction(2)}
-    vals_e, en_e, _ = dirichlet_solve(net, bmap, mode="exact")
-    vals_f, en_f, _ = dirichlet_solve(net, bmap, mode="float")
+    vals_e, en_e, _ = dirichlet_solve(net, bmap)
+    # independent oracle: a dense float solve of the same Laplacian
+    n = net.n_vertices
+    L = np.zeros((n, n))
+    for (i, j), c in net.edges.items():
+        c = float(c)
+        L[i, i] += c
+        L[j, j] += c
+        L[i, j] -= c
+        L[j, i] -= c
+    fixed = list(bmap)
+    free = [v for v in range(n) if v not in bmap]
+    x = np.zeros(n)
+    x[fixed] = [float(bmap[v]) for v in fixed]
+    x[free] = np.linalg.solve(L[np.ix_(free, free)], -L[np.ix_(free, fixed)] @ x[fixed])
+    vals_f = dict(enumerate(x.tolist()))
+    en_f = float(x @ L @ x)
     assert abs(float(en_e) - en_f) <= 1e-12 * float(en_e)
     worst = max(abs(float(vals_e[v]) - vals_f[v]) for v in range(net.n_vertices))
     assert worst < 1e-10
@@ -248,7 +264,7 @@ def test_dirichlet_maximum_principle_random_boundary(sg):
     for _ in range(5):
         picks = rng.choice(net.n_vertices, size=4, replace=False)
         bmap = {int(v): Fraction(int(rng.randint(-5, 6))) for v in picks}
-        vals, _, _ = dirichlet_solve(net, bmap, mode="exact")
+        vals, _, _ = dirichlet_solve(net, bmap)
         lo, hi = min(bmap.values()), max(bmap.values())
         assert all(lo <= v <= hi for v in vals.values())
 
@@ -257,6 +273,11 @@ def test_dirichlet_errors(sg):
     net = level_network(sg, 1)
     with pytest.raises(EmptyBoundaryError):
         dirichlet_solve(net, {})
+    # a float pin is refused, whether the solve eliminates or pins every vertex
+    with pytest.raises(InvalidParameterError):
+        dirichlet_solve(net, {net.boundary[0]: 1.0, net.boundary[1]: Fraction(0)})
+    with pytest.raises(InvalidParameterError):
+        dirichlet_solve(net, {v: 0.5 for v in range(net.n_vertices)})
     two_islands = ConductanceNetwork(
         d=2,
         coords=[(0,), (1,), (2,), (3,)],
