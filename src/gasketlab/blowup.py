@@ -24,9 +24,9 @@ import numpy as np
 from .errors import DegenerateBasisError, InvalidParameterError
 from .capacity import default_inner_depth
 from .energy import basis_from_vectors
-from .exactla import mat_vec, quad
-from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, walk
-from .harmonic import base_form, extension_matrices
+from .exactla import integer_form, mat_vec
+from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _exact_sum, walk
+from .harmonic import extension_matrices
 
 
 @dataclass
@@ -73,54 +73,67 @@ def blowup_cloud(
         raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
 
     d = spec.d
-    Q = base_form(d)
-    one = Fraction(1)
-    u1 = [Fraction(x) for x in b1]
-    u2 = [Fraction(x) for x in b2]
+    n = d + 1
+    # the state holds integer numerators over its denominators den and e_den
+    pair, den0 = integer_form(basis.raw[0] + basis.raw[1])
 
     def step(state, letter):
-        to_n, inv_r, v1, v2, e = state
+        to_n, ir_num, ir_den, v1, v2, den, e, e_den = state
         i, l = letter
         data = extension_matrices(d, l)
-        A = data.A[i - 1]
+        M = data.M[i - 1]
         if to_n > 0:
             # a child's corner is a corner of its parent only at corner i of
             # the corner cell i; a new vertex is no corner of the word, so 1
-            e = [x if k == i - 1 else one for k, x in enumerate(e)]
+            e = [x if k == i - 1 else e_den for k, x in enumerate(e)]
         elif min(e) != max(e):  # A is row-stochastic, so it keeps a constant
-            e = mat_vec(A, e)
-        return to_n - 1, inv_r / data.r, mat_vec(A, v1), mat_vec(A, v2), e
+            e, e_den = mat_vec(M, e), e_den * data.D
+        r = data.r
+        return (
+            to_n - 1, ir_num * r.denominator, ir_den * r.numerator,
+            mat_vec(M, v1), mat_vec(M, v2), den * data.D, e, e_den,
+        )
 
-    cells = []  # (values1, values2, e_mean, mass)
-    start = (N, one, u1, u2, [Fraction(0)] * (d + 1))
-    for _, (_, inv_r, v1, v2, e) in walk(spec, m, start, step, root=word, budget=budget):
-        mass = inv_r * (quad(Q.M, v1) + quad(Q.M, v2))  # (1/2) sum of 2/r_w masses
-        cells.append((v1, v2, sum(e) / (d + 1), mass))
+    def q(v):  # Q(v, v) for the base form Q = (d+1) I - J
+        s = sum(v)
+        return n * sum(x * x for x in v) - s * s
 
-    # normalization: 1 / max vertex norm of the pair, exact comparison first
-    max_sq = Fraction(0)
-    for v1, v2, _, _ in cells:
-        for kdx in range(d + 1):
-            sq = v1[kdx] * v1[kdx] + v2[kdx] * v2[kdx]
-            if sq > max_sq:
-                max_sq = sq
-    if max_sq == 0:
+    sums, e_means, masses, weights = [], [], [], []
+    by_den: dict = {}  # the weights' numerators tallied by their denominators
+    max_num, max_den = 0, 1  # the largest squared vertex norm of the pair
+    start = (N, 1, 1, pair[:n], pair[n:], den0, [0] * n, 1)
+    for _, (_, ir_num, ir_den, v1, v2, den, e, e_den) in walk(spec, m, start, step, root=word, budget=budget):
+        den_sq = den * den
+        for x, y in zip(v1, v2):
+            sq = x * x + y * y
+            if sq * max_den > max_num * den_sq:
+                max_num, max_den = sq, den_sq
+        # mass is (1/2) sum of the 2/r_w energy masses; weight is e_mean^2 mass
+        mass_num, mass_den = ir_num * (q(v1) + q(v2)), ir_den * den_sq
+        mean_num, mean_den = sum(e), n * e_den
+        w_num, w_den = mean_num * mean_num * mass_num, mean_den * mean_den * mass_den
+        by_den[w_den] = by_den.get(w_den, 0) + w_num
+        sums.append((sum(v1), sum(v2), n * den))
+        e_means.append(Fraction(mean_num, mean_den))
+        masses.append(Fraction(mass_num, mass_den))
+        weights.append(Fraction(w_num, w_den))
+    if max_num == 0:
         raise DegenerateBasisError("the harmonic pair vanishes on the cell")
-    alpha = 1.0 / math.sqrt(float(max_sq))
+    total = _exact_sum(by_den)
+    # int / int is correctly rounded, so these floats are those of the reduced fractions
+    try:
+        norm = math.sqrt(max_num / max_den)
+        float(total)  # every weight is at most the total, so all weights have floats
+    except OverflowError:
+        raise InvalidParameterError("the harmonic pair is too large for floating point") from None
+    if norm == 0.0:
+        raise InvalidParameterError("the harmonic pair is too small for floating point")
+    alpha = 1.0 / norm
 
-    points = np.empty((len(cells), 2))
-    weights, masses, e_means = [], [], []
-    total = Fraction(0)
-    for idx, (v1, v2, e_mean, mass) in enumerate(cells):
-        h1 = sum(v1) / (d + 1)
-        h2 = sum(v2) / (d + 1)
-        points[idx, 0] = alpha * float(h1)
-        points[idx, 1] = alpha * float(h2)
-        w = e_mean * e_mean * mass
-        weights.append(w)
-        masses.append(mass)
-        e_means.append(e_mean)
-        total += w
+    points = np.empty((len(sums), 2))
+    for idx, (s1, s2, h_den) in enumerate(sums):
+        points[idx, 0] = alpha * (s1 / h_den)
+        points[idx, 1] = alpha * (s2 / h_den)
     return BlowupCloud(
         word=word,
         depth=m,

@@ -228,10 +228,12 @@ def cmd_capacity(args) -> int:
     word = parse_word(args.word)
     spec.validate_word(word)
     if args.point is not None:
-        result = capacity_mod.point_capacity(spec, word, args.point, K=args.refine, base_depth=args.base_depth)
+        result = capacity_mod.point_capacity(
+            spec, word, args.point, K=args.refine, base_depth=args.base_depth, budget=args.budget
+        )
     else:
         n = capacity_mod.default_inner_depth(spec) if args.inner_n is None else args.inner_n
-        result = capacity_mod.relative_capacity(spec, word, n, K=args.refine)
+        result = capacity_mod.relative_capacity(spec, word, n, K=args.refine, budget=args.budget)
     payload = {
         "config": {
             "subcommand": "capacity",
@@ -241,6 +243,7 @@ def cmd_capacity(args) -> int:
             "point": args.point,
             "base_depth": args.base_depth,
             "refine": args.refine,
+            "budget": args.budget,
         },
         "report": {
             "kind": result.kind,
@@ -291,6 +294,7 @@ def cmd_blowup(args) -> int:
             "word": args.word,
             "depth": args.depth,
             "res": args.res,
+            "budget": args.budget,
         },
         "report": {
             "points": cloud.n_points,
@@ -396,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", type=int, default=None)
     p.add_argument("--base-depth", type=int, default=1)
     p.add_argument("--refine", type=int, default=1)
+    p.add_argument("--budget", type=int, default=10_000_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_capacity)
 

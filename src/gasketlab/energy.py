@@ -25,7 +25,7 @@ from .errors import (
     InvalidParameterError,
     NotFoundError,
 )
-from .exactla import det, is_psd, mat_mul, mat_t, mat_vec, quad
+from .exactla import det, integer_form, is_psd, mat_mul, mat_t, mat_vec
 from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, walk
 from .harmonic import (
     base_form,
@@ -124,11 +124,18 @@ class CellEnergyMatrix:
     eigenvalues: list = field(default_factory=list)
 
 
-def _exact_cell_record(word, r_w, U, Q, basis: EnergyBasis, normalized: bool) -> CellEnergyMatrix:
-    """Build a record from the exact transported columns U = A_w G."""
-    k = basis.size
+def _exact_cell_record(word, U, den, r_w: Fraction, basis: EnergyBasis, normalized: bool) -> CellEnergyMatrix:
+    """Build a record from the exact transported columns U / den = A_w G
+    (integer U on the walks, one Fraction per entry of B)."""
+    k, corners = basis.size, basis.d + 1
     Ut = mat_t(U)
-    C = [[2 * quad(Q.M, Ut[i], Ut[j]) / r_w for j in range(k)] for i in range(k)]
+    sums = [sum(col) for col in Ut]
+
+    def q(i, j):  # Q(a, b) = (d+1) a.b - (sum a)(sum b) for the base form Q
+        return corners * sum(x * y for x, y in zip(Ut[i], Ut[j])) - sums[i] * sums[j]
+
+    c_den = r_w.numerator * den * den
+    C = [[Fraction(2 * r_w.denominator * q(i, j), c_den) for j in range(k)] for i in range(k)]
     if normalized:
         # similarity-scale to the unit-mass basis; entries become floats
         scale = [1.0 / math.sqrt(2.0 * float(n)) for n in basis.norms]
@@ -141,13 +148,22 @@ def _exact_cell_record(word, r_w, U, Q, basis: EnergyBasis, normalized: bool) ->
     return CellEnergyMatrix(word=word, B=C, nu_mass=mass, eigenvalues=eig)
 
 
+def _transport_start(basis: EnergyBasis) -> tuple:
+    """The walk state (U, den, r_w) at the root: the basis columns G as
+    integer numerators U over one denominator den, and r_w = 1."""
+    k = basis.size
+    nums, den = integer_form([x for row in basis.exact_columns() for x in row])
+    return [nums[t : t + k] for t in range(0, len(nums), k)], den, Fraction(1)
+
+
 def _transport_step(d: int):
-    """Walk step carrying (A_w G, r_w) from a cell to its child."""
+    """Walk step carrying (A_w G as integers over den, den, r_w) from a cell
+    to its child."""
 
     def step(state, letter):
-        U, r_w = state
+        U, den, r_w = state
         data = extension_matrices(d, letter[1])
-        return mat_mul(data.A[letter[0] - 1], U), r_w * data.r
+        return mat_mul(data.M[letter[0] - 1], U), den * data.D, r_w * data.r
 
     return step
 
@@ -161,8 +177,8 @@ def cell_energy_matrix(spec: GasketSpec, word: Word, basis) -> CellEnergyMatrix:
     """
     spec.validate_word(word)
     basis, normalized = _resolve_basis(spec.d, basis)
-    U, r_w = reduce(_transport_step(spec.d), word, (basis.exact_columns(), Fraction(1)))
-    return _exact_cell_record(word, r_w, U, base_form(spec.d), basis, normalized)
+    U, den, r_w = reduce(_transport_step(spec.d), word, _transport_start(basis))
+    return _exact_cell_record(word, U, den, r_w, basis, normalized)
 
 
 def kusuoka_distribution(
@@ -173,11 +189,9 @@ def kusuoka_distribution(
 ) -> list:
     """One exact record per depth-m word; the masses sum to the depth-0 mass."""
     basis, normalized = _resolve_basis(spec.d, basis)
-    Q = base_form(spec.d)
-    start = (basis.exact_columns(), Fraction(1))
     return [
-        _exact_cell_record(word, r_w, U, Q, basis, normalized)
-        for word, (U, r_w) in walk(spec, m, start, _transport_step(spec.d), budget=budget)
+        _exact_cell_record(word, U, den, r_w, basis, normalized)
+        for word, (U, den, r_w) in walk(spec, m, _transport_start(basis), _transport_step(spec.d), budget=budget)
     ]
 
 

@@ -7,6 +7,7 @@ edge weights, interpreted as graph Laplacians.  Everything here is exact.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,6 +19,14 @@ Mat = list
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
     return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
+
+
+def integer_form(vec: Vec) -> tuple:
+    """(numerators, den) with vec[k] == numerators[k] / den, where den is the
+    lcm of the entries' denominators."""
+    vec = [Fraction(x) for x in vec]
+    den = math.lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec], den
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:

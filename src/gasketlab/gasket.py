@@ -29,6 +29,7 @@ from .exactla import (
     edge_energy,
     eliminate,
     identity,
+    integer_form,
     mat_mul,
     mat_vec,
 )
@@ -395,22 +396,29 @@ def measure_total(spec: GasketSpec, m: int, budget: int = DEFAULT_WORD_BUDGET) -
 def measure_totals(spec: GasketSpec, m: int, budget: int = DEFAULT_WORD_BUDGET) -> list:
     """Exact per-depth mass sums [depth 0 .. m] from a single tree walk.
 
-    The walk carries the masses of every prefix of a word.  A prefix is
-    tallied at its first depth-m descendant, the one that continues it with
-    cell 1 only, so each node of the tree is counted once.
+    The walk carries the masses of every prefix of a word, each as an
+    unreduced (numerator, denominator) pair of integers.  A prefix is tallied
+    at its first depth-m descendant, the one that continues it with cell 1
+    only, so each node of the tree is counted once.
     """
     sums = [{} for _ in range(m + 1)]
+    weights = {}  # level -> (numerator, denominator) of mu, by cell index
+    for l in spec.levels:
+        mus = (spec.mu_of_letter((i, l)) for i in range(1, cell_count(spec.d, l) + 1))
+        weights[l] = [(mu.numerator, mu.denominator) for mu in mus]
 
     def step(path, letter):
-        return path + (path[-1] * spec.mu_of_letter(letter),)
+        num, den = path[-1]
+        w_num, w_den = weights[letter[1]][letter[0] - 1]
+        return path + ((num * w_num, den * w_den),)
 
-    for word, path in walk(spec, m, (Fraction(1),), step, budget=budget):
+    for word, path in walk(spec, m, ((1, 1),), step, budget=budget):
         k = m
         while k > 0 and word[k - 1][0] == 1:
             k -= 1
         for depth in range(k, m + 1):
-            mu = path[depth]
-            sums[depth][mu.denominator] = sums[depth].get(mu.denominator, 0) + mu.numerator
+            num, den = path[depth]
+            sums[depth][den] = sums[depth].get(den, 0) + num
     return [_exact_sum(acc) for acc in sums]
 
 
@@ -426,16 +434,20 @@ def chain_matrix(spec: GasketSpec, word: Word):
 
 def harmonic_values(spec: GasketSpec, m: int, u, budget: int = DEFAULT_WORD_BUDGET) -> dict:
     """Values of the harmonic function with boundary data u on every depth-m
-    cell: cell w carries the vector A_w u."""
-    u = [Fraction(x) if not isinstance(x, float) else x for x in u]
+    cell: cell w carries the vector A_w u.  The data must be rationals; the
+    walk carries integer numerators over one denominator."""
     if len(u) != spec.d + 1:
         raise InvalidParameterError(f"boundary vector must have {spec.d + 1} entries")
+    if any(isinstance(x, float) for x in u):
+        raise InvalidParameterError("boundary values must be rationals (int or Fraction)")
 
-    def step(vec, letter):
-        i, l = letter
-        return mat_vec(extension_matrices(spec.d, l).A[i - 1], vec)
+    def step(state, letter):
+        vec, den = state
+        data = extension_matrices(spec.d, letter[1])
+        return mat_vec(data.M[letter[0] - 1], vec), den * data.D
 
-    return dict(walk(spec, m, u, step, budget=budget))
+    start = integer_form(u)
+    return {word: [Fraction(x, den) for x in vec] for word, (vec, den) in walk(spec, m, start, step, budget=budget)}
 
 
 # --- cell geometry ------------------------------------------------------------

@@ -8,6 +8,7 @@ cheap and the golden values carry no tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -98,13 +99,19 @@ def secondary_vectors(d: int, i: int) -> list:
 class HarmonicCellData:
     """Per-(d,l) harmonic data: factor r, all N(l) extension matrices, and the
     secondary eigenvalue s of the corner matrices (exact; s has multiplicity
-    d-1 so it is always rational)."""
+    d-1 so it is always rational).
+
+    The walks read each A[i] as the integer matrix M[i] = D A[i] over the
+    level's one denominator D, the lcm of the entries' denominators, so they
+    carry integer numerators and never reduce a fraction."""
 
     d: int
     l: int
     r: Fraction
     A: list = field(repr=False)
     s: Fraction = Fraction(0)
+    M: list = field(default_factory=list, repr=False)
+    D: int = 1
 
     @property
     def theta_term(self) -> Fraction:
@@ -159,7 +166,9 @@ def _verify_cell_data(data: HarmonicCellData) -> None:
     d, r, s = data.d, data.r, data.s
     Q = base_form(d)
     one = ones_vector(d)
-    for idx, A in enumerate(data.A):
+    for idx, (A, M) in enumerate(zip(data.A, data.M, strict=True)):
+        if M != [[data.D * x for x in row] for row in A]:
+            raise EigenRelationError(f"integer extension matrix {idx} != D A")
         for row in A:
             if sum(row) != 1:
                 raise EigenRelationError(f"row sum != 1 in extension matrix {idx}")
@@ -205,7 +214,9 @@ def extension_matrices(d: int, l: int) -> HarmonicCellData:
         mats.append([list(H[vid]) for vid in ids])
     trace = sum(mats[0][k][k] for k in range(d + 1))
     sec = (trace - 1 - r) / (d - 1)
-    data = HarmonicCellData(d=d, l=l, r=r, A=mats, s=sec)
+    D = math.lcm(*(x.denominator for A in mats for row in A for x in row))
+    ints = [[[x.numerator * (D // x.denominator) for x in row] for row in A] for A in mats]
+    data = HarmonicCellData(d=d, l=l, r=r, A=mats, s=sec, M=ints, D=D)
     _verify_cell_data(data)
     return data
 

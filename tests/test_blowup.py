@@ -1,15 +1,19 @@
+import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gasketlab.blowup import BlowupCloud, blowup_cloud, density_grid
 from gasketlab.capacity import inner_set_pins
 from gasketlab.energy import default_basis
 from gasketlab.errors import DegenerateBasisError, InadmissibleWordError, InvalidParameterError
-from gasketlab.gasket import GasketSpec, dirichlet_solve, level_network
+from gasketlab.exactla import identity, mat_mul, mat_vec
+from gasketlab.gasket import GasketSpec, chain_matrix, dirichlet_solve, iter_words, level_network
+from gasketlab.harmonic import base_form, extension_matrices
 from gasketlab.subdivision import cell_count
 
 
@@ -113,9 +117,9 @@ PROPERTY = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def cloud_cases(draw):
-    """(spec, word, N, m) with at most ~1,500 cells below the word at depth
-    max(N, m)."""
+def cloud_cases(draw, max_cells=1500):
+    """(spec, word, N, m) with at most about max_cells cells below the word
+    at depth max(N, m)."""
     d = draw(st.sampled_from([2, 3]))
     levels = sorted(draw(st.lists(st.sampled_from([2, 3, 4] if d == 2 else [2, 3]), min_size=1, unique=True)))
     labeling = None
@@ -129,7 +133,7 @@ def cloud_cases(draw):
         word += ((draw(st.integers(1, cell_count(d, l))), l),)
     widest = max(cell_count(d, l) for l in levels)
     deepest = 1
-    while widest ** (deepest + 1) <= 1500:
+    while widest ** (deepest + 1) <= max_cells:
         deepest += 1
     N = draw(st.integers(1, min(3, deepest)))
     m = draw(st.integers(0, min(N + 2, deepest)))
@@ -150,3 +154,42 @@ def test_equilibrium_potential_is_the_inner_set_solve(case):
     assert cloud.e_means == expect
     assert all(0 <= e <= 1 for e in cloud.e_means)
     assert all(0 <= x <= 1 for x in pots.values())
+
+
+@settings(max_examples=25, deadline=None)
+@given(cloud_cases(max_cells=150))
+@example((GasketSpec(2, [2, 3], {"type": "seeded", "seed": 1, "weights": {2: 1.0, 3: 1.0}}), ((1, 3),), 2, 3))
+def test_cloud_is_the_fraction_chain_product(case):
+    # the pair is A_word c for the default basis c, so every leaf carries
+    # chain_matrix(word + w) c; the potential is 0 at a corner of the depth-N
+    # ancestor that is a corner of the word, 1 at the others, then A-extended
+    spec, word, N, m = case
+    d = spec.d
+    Q = base_form(d)
+    basis = default_basis(d)
+    b1, b2 = (mat_vec(chain_matrix(spec, word), c) for c in basis.raw[:2])
+    cloud = blowup_cloud(spec, word, b1, b2, m=m, N=N)
+
+    def product(letters):
+        return reduce(lambda acc, letter: mat_mul(extension_matrices(d, letter[1]).A[letter[0] - 1], acc),
+                      letters, identity(d + 1))
+
+    pairs, e_means, masses = [], [], []
+    for w, r_w, _ in iter_words(spec, m, root=word):
+        v1, v2 = (mat_vec(chain_matrix(spec, word + w), c) for c in basis.raw[:2])
+        top = w[:N]
+        e_top = [Fraction(0 if all(i == c + 1 for i, _ in top) else 1) for c in range(d + 1)]
+        e = mat_vec(product(w[N:]), e_top)
+        pairs.append((v1, v2))
+        e_means.append(sum(e) / (d + 1))
+        masses.append((Q(v1) + Q(v2)) / r_w)
+    weights = [e * e * mass for e, mass in zip(e_means, masses)]
+    alpha = 1.0 / math.sqrt(float(max(x * x + y * y for v1, v2 in pairs for x, y in zip(v1, v2))))
+    points = np.array([[alpha * float(sum(v) / (d + 1)) for v in pair] for pair in pairs]).reshape(-1, 2)
+
+    assert cloud.e_means == e_means
+    assert cloud.masses == masses
+    assert cloud.weights == weights
+    assert cloud.total_mass == sum(weights)
+    assert cloud.alpha == alpha
+    assert np.array_equal(cloud.points, points)

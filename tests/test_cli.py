@@ -96,6 +96,19 @@ def test_words_budget_failure_leaves_no_file(sg_spec, tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == sorted([Path(sg_spec), out])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["capacity", "--point", "5", "--base-depth", "6"], ["capacity", "--inner-n", "6"], ["blowup", "--depth", "6"]],
+    ids=["point", "relative", "blowup"],
+)
+def test_capacity_and_blowup_honour_and_record_the_budget(argv, sg_spec, tmp_path, capsys):
+    assert main(argv + ["--spec", sg_spec, "--budget", "10"]) == 2
+    assert capsys.readouterr().err == "error: more than 10 words at depth 6\n"
+    out = tmp_path / "r.json"
+    assert main(argv[:-1] + ["2", "--spec", sg_spec, "--budget", "100", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["budget"] == 100
+
+
 def test_words_negative_depth_prints_nothing(sg_spec, capsys):
     assert main(["words", "--spec", sg_spec, "--depth", "-1"]) == 2
     captured = capsys.readouterr()
@@ -259,10 +272,13 @@ def test_explicit_entry_words_are_normalized(tmp_path):
         ["words", "--depth", "x"],
         ["capacity", "--mode", "exact"],
         ["verify-a3", "--depth", "1", "--mode", "float"],
+        ["blowup", "--depth", "2", "--b1", "1/2,0,0", "--b2", "0,1e400,0"],
+        ["blowup", "--depth", "2", "--b1", "1e-400,0,0", "--b2", "0,1e-400,0"],
     ],
     ids=["b1-not-rational", "b1-zero-denominator", "verify-inner-n-0", "point-refine-negative", "capacity-inner-n-0",
          "point-samples-0", "point-samples-negative", "cap-words-0", "cap-words-negative", "verify-refine-negative",
-         "blowup-res-below-8", "depth-not-int", "capacity-mode-removed", "verify-mode-removed"],
+         "blowup-res-below-8", "depth-not-int", "capacity-mode-removed", "verify-mode-removed",
+         "blowup-pair-overflows-float", "blowup-pair-underflows-float"],
 )
 def test_malformed_argument_exits_2_with_one_line(argv, sg_spec, capsys):
     assert main(argv + ["--spec", sg_spec]) == 2

@@ -180,6 +180,12 @@ def test_harmonic_values_and_energy(sg):
         assert total == Q(u)
 
 
+def test_harmonic_values_refuse_float_data(sg):
+    with pytest.raises(InvalidParameterError):
+        harmonic_values(sg, 1, [1.0, 0, 0])
+    assert harmonic_values(sg, 0, [1, Fraction(1, 2), 0]) == {(): [1, Fraction(1, 2), 0]}
+
+
 def test_harmonic_values_respect_maximum_principle(sg):
     u = [Fraction(3), Fraction(-1), Fraction(2)]
     for word, vec in harmonic_values(sg, 3, u).items():

@@ -1,15 +1,16 @@
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gasketlab.energy import kusuoka_distribution
+from gasketlab.energy import _exact_cell_record, _resolve_basis, kusuoka_distribution
 from gasketlab.errors import InvalidParameterError
-from gasketlab.gasket import GasketSpec
-from gasketlab.exactla import adjacency_from_edges, eliminate, mat_vec
+from gasketlab.gasket import GasketSpec, chain_matrix, harmonic_values, iter_words, measure_totals
+from gasketlab.exactla import adjacency_from_edges, det, eliminate, mat_mul, mat_t, mat_vec
 from gasketlab.harmonic import (
     _level_solve,
     base_form,
@@ -232,8 +233,8 @@ def test_cell_energies_sum_to_r_times_the_energy(case):
 
 
 @st.composite
-def small_trees(draw):
-    """(spec, m) with at most 300 words at depth m."""
+def small_trees(draw, max_words=300):
+    """(spec, m) with at most max_words words at depth m."""
     d = draw(st.sampled_from([2, 3, 4]))
     levels = sorted(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3, unique=True)))
     labeling = None
@@ -242,7 +243,7 @@ def small_trees(draw):
         labeling = {"type": "seeded", "seed": draw(st.integers(0, 2**32)), "weights": weights}
     widest = max(cell_count(d, l) for l in levels)
     deepest = 0
-    while widest ** (deepest + 1) <= 300:
+    while widest ** (deepest + 1) <= max_words:
         deepest += 1
     return GasketSpec(d, levels, labeling), draw(st.integers(0, deepest))
 
@@ -253,3 +254,74 @@ def test_kusuoka_masses_sum_to_the_root_mass(case):
     spec, m = case
     root = kusuoka_distribution(spec, 0)[0].nu_mass
     assert sum(c.nu_mass for c in kusuoka_distribution(spec, m)) == root
+
+
+# --- integer-numerator transport against the Fraction product of A -------------
+
+non_unit_fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(2, 40))
+
+
+@st.composite
+def transport_cases(draw):
+    """(spec, m, u, v) with a seeded or homogeneous spec of at most 100 words
+    at depth m >= 1, maybe per-letter weights, and rational boundary data u, v."""
+    spec, m = draw(small_trees(max_words=100))
+    m = max(m, 1)  # every level has at most 70 cells, so depth 1 fits
+    if draw(st.booleans()):
+        per_letter = {}
+        for l in spec.levels:
+            ints = draw(st.lists(st.integers(1, 9), min_size=cell_count(spec.d, l), max_size=cell_count(spec.d, l)))
+            per_letter[l] = [Fraction(x, sum(ints)) for x in ints]
+        spec = GasketSpec(spec.d, spec.levels, spec.labeling, {"per_letter": per_letter})
+    vectors = [draw(st.lists(non_unit_fractions, min_size=spec.d + 1, max_size=spec.d + 1)) for _ in range(2)]
+    return spec, m, vectors[0], vectors[1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(transport_cases())
+@example((
+    GasketSpec(3, [2, 3], {"type": "seeded", "seed": 3, "weights": {2: 1.0, 3: 1.0}}),
+    2,
+    [Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2), Fraction(0)],
+    [Fraction(3, 4), Fraction(1, 6), Fraction(0), Fraction(-1, 9)],
+))
+@example((
+    GasketSpec(
+        2, [2, 4], {"type": "seeded", "seed": 5, "weights": {2: 1.0, 4: 1.0}},
+        {"per_letter": {2: [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)], 4: [Fraction(k, 55) for k in range(1, 11)]}},
+    ),
+    2,
+    [Fraction(2, 3), Fraction(0), Fraction(-5, 4)],
+    [Fraction(1, 5), Fraction(7, 2), Fraction(1, 3)],
+))
+def test_integer_transport_is_the_fraction_chain_product(case):
+    spec, m, u, v = case
+    d = spec.d
+    for l in spec.levels:
+        data = extension_matrices(d, l)
+        assert data.D == math.lcm(*(x.denominator for A in data.A for row in A for x in row))
+        assert data.M == [[[data.D * x for x in row] for row in A] for A in data.A]
+        assert all(type(x) is int for M in data.M for row in M for x in row)
+
+    words = list(iter_words(spec, m))
+    values = harmonic_values(spec, m, u)
+    assert list(values) == [w for w, _, _ in words]
+    for w, _, _ in words:
+        assert values[w] == mat_vec(chain_matrix(spec, w), u)
+    assert measure_totals(spec, m) == [sum(mu for _, _, mu in iter_words(spec, k)) for k in range(m + 1)]
+
+    Q = base_form(d)
+    assume(det([[Q(a, b) for b in (u, v)] for a in (u, v)]) != 0)
+    for vectors in (None, [u, v]):
+        basis, normalized = _resolve_basis(d, vectors)
+        G = basis.exact_columns()
+        expect = [
+            _exact_cell_record(w, mat_mul(chain_matrix(spec, w), G), 1, r_w, basis, normalized)
+            for w, r_w, _ in words
+        ]
+        got = kusuoka_distribution(spec, m, basis=vectors)
+        assert got == expect
+        if not normalized:
+            for rec, (w, r_w, _) in zip(got, words):
+                cols = mat_t(mat_mul(chain_matrix(spec, w), G))
+                assert rec.B == [[2 * Q(a, b) / r_w for b in cols] for a in cols]
