@@ -38,7 +38,6 @@ from .gasket import (
     harmonic_values,
     iter_words,
     level_network,
-    measure_total,
     parse_word,
 )
 from .harmonic import (

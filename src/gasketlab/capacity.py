@@ -11,6 +11,11 @@ relative capacity is then the energy of the chain cells' corner edges,
 d * sum over the corners of 1/r_chain, and the networks are exact traces, so
 every refinement reproduces that value.
 
+Every capacity is solved by `_capacities` on a trace-reduced network,
+refined only in the cells whose closure holds a corner of the word (relative
+capacity) or the target vertex (point capacity).  A full network is built
+only to number the vertices a point capacity may target.
+
 Capacity values are computed on root-normalized networks (the root cell
 carries conductance weight 1).  The balance constants are scale invariant,
 so the root factor cancels out of every reported ratio.  Every capacity
@@ -108,14 +113,14 @@ def _point_pins(coord, net: ConductanceNetwork) -> dict:
     return pins
 
 
-def _misses(coord):
+def _misses(points):
     """The `level_network` stop predicate that keeps whole every cell whose
-    closure does not hold the point `coord`: the closed cell with map
-    (scale, offset) holds it iff coord[k] >= offset[k] for every k."""
+    closure holds none of `points`: the closed cell with map (scale, offset)
+    holds a point iff point[k] >= offset[k] for every k."""
 
     def stop(state):
         (_, offset), _ = state
-        return any(x < o for x, o in zip(coord, offset))
+        return not any(all(x >= o for x, o in zip(p, offset)) for p in points)
 
     return stop
 
@@ -143,15 +148,18 @@ def _capacities(
     word: Word,
     base_depth: int,
     K: int,
+    points,
     pins,
     budget: int,
-    stop=None,
 ) -> CapacityResult:
-    """Solve the capacity problem that pins(network) poses on the networks of
-    depth base_depth + k below the word, for k = 0..K, each built by
-    level_network with the walk's `stop`."""
+    """Solve the capacity problem that pins(network) poses below the word at
+    depth base_depth + k, for k = 0..K, on the network refined only in the
+    cells whose closure holds one of `points`.  Its energy is the full
+    network's when the full problem pins all of each whole cell's vertices
+    to one value, or none strictly inside it."""
     if K < 0:
         raise InvalidParameterError(f"refinement must be >= 0, got {K}")
+    stop = _misses(points)
     values = []
     for k in range(K + 1):
         net = level_network(spec, base_depth + k, root=word, budget=budget, stop=stop)
@@ -174,9 +182,13 @@ def relative_capacity(
     budget: int = DEFAULT_WORD_BUDGET,
 ) -> CapacityResult:
     """Capacity between the inner set and the word's own corners, estimated on
-    networks of depth N..N+K below the word (non-increasing in the depth)."""
+    networks of depth N..N+K below the word (non-increasing in the depth),
+    refined only at the word's corners, that is along the corner chains.  A
+    cell kept whole above depth N lies off the chains, so all its vertices
+    are pinned to 1; one inside a chain cell has only free vertices inside."""
     pins = partial(inner_set_pins, spec, word, N)
-    return _capacities("inner-set", spec, word, N, K, pins, budget)
+    corners = cell_corners(_root_affine(spec, word))
+    return _capacities("inner-set", spec, word, N, K, corners, pins, budget)
 
 
 def point_capacity(
@@ -203,8 +215,7 @@ def point_capacity(
     if vertex in base.boundary:
         raise InvalidVertexError("point capacity target must not be a corner of the word")
     coord = base.coords[vertex]
-    pins = partial(_point_pins, coord)
-    return _capacities("point", spec, word, base_depth, K, pins, budget, stop=_misses(coord))
+    return _capacities("point", spec, word, base_depth, K, [coord], partial(_point_pins, coord), budget)
 
 
 # --- the balance report ---------------------------------------------------------
@@ -332,10 +343,11 @@ def a3_report(
     `samples` seeded directions per word.  C_b uses the relative capacity of
     each subsampled word from the corner-chain identity, exact at every
     refinement, so K only labels the report.  C_c uses point capacities at
-    vertices of the depth-N network below the word, each solved on that
-    network refined only in the cells that hold the vertex (see
-    point_capacity), which gives the same exact value.  All three
-    constants are scale invariant, so root normalization cancels.
+    vertices of the depth-N network below the word, which is built whole
+    once per word to number them; each is solved by `_capacities` on that
+    network refined only in the cells that hold the vertex, which gives the
+    same exact value.  All three constants are scale invariant, so root
+    normalization cancels.
     """
     if K < 0:
         raise InvalidParameterError(f"refinement must be >= 0, got {K}")
@@ -396,16 +408,15 @@ def a3_report(
     for idx in picks:
         word, r_w, _ = words[idx]
         cap_rel = float(corner_chain_capacity(spec, word, N))
-        # the point samples are vertices of the depth-N network below the word,
-        # each solved on its own trace-reduced depth-N network
+        # the point samples are vertices of the depth-N network below the word
         base = level_network(spec, N, root=word, budget=budget)
         inner = [v for v in range(base.n_vertices) if v not in base.boundary]
         pcount = min(point_samples, len(inner))
         pt_caps = []
         for j in range(pcount):
             coord = base.coords[inner[(j * len(inner)) // pcount]]
-            net = level_network(spec, N, root=word, budget=budget, stop=_misses(coord))
-            pt_caps.append(float(dirichlet_solve(net, _point_pins(coord, net))[1]))
+            cap = _capacities("point", spec, word, N, 0, [coord], partial(_point_pins, coord), budget)
+            pt_caps.append(float(cap.values[0]))
         cap_pt = min(pt_caps)
         inv_r = 1.0 / float(r_w)
         for s_idx, q0, nu_V, osc in per_word_samples[word]:

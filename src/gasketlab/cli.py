@@ -115,6 +115,16 @@ def _rationals(text: str, flag: str) -> list:
         raise InvalidParameterError(f"{flag} must be comma-separated rationals, got {text!r}") from None
 
 
+_OUTPUT_ARGS = ("func", "out", "rows_out", "out_cloud", "out_grid")
+
+
+def _config(args, spec: GasketSpec, **resolved) -> dict:
+    """The run's resolved configuration: every parsed argument but the output
+    paths, the parsed spec, and the values the run resolved itself."""
+    config = {k: v for k, v in vars(args).items() if k not in _OUTPUT_ARGS}
+    return {**config, "spec": spec.to_dict(), **resolved}
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
     with _output(out) as fh:
@@ -170,18 +180,7 @@ def cmd_dim_estimate(args) -> int:
     report = energy_mod.index_estimate(
         spec, args.depth, eps=args.eps, delta=args.delta, budget=args.budget
     )
-    payload = {
-        "config": {
-            "subcommand": "dim-estimate",
-            "spec": spec.to_dict(),
-            "depth": args.depth,
-            "eps": args.eps,
-            "delta": args.delta,
-            "budget": args.budget,
-        },
-        "report": report.to_dict(),
-    }
-    _emit_json(payload, args.out)
+    _emit_json({"config": _config(args, spec), "report": report.to_dict()}, args.out)
     return 0
 
 
@@ -198,22 +197,7 @@ def cmd_verify_a3(args) -> int:
         point_samples=args.point_samples,
         budget=args.budget,
     )
-    payload = {
-        "config": {
-            "subcommand": "verify-a3",
-            "spec": spec.to_dict(),
-            "depth": args.depth,
-            "inner_n": report.N,
-            "samples": args.samples,
-            "refine": args.refine,
-            "seed": args.seed,
-            "cap_words": args.cap_words,
-            "point_samples": args.point_samples,
-            "budget": args.budget,
-        },
-        "report": report.to_dict(),
-    }
-    _emit_json(payload, args.out)
+    _emit_json({"config": _config(args, spec, inner_n=report.N), "report": report.to_dict()}, args.out)
     if args.rows_out:
         _emit_csv(
             ["word", "sample_id", "nu_U", "nu_V", "osc", "cap_rel", "cap_pt", "ratio_a", "ratio_b", "ratio_c"],
@@ -227,6 +211,7 @@ def cmd_capacity(args) -> int:
     spec = load_spec(args.spec)
     word = parse_word(args.word)
     spec.validate_word(word)
+    resolved = {}
     if args.point is not None:
         result = capacity_mod.point_capacity(
             spec, word, args.point, K=args.refine, base_depth=args.base_depth, budget=args.budget
@@ -234,17 +219,9 @@ def cmd_capacity(args) -> int:
     else:
         n = capacity_mod.default_inner_depth(spec) if args.inner_n is None else args.inner_n
         result = capacity_mod.relative_capacity(spec, word, n, K=args.refine, budget=args.budget)
+        resolved["inner_n"] = n
     payload = {
-        "config": {
-            "subcommand": "capacity",
-            "spec": spec.to_dict(),
-            "word": args.word,
-            "inner_n": args.inner_n,
-            "point": args.point,
-            "base_depth": args.base_depth,
-            "refine": args.refine,
-            "budget": args.budget,
-        },
+        "config": _config(args, spec, **resolved),
         "report": {
             "kind": result.kind,
             "refinements": result.refinements,
@@ -288,14 +265,7 @@ def cmd_blowup(args) -> int:
         )
         _emit_csv(["row", "col", "mass"], rows, args.out_grid)
     payload = {
-        "config": {
-            "subcommand": "blowup",
-            "spec": spec.to_dict(),
-            "word": args.word,
-            "depth": args.depth,
-            "res": args.res,
-            "budget": args.budget,
-        },
+        "config": _config(args, spec, b1=[frac_str(x) for x in b1], b2=[frac_str(x) for x in b2]),
         "report": {
             "points": cloud.n_points,
             "alpha": cloud.alpha,
@@ -318,7 +288,7 @@ def cmd_hausdorff(args) -> int:
             "frostman_exponent": math.log(n) / math.log(l),
         }
     payload = {
-        "config": {"subcommand": "hausdorff", "spec": spec.to_dict()},
+        "config": _config(args, spec),
         "report": {
             "per_level": per_level,
             "printed_formula_min_log_N_over_l": min(v["log_ratio"] for v in per_level.values()),

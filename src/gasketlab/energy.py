@@ -266,7 +266,6 @@ class RankReport:
     sensitivity: dict
     cells_at_depth: int
     basis_label: str
-    mode: str = "float"
 
     def to_dict(self) -> dict:
         return {
@@ -281,7 +280,7 @@ class RankReport:
             "sensitivity": self.sensitivity,
             "cells_at_depth": self.cells_at_depth,
             "basis": self.basis_label,
-            "arithmetic_mode": self.mode,
+            "arithmetic_mode": "float",
         }
 
 
@@ -374,7 +373,6 @@ def index_estimate(
         sensitivity=sens,
         cells_at_depth=ncells,
         basis_label=basis.label,
-        mode="float",
     )
 
 

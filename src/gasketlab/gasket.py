@@ -385,14 +385,6 @@ def _exact_sum(by_den: dict) -> Fraction:
     return sum((Fraction(n, d) for d, n in sorted(by_den.items())), Fraction(0))
 
 
-def measure_total(spec: GasketSpec, m: int, budget: int = DEFAULT_WORD_BUDGET) -> Fraction:
-    """Exact sum of mu over the depth-m words (streaming; no list is built)."""
-    by_den: dict = {}
-    for _, _, mu in iter_words(spec, m, budget):
-        by_den[mu.denominator] = by_den.get(mu.denominator, 0) + mu.numerator
-    return _exact_sum(by_den)
-
-
 def measure_totals(spec: GasketSpec, m: int, budget: int = DEFAULT_WORD_BUDGET) -> list:
     """Exact per-depth mass sums [depth 0 .. m] from a single tree walk.
 

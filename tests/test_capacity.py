@@ -271,6 +271,21 @@ def test_relative_capacity_is_the_corner_chain_sum_at_every_refinement(case):
 
 @PROPERTY
 @given(inner_set_cases())
+def test_relative_capacity_is_the_full_network_solve(case):
+    # the network reduced to the corner chains gives the full network's
+    # exact energy at every refinement
+    spec, word, N, K = case
+    res = relative_capacity(spec, word, N, K)
+    corners = cell_corners(_root_affine(spec, word))
+    for k in range(K + 1):
+        full = level_network(spec, N + k, root=word)
+        assert res.values[k] == dirichlet_solve(full, inner_set_pins(spec, word, N, full))[1]
+        reduced = level_network(spec, N + k, root=word, stop=_misses(corners))
+        assert set(reduced.coords) <= set(full.coords)
+
+
+@PROPERTY
+@given(inner_set_cases())
 def test_depth_n_pins_fix_every_vertex_but_the_word_corners_to_one(case):
     spec, word, N, _ = case
     net = level_network(spec, N, root=word)
@@ -328,7 +343,7 @@ def test_point_capacity_is_the_full_network_solve(case):
         full = level_network(spec, base_depth + k, root=word)
         _, energy, _ = dirichlet_solve(full, _point_pins(coord, full))
         assert res.values[k] == energy
-        reduced = level_network(spec, base_depth + k, root=word, stop=_misses(coord))
+        reduced = level_network(spec, base_depth + k, root=word, stop=_misses([coord]))
         assert set(reduced.coords) <= set(full.coords)
         at = [{rel for rel, ids, _ in net.cells if net.coord_index[coord] in ids} for net in (reduced, full)]
         assert at[0] == at[1]
@@ -360,6 +375,13 @@ def test_point_capacity_solves_only_reduced_networks(sg, monkeypatch):
     # the one whole network is the depth-6 numbering; both depths are solved reduced
     assert [(m, n) for m, stopped, n in built if not stopped] == [(6, 1095)]
     assert [m for m, stopped, _ in built if stopped] == [6, 7]
+
+
+def test_relative_capacity_solves_only_reduced_networks(sg, monkeypatch):
+    built, solved = _record_networks_and_solves(monkeypatch)
+    relative_capacity(sg, (), 4, K=2)
+    assert [m for m, stopped, _ in built] == [4, 5, 6] and all(stopped for _, stopped, _ in built)
+    assert len(solved) == 3 and max(solved) < 100
 
 
 def test_a3_point_samples_solve_only_reduced_networks(mixed, monkeypatch):

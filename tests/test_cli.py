@@ -191,6 +191,17 @@ def test_blowup_subcommand(sg_spec, tmp_path, capsys):
     assert abs(mass - num / den) < 1e-9 * (num / den)
 
 
+def test_blowup_config_records_the_harmonic_pair(sg_spec, capsys):
+    assert main(["blowup", "--spec", sg_spec, "--depth", "1", "--b1", "1,0,0", "--b2", "0,1,0"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["b1"] == ["1/1", "0/1", "0/1"] and config["b2"] == ["0/1", "1/1", "0/1"]
+
+
+def test_capacity_config_records_the_resolved_inner_depth(sg_spec, capsys):
+    assert main(["capacity", "--spec", sg_spec, "--refine", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["inner_n"] == 4
+
+
 def test_hausdorff_reports_both_expressions(sg_spec, capsys):
     assert main(["hausdorff", "--spec", sg_spec]) == 0
     payload = json.loads(capsys.readouterr().out)

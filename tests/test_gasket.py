@@ -21,7 +21,6 @@ from gasketlab.gasket import (
     enumerate_words,
     harmonic_values,
     level_network,
-    measure_total,
     measure_totals,
     parse_word,
 )
@@ -80,8 +79,8 @@ def test_enumerate_words_root_and_budget(sg):
 
 
 def test_measure_conservation(sg, mixed):
-    assert measure_total(sg, 5) == 1
-    assert measure_total(mixed, 4) == 1
+    assert measure_totals(sg, 5)[5] == 1
+    assert measure_totals(mixed, 4)[4] == 1
     seeded = GasketSpec(2, [2, 3], {"type": "seeded", "seed": 7, "weights": {2: 0.5, 3: 0.5}})
     totals = measure_totals(seeded, 5)
     assert all(t == 1 for t in totals)
