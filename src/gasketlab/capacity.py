@@ -37,6 +37,9 @@ from .gasket import (
     ConductanceNetwork,
     GasketSpec,
     Word,
+    _MASK64,
+    _mix64,
+    _mix_text,
     _root_affine,
     cell_corners,
     dirichlet_solve,
@@ -221,18 +224,41 @@ def point_capacity(
 # --- the balance report ---------------------------------------------------------
 
 
+_SPAN = 17  # direction coordinates lie in [-_SPAN, _SPAN]
+
+
 def sample_direction(d: int, seed: int, word_text: str, idx: int) -> list:
-    """Deterministic nonconstant integer boundary vector for one sample."""
-    span = 17
+    """Deterministic nonconstant integer boundary vector for one sample.
+
+    Attempt a draws coordinate k as int(u * (2 * _SPAN + 1)) - _SPAN with
+    u = word_hash_unit(seed + 1_000_003 * a, f"{word_text}|{idx}|{k}"), and
+    the first nonconstant attempt is returned.  `_sample_directions` draws
+    the same vectors from shared hash prefixes; this is its retry path and
+    the oracle of its tests."""
     attempt = 0
     while True:
         vals = []
         for k in range(d + 1):
             u = word_hash_unit(seed + 1_000_003 * attempt, f"{word_text}|{idx}|{k}")
-            vals.append(int(u * (2 * span + 1)) - span)
+            vals.append(int(u * (2 * _SPAN + 1)) - _SPAN)
         if len(set(vals)) > 1:
             return vals
         attempt += 1
+
+
+def _sample_directions(d: int, seed: int, word_text: str, samples: int):
+    """sample_direction(d, seed, word_text, idx) for idx in range(samples).
+
+    The attempt-0 hash of f"{word_text}|{idx}|{k}" is one splitmix64 byte
+    stream, so the state after f"{word_text}|" is kept once for the word and
+    the state after f"{idx}|" once for the sample, and each coordinate only
+    continues it over str(k).  A constant draw is retried by sample_direction."""
+    h_word = _mix_text(_mix64(seed & _MASK64), f"{word_text}|")
+    digits = [str(k) for k in range(d + 1)]
+    for idx in range(samples):
+        h = _mix_text(h_word, f"{idx}|")
+        vals = [int(_mix_text(h, k) / 2.0**64 * (2 * _SPAN + 1)) - _SPAN for k in digits]
+        yield vals if len(set(vals)) > 1 else sample_direction(d, seed, word_text, idx)
 
 
 def _int_quad(m, u) -> int:
@@ -339,15 +365,21 @@ def a3_report(
     """Check the mass inequality exactly on every depth-m word and estimate
     the three balance constants on an equispaced word subsample.
 
-    The inequality nu_h(U) <= 2 nu_h(V) is decided in integer arithmetic for
-    `samples` seeded directions per word.  C_b uses the relative capacity of
-    each subsampled word from the corner-chain identity, exact at every
-    refinement, so K only labels the report.  C_c uses point capacities at
-    vertices of the depth-N network below the word, which is built whole
-    once per word to number them; each is solved by `_capacities` on that
-    network refined only in the cells that hold the vertex, which gives the
-    same exact value.  All three constants are scale invariant, so root
-    normalization cancels.
+    The inequality nu_h(U) <= 2 nu_h(V) is decided in plain integers for
+    `samples` seeded directions per word, drawn by `_sample_directions` from
+    the word's hash prefix.  The d+1 corner-chain forms are summed into one
+    integer form G over their common denominator L, so nu_U = u^T Q u and
+    nu_V = (nu_U L - u^T G u) / L take two quadratic forms per sample; the
+    worst nu_U / nu_V is kept as an integer pair compared by
+    cross-multiplication, and only the rows of the capacity words are kept.
+
+    C_b uses the relative capacity of each subsampled word from the
+    corner-chain identity, exact at every refinement, so K only labels the
+    report.  C_c uses point capacities at vertices of the depth-N network
+    below the word, which is built whole once per word to number them; each
+    is solved by `_capacities` on that network refined only in the cells that
+    hold the vertex, which gives the same exact value.  All three constants
+    are scale invariant, so root normalization cancels.
     """
     if K < 0:
         raise InvalidParameterError(f"refinement must be >= 0, got {K}")
@@ -363,43 +395,39 @@ def a3_report(
     QI = [[int(x) for x in row] for row in base_form(d).M]
     words = enumerate_words(spec, m, budget)
 
-    violations = 0
-    worst_ratio = Fraction(0)
-    per_word_samples: dict = {}
-    for word, _, _ in words:
-        text = encode_word(word)
-        forms = []
-        denoms = []
-        for corner in range(1, d + 2):
-            labels = corner_chain_labels(spec, word, corner, N)
-            fm, den = _corner_chain_form(d, corner, labels)
-            forms.append(fm)
-            denoms.append(den)
-        L = 1
-        for den in denoms:
-            L = lcm(L, den)
-        mults = [L // den for den in denoms]
-        rows = []
-        for s_idx in range(samples):
-            u = sample_direction(d, seed, text, s_idx)
-            q0 = _int_quad(QI, u)
-            corner_total = sum(_int_quad(fm, u) * mult for fm, mult in zip(forms, mults))
-            # nu_U <= 2 nu_V  <=>  2 * corner masses <= q0
-            if 2 * corner_total > q0 * L:
-                violations += 1
-            nu_V = Fraction(q0) - Fraction(corner_total, L)
-            if nu_V > 0:
-                ratio = Fraction(q0) / nu_V
-                if ratio > worst_ratio:
-                    worst_ratio = ratio
-            osc = max(u) - min(u)
-            rows.append((s_idx, q0, nu_V, osc))
-        per_word_samples[word] = rows
-
-    # capacity constants on an equispaced word subsample
     n_words = len(words)
     count = min(cap_words, n_words)
     picks = sorted({(j * n_words) // count for j in range(count)})
+
+    violations = 0
+    wp, wq = 0, 1  # the worst nu_U / nu_V so far, as the integer pair wp / wq
+    picked_samples: dict = {idx: [] for idx in picks}
+    for w_idx, (word, _, _) in enumerate(words):
+        text = encode_word(word)
+        forms = [
+            _corner_chain_form(d, corner, corner_chain_labels(spec, word, corner, N))
+            for corner in range(1, d + 2)
+        ]
+        # the summed corner masses as one integer form G over the common denominator L
+        L = lcm(*(den for _, den in forms))
+        G = [[sum(fm[i][j] * (L // den) for fm, den in forms) for j in range(d + 1)] for i in range(d + 1)]
+        rows = picked_samples.get(w_idx)
+        for s_idx, u in enumerate(_sample_directions(d, seed, text, samples)):
+            q0 = _int_quad(QI, u)
+            corner_total = _int_quad(G, u)
+            # nu_U = q0 and nu_V = nv / L;  nu_U <= 2 nu_V  <=>  2 * corner masses <= q0
+            qL = q0 * L
+            nv = qL - corner_total
+            if 2 * corner_total > qL:
+                violations += 1
+            if nv > 0 and qL * wq > wp * nv:
+                wp, wq = qL, nv
+            if rows is not None:
+                # int / int is correctly rounded, so this is float(Fraction(nv, L))
+                rows.append((s_idx, q0, nv / L, max(u) - min(u)))
+    worst_ratio = Fraction(wp, wq)
+
+    # capacity constants on an equispaced word subsample
     C_a = float(worst_ratio)
     C_b = 0.0
     C_c = 0.0
@@ -419,9 +447,9 @@ def a3_report(
             pt_caps.append(float(cap.values[0]))
         cap_pt = min(pt_caps)
         inv_r = 1.0 / float(r_w)
-        for s_idx, q0, nu_V, osc in per_word_samples[word]:
+        for s_idx, q0, nu_V, osc in picked_samples[idx]:
             nu_U_abs = 2.0 * q0 * inv_r
-            nu_V_abs = 2.0 * float(nu_V) * inv_r
+            nu_V_abs = 2.0 * nu_V * inv_r
             ratio_a = nu_U_abs / nu_V_abs if nu_V_abs else float("inf")
             ratio_b = cap_rel * osc * osc / (2.0 * q0)
             ratio_c = 2.0 * q0 / (cap_pt * osc * osc)

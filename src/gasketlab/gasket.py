@@ -75,9 +75,14 @@ def _mix64(x: int) -> int:
 
 
 def _mix_text(h: int, text: str) -> int:
-    """Continue the splitmix64 state h over the bytes of text."""
+    """Continue the splitmix64 state h over the bytes of text: h = _mix64(h ^ b)
+    for each byte b, with the finalizer inlined because this loop is the hash's
+    hot path."""
     for b in text.encode("utf-8"):
-        h = _mix64(h ^ b)
+        z = ((h ^ b) + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        h = z ^ (z >> 31)
     return h
 
 

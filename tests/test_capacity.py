@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -7,8 +8,12 @@ from hypothesis import strategies as st
 
 from gasketlab import capacity
 from gasketlab.capacity import (
+    _SPAN,
+    _corner_chain_form,
+    _int_quad,
     _misses,
     _point_pins,
+    _sample_directions,
     a3_report,
     corner_chain_capacity,
     corner_chain_labels,
@@ -27,8 +32,9 @@ from gasketlab.gasket import (
     encode_word,
     enumerate_words,
     level_network,
+    word_hash_unit,
 )
-from gasketlab.harmonic import extension_matrices
+from gasketlab.harmonic import base_form, extension_matrices
 from gasketlab.subdivision import cell_count
 
 
@@ -157,9 +163,7 @@ def test_point_capacity_validates_vertex(sg):
 
 def test_corner_sum_identity(sg):
     # nu_h(U) - nu_h(V) = sum of the excluded corner-cell masses, exactly
-    from gasketlab.capacity import _corner_chain_form
     from gasketlab.exactla import quad
-    from gasketlab.harmonic import base_form
 
     N = 2
     Q = base_form(2)
@@ -392,3 +396,84 @@ def test_a3_point_samples_solve_only_reduced_networks(mixed, monkeypatch):
     whole = [(m, n) for m, stopped, n in built if not stopped]
     assert len(whole) == 1 and whole[0][0] == N and whole[0][1] > 100
     assert [m for m, stopped, _ in built if stopped] == [N] * 3
+
+
+# --- the exact sampling loop --------------------------------------------------
+
+
+@st.composite
+def direction_cases(draw):
+    """(d, seed, word text, samples) over negative seeds, seeds past 2**64 and
+    the words of seeded labelings."""
+    d = draw(st.sampled_from([2, 3]))
+    seed = draw(st.one_of(st.integers(-(2**70), -1), st.integers(0, 2**32), st.integers(2**64, 2**70)))
+    spec = GasketSpec(d, [2, 3], {"type": "seeded", "seed": draw(st.integers(0, 2**32)), "weights": {2: 1.0, 3: 1.0}})
+    word = ()
+    for _ in range(draw(st.integers(0, 3))):
+        l = spec.label_of(word)
+        word += ((draw(st.integers(1, cell_count(d, l))), l),)
+    return d, seed, encode_word(word), draw(st.integers(1, 64))
+
+
+@PROPERTY
+@given(direction_cases())
+def test_prefix_hashed_directions_are_sample_direction(case):
+    d, seed, text, samples = case
+    drawn = list(_sample_directions(d, seed, text, samples))
+    assert drawn == [sample_direction(d, seed, text, idx) for idx in range(samples)]
+
+
+def test_a_constant_first_draw_is_retried():
+    # found by search: the attempt-0 draw of sample 20 of "1^2" under seed 19
+    # is constant, so the prefix-hashed path must take sample_direction's retry
+    d, seed, text, idx = 2, 19, "1^2", 20
+    first = [int(word_hash_unit(seed, f"{text}|{idx}|{k}") * (2 * _SPAN + 1)) - _SPAN for k in range(d + 1)]
+    assert len(set(first)) == 1
+    drawn = list(_sample_directions(d, seed, text, idx + 1))[idx]
+    assert drawn == sample_direction(d, seed, text, idx) and len(set(drawn)) > 1
+
+
+def mass_inequality_reference(spec, m, samples, seed, cap_words):
+    """(violations, worst nu_U / nu_V as "p/q", {(word, sample): (nu_U, nu_V)}
+    of the rows) with every direction from sample_direction, every corner form
+    applied on its own, and nu_V and the ratio as Fractions."""
+    d, N = spec.d, default_inner_depth(spec)
+    QI = [[int(x) for x in row] for row in base_form(d).M]
+    words = enumerate_words(spec, m)
+    count = min(cap_words, len(words))
+    picks = {(j * len(words)) // count for j in range(count)}
+    violations, worst, rows = 0, Fraction(0), {}
+    for w_idx, (word, r_w, _) in enumerate(words):
+        text = encode_word(word)
+        forms = [_corner_chain_form(d, c, corner_chain_labels(spec, word, c, N)) for c in range(1, d + 2)]
+        L = lcm(*(den for _, den in forms))
+        for s_idx in range(samples):
+            u = sample_direction(d, seed, text, s_idx)
+            q0 = _int_quad(QI, u)
+            corner_total = sum(_int_quad(fm, u) * (L // den) for fm, den in forms)
+            if 2 * corner_total > q0 * L:
+                violations += 1
+            nu_V = Fraction(q0) - Fraction(corner_total, L)
+            if nu_V > 0 and Fraction(q0) / nu_V > worst:
+                worst = Fraction(q0) / nu_V
+            if w_idx in picks:
+                inv_r = 1.0 / float(r_w)
+                rows[text, s_idx] = (2.0 * q0 * inv_r, 2.0 * float(nu_V) * inv_r)
+    return violations, f"{worst.numerator}/{worst.denominator}", rows
+
+
+@pytest.mark.parametrize(
+    "spec, m, samples, seed, cap_words",
+    [
+        (GasketSpec(2, [2]), 3, 16, 42, 3),
+        (GasketSpec(2, [2, 3], {"type": "seeded", "seed": 1, "weights": {2: 1.0, 3: 1.0}}), 3, 32, 0, 2),
+        (GasketSpec(3, [2]), 2, 32, 5, 1),
+    ],
+    ids=["standard", "seeded-d2-T23", "d3-T2"],
+)
+def test_mass_inequality_is_the_fraction_reference(spec, m, samples, seed, cap_words):
+    rep = a3_report(spec, m, samples=samples, seed=seed, cap_words=cap_words, point_samples=1)
+    violations, worst, rows = mass_inequality_reference(spec, m, samples, seed, cap_words)
+    assert rep.inequality_violations == violations
+    assert rep.worst_mass_ratio == worst
+    assert {(row.word, row.sample_id): (row.nu_U, row.nu_V) for row in rep.rows} == rows

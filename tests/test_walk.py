@@ -4,12 +4,14 @@ dimensions, level sets, labelings, seeds and measures."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gasketlab.errors import BudgetExceededError
 from gasketlab.gasket import (
     GasketSpec,
+    _mix64,
+    _mix_text,
     encode_word,
     iter_words,
     measure_totals,
@@ -113,6 +115,20 @@ def test_label_keys_match_the_whole_word_reference(spec, data):
             if n < len(word):
                 key = spec.child_key(key, word[n])
         assert spec.validate_word(word) == key == spec.label_key(word)
+
+
+def mix_text_reference(h: int, text: str) -> int:
+    """The splitmix64 state h continued over text: one _mix64 per UTF-8 byte."""
+    for b in text.encode("utf-8"):
+        h = _mix64(h ^ b)
+    return h
+
+
+@PROPERTY
+@given(st.integers(0, 2**64 - 1), st.text())
+@example(2**64 - 1, "1^2.3^3|é∂|")
+def test_mix_text_is_the_per_byte_mix64_fold(h, text):
+    assert _mix_text(h, text) == mix_text_reference(h, text)
 
 
 @PROPERTY
