@@ -16,6 +16,11 @@ refined only in the cells whose closure holds a corner of the word (relative
 capacity) or the target vertex (point capacity).  A full network is built
 only to number the vertices a point capacity may target.
 
+The corner masses of the A3 report are read off the corner-chain
+eigenstructure: on u = a 1 + (u_i, u) v_i + y, the chain form
+(1/r_chain) Q(A_chain u) is r_chain (u_i, u)^2 / d + (s_chain^2 / r_chain) Q(y),
+since Q(v_i) = 1/d and Q(v_i, y) = 0.
+
 Capacity values are computed on root-normalized networks (the root cell
 carries conductance weight 1).  The balance constants are scale invariant,
 so the root factor cancels out of every reported ratio.  Every capacity
@@ -31,7 +36,7 @@ from math import lcm
 
 from .errors import InvalidParameterError, InvalidVertexError
 from .energy import corner_decay_N
-from .exactla import mat_mul, mat_t
+from .exactla import integer_form
 from .gasket import (
     DEFAULT_WORD_BUDGET,
     ConductanceNetwork,
@@ -48,25 +53,24 @@ from .gasket import (
     level_network,
     word_hash_unit,
 )
-from .harmonic import base_form, extension_matrices
-
-
-@lru_cache(maxsize=None)
-def _default_inner_depth(d: int, levels) -> int:
-    return corner_decay_N((d, levels), Fraction(1, 2 * (d + 1)))
+from .harmonic import base_form, dual_vector, extension_matrices
 
 
 def default_inner_depth(spec: GasketSpec) -> int:
     """Corner-chain length from the mass-halving contraction target."""
-    return _default_inner_depth(spec.d, spec.levels)
+    return corner_decay_N(spec, Fraction(1, 2 * (spec.d + 1)))
 
 
 def corner_chain_labels(spec: GasketSpec, word: Word, corner: int, N: int) -> tuple:
     """Labels l_1..l_N of the admissible corner chain i^l1 ... i^lN below word."""
     if N < 1:
         raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
+    return _chain_labels(spec, spec.label_key(word), corner, N)
+
+
+def _chain_labels(spec: GasketSpec, key, corner: int, N: int) -> tuple:
+    """The same labels below the word whose label key is `key`."""
     labels = []
-    key = spec.label_key(word)
     for _ in range(N):
         l = spec.key_label(key)
         labels.append(l)
@@ -275,23 +279,19 @@ def _int_quad(m, u) -> int:
 @lru_cache(maxsize=None)
 def _corner_chain_form(d: int, corner: int, labels) -> tuple:
     """(1/r_chain) A_chain^T Q A_chain cleared to integers: returns
-    (integer matrix, denominator)."""
-    Q = base_form(d)
-    chain = None
-    r_chain = Fraction(1)
+    (integer matrix, denominator).  It is r_chain P + (s_chain^2 / r_chain)
+    (Q - P) with P = u_i u_i^T / d, u_i the corner's dual vector."""
+    r_chain = s_chain = Fraction(1)
     for l in labels:
         data = extension_matrices(d, l)
-        A = data.A[corner - 1]
-        chain = A if chain is None else mat_mul(A, chain)
         r_chain *= data.r
-    M = mat_mul(mat_t(chain), mat_mul(Q.M, chain))
-    entries = [[x / r_chain for x in row] for row in M]
-    den = 1
-    for row in entries:
-        for x in row:
-            den = lcm(den, x.denominator)
-    ints = tuple(tuple(int(x * den) for x in row) for row in entries)
-    return ints, den
+        s_chain *= data.s
+    t = s_chain * s_chain / r_chain
+    u_i = dual_vector(d, corner)
+    entries = [(r_chain - t) * a * b / d + t * q for a, row in zip(u_i, base_form(d).M) for b, q in zip(u_i, row)]
+    ints, den = integer_form(entries)
+    n = d + 1
+    return tuple(tuple(ints[k : k + n]) for k in range(0, n * n, n)), den
 
 
 @dataclass
@@ -391,6 +391,8 @@ def a3_report(
         raise InvalidParameterError("need at least one point sample per word")
     if N is None:
         N = default_inner_depth(spec)
+    if N < 1:
+        raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
     d = spec.d
     QI = [[int(x) for x in row] for row in base_form(d).M]
     words = enumerate_words(spec, m, budget)
@@ -404,10 +406,8 @@ def a3_report(
     picked_samples: dict = {idx: [] for idx in picks}
     for w_idx, (word, _, _) in enumerate(words):
         text = encode_word(word)
-        forms = [
-            _corner_chain_form(d, corner, corner_chain_labels(spec, word, corner, N))
-            for corner in range(1, d + 2)
-        ]
+        key = spec.label_key(word)
+        forms = [_corner_chain_form(d, corner, _chain_labels(spec, key, corner, N)) for corner in range(1, d + 2)]
         # the summed corner masses as one integer form G over the common denominator L
         L = lcm(*(den for _, den in forms))
         G = [[sum(fm[i][j] * (L // den) for fm, den in forms) for j in range(d + 1)] for i in range(d + 1)]

@@ -40,7 +40,6 @@ from .errors import (
     InvalidVertexError,
     NotFoundError,
     ProportionalityError,
-    SingularInteriorError,
     SpecParseError,
     SpecSemanticError,
 )
@@ -61,7 +60,6 @@ _INPUT_ERRORS = (
 _NUMERIC_ERRORS = (
     ProportionalityError,
     EigenRelationError,
-    SingularInteriorError,
     DisconnectedNetworkError,
     NotFoundError,
 )
@@ -149,10 +147,7 @@ def cmd_renorm(args) -> int:
 
 
 def cmd_spectra(args) -> int:
-    levels = args.levels or [args.level]
-    if not levels or levels == [None]:
-        raise InvalidParameterError("give --level or --levels")
-    levels = sorted(set(int(l) for l in levels))
+    levels = sorted(set(args.levels))
     for l in levels:
         data = extension_matrices(args.dim, l)
         sys.stdout.write(f"level {l} r {frac_str(data.r)}\n")
@@ -327,10 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, required=True)
     p.set_defaults(func=cmd_renorm)
 
-    p = sub.add_parser("spectra", help="print r, s and contraction ratios for levels")
+    # no abbreviations, so that --level is rejected, not read as --levels
+    p = sub.add_parser("spectra", help="print r, s and contraction ratios for levels", allow_abbrev=False)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--levels", type=_int_list, default=None)
+    p.add_argument("--levels", type=_int_list, required=True)
     p.set_defaults(func=cmd_spectra)
 
     p = sub.add_parser("words", help="emit the admissible words of one depth as CSV")

@@ -8,6 +8,12 @@ the empirical index estimate.
 Exact rational arithmetic is used for masses, traces and every decision that
 the tests assert exactly; eigenvalues of the small symmetric matrices are
 always floating point.
+
+The corner-chain quantities are read off the eigenstructure that
+`extension_matrices` verifies, not solved for: each corner matrix fixes 1,
+scales v_i by r and every secondary y by s, with |s| < r and Q(v_i, y) = 0.
+So a chain's energy ratio is r_chain (`corner_decay_N`), and u - (u_i, u) v_i
+is u's secondary component up to a constant (`contraction_check`).
 """
 
 from __future__ import annotations
@@ -25,17 +31,9 @@ from .errors import (
     InvalidParameterError,
     NotFoundError,
 )
-from .exactla import det, integer_form, is_psd, mat_mul, mat_t, mat_vec
+from .exactla import det, integer_form, mat_mul, mat_t, mat_vec
 from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, walk
-from .harmonic import (
-    base_form,
-    dual_vector,
-    extension_matrices,
-    ones_vector,
-    principal_vector,
-    secondary_vectors,
-    theta,
-)
+from .harmonic import base_form, dual_vector, extension_matrices, principal_vector, theta
 
 
 # --- harmonic bases -----------------------------------------------------------
@@ -379,78 +377,31 @@ def index_estimate(
 # --- corner decay and contraction ------------------------------------------------
 
 
-def _quotient_frame(d: int, corner: int):
-    """Basis of the complement of constants adapted to one corner: the
-    principal direction first, then the secondary directions."""
-    return [principal_vector(d, corner)] + secondary_vectors(d, corner)
-
-
-def _corner_chain_ok(d: int, corner: int, labels, c: Fraction) -> bool:
-    """Exact test: sup_u Q(A u, A u) / (r_chain Q(u, u)) <= c over nonconstant
-    u, for the corner chain with the given label sequence.
-
-    On the quotient modulo constants the chain acts diagonally in the adapted
-    frame, so the test reduces to PSD-ness of c * r_chain * G - D G D.
-    """
-    Q = base_form(d)
-    frame = _quotient_frame(d, corner)
-    G = [[Q(a, b) for b in frame] for a in frame]
-    r_chain = Fraction(1)
-    s_chain = Fraction(1)
-    for l in labels:
-        data = extension_matrices(d, l)
-        r_chain *= data.r
-        s_chain *= data.s
-    diag = [r_chain] + [s_chain] * (d - 1)
-    DGD = [[diag[i] * G[i][j] * diag[j] for j in range(d)] for i in range(d)]
-    M = [[c * r_chain * G[i][j] - DGD[i][j] for j in range(d)] for i in range(d)]
-    return is_psd(M)
-
-
-def _corner_chain_sup(d: int, corner: int, labels) -> float:
-    """Float value of the same sup, for reporting: the largest eigenvalue of
-    the pencil (D G D, r_chain G), read from (r_chain G)^-1 D G D."""
-    Q = base_form(d)
-    frame = _quotient_frame(d, corner)
-    G = np.array([[float(Q(a, b)) for b in frame] for a in frame])
-    r_chain, s_chain = 1.0, 1.0
-    for l in labels:
-        data = extension_matrices(d, l)
-        r_chain *= float(data.r)
-        s_chain *= float(data.s)
-    D = np.diag([r_chain] + [s_chain] * (d - 1))
-    return float(np.linalg.eigvals(np.linalg.solve(r_chain * G, D @ G @ D)).real.max())
-
-
 def corner_decay_N(spec_or_dims, c, max_N: int = 64) -> int:
     """Smallest N such that every corner chain of length N contracts the
     energy mass of harmonic functions by the factor c.
 
-    Only the multiset of labels matters (the chain acts diagonally and the
-    per-level factors commute), but every corner is checked.  The decision at
-    each N is exact; floats appear only in the failure diagnostics.
+    A chain fixes 1 and scales v_i by r_chain and every secondary y by
+    s_chain, and Q(v_i, y) = 0, so sup_u Q(A u) / (r_chain Q(u)) over
+    nonconstant u is max(r_chain, s_chain^2 / r_chain) = r_chain, since
+    |s| < r.  The worst chain of length N repeats the level of largest r, so
+    N is the smallest with r_max^N <= c, decided exactly.
     """
     if isinstance(spec_or_dims, GasketSpec):
         d, levels = spec_or_dims.d, spec_or_dims.levels
     else:
         d, levels = spec_or_dims
-        levels = tuple(sorted(set(levels)))
+    if not levels:
+        raise InvalidParameterError("need at least one level")
     c = Fraction(c)
     if not 0 < c < 1:
         raise InvalidParameterError(f"contraction target must be in (0,1), got {c}")
-    from itertools import combinations_with_replacement
-
-    def chains(N):
-        return (
-            (corner, labels) for corner in range(1, d + 2) for labels in combinations_with_replacement(levels, N)
-        )
-
+    r_max = max(extension_matrices(d, l).r for l in levels)
     for N in range(1, max_N + 1):
-        if all(_corner_chain_ok(d, corner, labels, c) for corner, labels in chains(N)):
+        if r_max**N <= c:
             return N
-    worst_sup = max(_corner_chain_sup(d, corner, labels) for corner, labels in chains(max_N))
     raise NotFoundError(
-        f"no N <= {max_N} achieves contraction {c}; worst sup at N={max_N} is {worst_sup:.6g}"
+        f"no N <= {max_N} achieves contraction {c}; worst sup at N={max_N} is {float(r_max**max_N):.6g}"
     )
 
 
@@ -477,10 +428,13 @@ def contraction_check(d: int, corner: int, tau, u) -> ContractionCurve:
     if not 1 <= corner <= d + 1:
         raise InvalidParameterError(f"corner must be in 1..{d + 1}")
     tau = list(tau)
+    if not tau:
+        raise InvalidParameterError("the corner chain needs at least one label")
     u = [Fraction(x) for x in u]
+    if len(u) != d + 1:
+        raise InvalidParameterError(f"u needs {d + 1} entries, got {len(u)}")
     u_i = dual_vector(d, corner)
     v_i = principal_vector(d, corner)
-    ones = ones_vector(d)
     x_i = sum(a * b for a, b in zip(u_i, u))
 
     def project(vec):
@@ -490,17 +444,9 @@ def contraction_check(d: int, corner: int, tau, u) -> ContractionCurve:
     pv = project(v_i)
     target = [x_i * x for x in pv]
 
-    # secondary component of u: subtract the span of {1, v_i} resolved exactly
-    frame = [ones, v_i] + secondary_vectors(d, corner)
-    from .exactla import solve_multi
-
-    coords = solve_multi(mat_t(frame), [[x] for x in u])
-    y_comp = [Fraction(0)] * (d + 1)
-    for j in range(2, d + 1):
-        coef = coords[j][0]
-        for k in range(d + 1):
-            y_comp[k] += coef * frame[j][k]
-    K_sq = sum(x * x for x in project(y_comp))
+    # u_i kills 1 and every secondary y and (u_i, v_i) = 1, so u - x_i v_i is
+    # the secondary component of u up to a constant, which project removes
+    K_sq = sum(x * x for x in project([a - x_i * b for a, b in zip(u, v_i)]))
     th = theta(d, sorted(set(tau)))
 
     residuals, exact_sq, bounds = [], [], []

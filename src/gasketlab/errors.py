@@ -16,10 +16,6 @@ class ProportionalityError(GasketLabError):
     """
 
 
-class SingularInteriorError(GasketLabError):
-    """The interior block of a Laplacian was not invertible."""
-
-
 class EigenRelationError(GasketLabError):
     """An exact eigenvector identity of an extension matrix failed."""
 

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DisconnectedNetworkError, SingularInteriorError
+from .errors import DisconnectedNetworkError
 
 Vec = list
 Mat = list
@@ -69,28 +69,6 @@ def det(m: Mat) -> Fraction:
                 f = a[r][c] * inv
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
     return d
-
-
-def solve_multi(a: Mat, rhs: Mat) -> Mat:
-    """Solve A X = RHS exactly (RHS has one column per solve).
-
-    Raises SingularInteriorError when A is singular.
-    """
-    n = len(a)
-    m = [row[:] + r[:] for row, r in zip(a, rhs)]
-    w = len(m[0])
-    for c in range(n):
-        p = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if p is None:
-            raise SingularInteriorError("singular system in exact solve")
-        m[c], m[p] = m[p], m[c]
-        inv = Fraction(1) / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return [row[n:w] for row in m]
 
 
 def is_psd(m: Mat) -> bool:

@@ -190,6 +190,8 @@ def _verify_cell_data(data: HarmonicCellData) -> None:
         for y in secondary_vectors(d, i):
             if mat_vec(A, y) != [s * x for x in y]:
                 raise EigenRelationError(f"corner {i}: A y != s y")
+            if Q(v, y) != 0:
+                raise EigenRelationError(f"corner {i}: Q(v, y) != 0")
     # Energy decomposition on the standard basis, hence everywhere by bilinearity.
     n = d + 1
     for k in range(n):

@@ -179,6 +179,29 @@ def test_corner_sum_identity(sg):
     assert q0 - nu_V == total
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_corner_chain_form_is_the_fraction_product(d):
+    # (1/r_chain) A_chain^T Q A_chain from exact matrix products, cleared to
+    # integers over the lcm of its denominators
+    from itertools import product
+
+    from gasketlab.exactla import identity, mat_mul, mat_t
+
+    Q = base_form(d)
+    for corner in range(1, d + 2):
+        for n in (1, 2, 3):
+            for labels in product((2, 3), repeat=n):
+                chain, r_chain = identity(d + 1), Fraction(1)
+                for l in labels:
+                    data = extension_matrices(d, l)
+                    chain = mat_mul(data.A[corner - 1], chain)
+                    r_chain *= data.r
+                want = [[x / r_chain for x in row] for row in mat_mul(mat_t(chain), mat_mul(Q.M, chain))]
+                fm, den = _corner_chain_form(d, corner, labels)
+                assert den == lcm(*(x.denominator for row in want for x in row))
+                assert [[Fraction(x, den) for x in row] for row in fm] == want, (corner, labels)
+
+
 def test_sample_direction_is_deterministic_and_nonconstant():
     a = sample_direction(2, 0, "1^2", 3)
     b = sample_direction(2, 0, "1^2", 3)

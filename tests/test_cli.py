@@ -311,8 +311,24 @@ def test_arithmetic_mode_covers_every_printed_value(argv, mode, sg_spec, capsys)
 
 @pytest.mark.parametrize(
     "argv",
-    [["spectra", "--dim", "2", "--levels", "a"], ["words", "--depth", "1"], ["frobnicate"], []],
-    ids=["levels-not-int", "spec-missing", "unknown-subcommand", "no-subcommand"],
+    [
+        ["spectra", "--dim", "2", "--levels", "a"],
+        ["spectra", "--dim", "2"],
+        ["spectra", "--dim", "2", "--level", "2", "--levels", "3"],
+        ["spectra", "--dim", "2", "--level", "3"],
+        ["words", "--depth", "1"],
+        ["frobnicate"],
+        [],
+    ],
+    ids=[
+        "levels-not-int",
+        "levels-missing",
+        "level-removed-beside-levels",
+        "level-removed",
+        "spec-missing",
+        "unknown-subcommand",
+        "no-subcommand",
+    ],
 )
 def test_argument_error_exits_2_with_one_line(argv, capsys):
     assert main(argv) == 2

@@ -1,7 +1,10 @@
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasketlab.errors import DegenerateBasisError, InvalidParameterError, NotFoundError
 from gasketlab.energy import (
@@ -13,9 +16,16 @@ from gasketlab.energy import (
     index_estimate,
     kusuoka_distribution,
 )
-from gasketlab.exactla import is_psd
+from gasketlab.exactla import det, is_psd, mat_vec
 from gasketlab.gasket import GasketSpec
-from gasketlab.harmonic import base_form, extension_matrices, principal_vector, secondary_vectors, theta
+from gasketlab.harmonic import (
+    base_form,
+    extension_matrices,
+    ones_vector,
+    principal_vector,
+    secondary_vectors,
+    theta,
+)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +123,8 @@ def test_corner_decay_trivial_target(sg):
     assert corner_decay_N(sg, Fraction(999, 1000)) == 1
     with pytest.raises(InvalidParameterError):
         corner_decay_N(sg, Fraction(1))
+    with pytest.raises(InvalidParameterError):
+        corner_decay_N((2, ()), Fraction(1, 2))
     with pytest.raises(NotFoundError):
         corner_decay_N(sg, Fraction(1, 10**9), max_N=2)
 
@@ -152,24 +164,65 @@ def test_corner_chain_sup_matches_generalized_eigh():
 
     from scipy.linalg import eigh
 
-    from gasketlab.energy import _corner_chain_sup, _quotient_frame
-
-    # the numpy sup is the top generalized eigenvalue of (D G D, r_chain G)
+    # the top generalized eigenvalue of (D G D, r_chain G) is r_chain itself
     for d in (2, 3, 4):
         Q = base_form(d)
         for corner in range(1, d + 2):
-            frame = _quotient_frame(d, corner)
+            frame = [principal_vector(d, corner)] + secondary_vectors(d, corner)
             G = np.array([[float(Q(a, b)) for b in frame] for a in frame])
             for N in (1, 2):
                 for labels in combinations_with_replacement((2, 3), N):
-                    r_c = float(np.prod([float(extension_matrices(d, l).r) for l in labels]))
+                    r_chain = prod(extension_matrices(d, l).r for l in labels)
+                    r_c = float(r_chain)
                     s_c = float(np.prod([float(extension_matrices(d, l).s) for l in labels]))
                     D = np.diag([r_c] + [s_c] * (d - 1))
                     expect = eigh(D @ G @ D, r_c * G, eigvals_only=True)[-1]
-                    assert _corner_chain_sup(d, corner, labels) == pytest.approx(expect, rel=1e-12)
-    # the failure message names the worst sup of the longest chains tried
-    with pytest.raises(NotFoundError, match=rf"worst sup at N=2 is {_corner_chain_sup(2, 1, (2, 2)):.6g}$"):
+                    assert expect == pytest.approx(float(r_chain), rel=1e-12)
+    # the failure message names the worst sup of the longest chains tried,
+    # that of the all-2 chain
+    frame = [principal_vector(2, 1)] + secondary_vectors(2, 1)
+    G = np.array([[float(base_form(2)(a, b)) for b in frame] for a in frame])
+    data = extension_matrices(2, 2)
+    r_c = float(data.r) ** 2
+    D = np.diag([r_c, float(data.s) ** 2])
+    worst = eigh(D @ G @ D, r_c * G, eigvals_only=True)[-1]
+    assert worst == pytest.approx(float(data.r**2), rel=1e-12)
+    with pytest.raises(NotFoundError, match=rf"worst sup at N=2 is {worst:.6g}$"):
         corner_decay_N((2, (2, 3)), Fraction(1, 10**9), max_N=2)
+
+
+def _chain_ok_on_frame(d, corner, labels, c):
+    """Exact oracle: sup_u Q(A u, A u) / (r_chain Q(u, u)) <= c over
+    nonconstant u, as PSD-ness of c r_chain G - G_A on the adapted frame,
+    with G_A the Gram matrix of the frame carried through the chain."""
+    Q = base_form(d)
+    frame = [principal_vector(d, corner)] + secondary_vectors(d, corner)
+    moved = [list(f) for f in frame]
+    r_chain = Fraction(1)
+    for l in labels:
+        data = extension_matrices(d, l)
+        moved = [mat_vec(data.A[corner - 1], f) for f in moved]
+        r_chain *= data.r
+    M = [[c * r_chain * Q(a, b) - Q(x, y) for b, y in zip(frame, moved)] for a, x in zip(frame, moved)]
+    return is_psd(M)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_corner_decay_matches_exact_psd_scan(d):
+    from itertools import combinations_with_replacement
+
+    for levels in ((2,), (3,), (2, 3), (2, 3, 4)):
+        for c in (Fraction(1, 2), Fraction(1, 6), Fraction(1, 2 * (d + 1)), Fraction(1, 20)):
+            expect = next(
+                N
+                for N in range(1, 12)
+                if all(
+                    _chain_ok_on_frame(d, corner, labels, c)
+                    for corner in range(1, d + 2)
+                    for labels in combinations_with_replacement(levels, N)
+                )
+            )
+            assert corner_decay_N((d, levels), c) == expect, (levels, c)
 
 
 def test_corner_decay_finite_for_required_dimension_range():
@@ -213,6 +266,44 @@ def test_contraction_uniform_bound_over_label_sequences():
         th = theta(2, (2, 3))
         for n, sq in enumerate(curve.residual_sq_exact, start=1):
             assert sq <= th ** (2 * n) * curve.K_sq_exact
+
+
+def _secondary_norm_sq_by_cramer(d, corner, u):
+    """|P y|^2 for the secondary component y of u, solving u = a 1 + b v_i +
+    sum c_j y_j by Cramer's rule."""
+    frame = [ones_vector(d), principal_vector(d, corner)] + secondary_vectors(d, corner)
+    cols = [list(row) for row in zip(*frame)]
+    full = det(cols)
+    y = [Fraction(0)] * (d + 1)
+    for j in range(2, d + 1):
+        swapped = [row[:j] + [x] + row[j + 1 :] for row, x in zip(cols, u)]
+        coef = det(swapped) / full
+        y = [a + coef * b for a, b in zip(y, frame[j])]
+    mean = sum(y) / len(y)
+    return sum((x - mean) ** 2 for x in y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_contraction_K_matches_the_frame_solve(data):
+    d = data.draw(st.integers(2, 4))
+    corner = data.draw(st.integers(1, d + 1))
+    rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    u = data.draw(st.lists(rationals, min_size=d + 1, max_size=d + 1))
+    curve = contraction_check(d, corner, [2], u)
+    assert curve.K_sq_exact == _secondary_norm_sq_by_cramer(d, corner, u)
+
+
+def test_contraction_check_rejects_malformed_input():
+    u = [Fraction(5), Fraction(-3), Fraction(1)]
+    with pytest.raises(InvalidParameterError):
+        contraction_check(2, 1, [], u)
+    with pytest.raises(InvalidParameterError):
+        contraction_check(2, 1, [2], u[:2])
+    with pytest.raises(InvalidParameterError):
+        contraction_check(2, 1, [2], u + [Fraction(0)])
+    with pytest.raises(InvalidParameterError):
+        contraction_check(2, 4, [2], u)
 
 
 def test_basis_from_vectors_rejects_wrong_shapes():
