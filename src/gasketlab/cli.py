@@ -313,6 +313,16 @@ def _int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="gasketlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="subcommand", required=True)
@@ -331,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("words", help="emit the admissible words of one depth as CSV")
     p.add_argument("--spec", required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=_positive_int, default=10_000_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_words)
 
@@ -340,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--eps", type=float, default=1e-8)
     p.add_argument("--delta", type=float, default=1e-3)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=_positive_int, default=10_000_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dim_estimate)
 
@@ -353,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-words", type=int, default=8)
     p.add_argument("--point-samples", type=int, default=3)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=_positive_int, default=10_000_000)
     p.add_argument("--out", default=None)
     p.add_argument("--rows-out", default=None)
     p.set_defaults(func=cmd_verify_a3)
@@ -365,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", type=int, default=None)
     p.add_argument("--base-depth", type=int, default=1)
     p.add_argument("--refine", type=int, default=1)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=_positive_int, default=10_000_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_capacity)
 
@@ -376,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", type=int, default=64)
     p.add_argument("--b1", default=None, help="comma-separated rationals")
     p.add_argument("--b2", default=None)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=_positive_int, default=10_000_000)
     p.add_argument("--out", default=None)
     p.add_argument("--out-cloud", default=None)
     p.add_argument("--out-grid", default=None)

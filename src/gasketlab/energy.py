@@ -207,12 +207,81 @@ def _float_letter_stacks(spec: GasketSpec) -> dict:
     return stacks
 
 
+# The depth scan's label keys, a whole depth at a time.  Seeded keys are
+# uint64 arrays: numpy's uint64 arithmetic wraps mod 2**64 as gasket's masks
+# do, and labels come from exact integer thresholds, so every key and label
+# equals GasketSpec.child_key / key_label, which stay the per-key oracle.
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix_keys(h: np.ndarray, text: str) -> np.ndarray:
+    """gasket._mix_text over a uint64 array of splitmix64 states at once."""
+    for b in text.encode("utf-8"):
+        z = (h ^ np.uint64(b)) + _GAMMA
+        z = (z ^ (z >> np.uint64(30))) * _MUL1
+        z = (z ^ (z >> np.uint64(27))) * _MUL2
+        h = z ^ (z >> np.uint64(31))
+    return h
+
+
+def _first_key_at(acc: float) -> int:
+    """The smallest integer k with k / 2.0**64 >= acc, or 2**64 if no 64-bit
+    key reaches acc; k / 2.0**64 is monotone in k, so bisect."""
+    lo, hi = 0, 2**64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / 2.0**64 >= acc:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _key_ops(spec: GasketSpec) -> tuple:
+    """(root keys, labels(keys), children(keys, l, n, at_root)) for the scan.
+
+    children gives the keys of cells 1..n of level l below each key, grouped
+    by parent.  A seeded key's label is the first level whose threshold is
+    above it, else the last level, as in key_label; a threshold of 2**64 lies
+    above every key and is dropped.  Other labelings go key by key.
+    """
+    if spec.labeling["type"] != "seeded":
+
+        def labels(keys):
+            return np.array([spec.key_label(key) for key in keys])
+
+        def children(keys, l, n, at_root):
+            return np.array([spec.child_key(key, (i, l)) for key in keys for i in range(1, n + 1)], dtype=object)
+
+        return np.array([None], dtype=object), labels, children
+
+    cum = spec.labeling["_cum"]
+    levels = np.array([l for l, _ in cum])
+    thresholds = np.array([k for k in (_first_key_at(acc) for _, acc in cum) if k < 2**64], dtype=np.uint64)
+
+    def labels(keys):
+        return levels[np.minimum(np.searchsorted(thresholds, keys, side="right"), len(levels) - 1)]
+
+    def children(keys, l, n, at_root):
+        keys = _mix_keys(keys, "" if at_root else ".")
+        return np.stack([_mix_keys(keys, f"{i}^{l}") for i in range(1, n + 1)], axis=1).reshape(-1)
+
+    # a 1-element array, not a scalar: numpy warns when a uint64 scalar overflows
+    return np.array([spec.labeling["_root"]], dtype=np.uint64), labels, children
+
+
 def _depth_scan(spec: GasketSpec, m: int, basis: EnergyBasis, budget: int):
     """Yield (depth, B_stack, mass_weights) for depths 1..m in float mode.
 
     B_stack is (ncells, k, k); the masses are normalized to sum to 1 at each
     depth.  Expansion batches the cells by their label, which keeps the order
     deterministic (grouped by level, then parent order, then cell index).
+    The label keys of a whole depth are hashed at once (`_key_ops`), and a
+    depth whose cells would exceed the budget is refused before any of them
+    is built.
     """
     d = spec.d
     k = basis.size
@@ -220,27 +289,25 @@ def _depth_scan(spec: GasketSpec, m: int, basis: EnergyBasis, budget: int):
     stacks = _float_letter_stacks(spec)
     chains = basis.float_columns()[None, :, :]
     inv_r = np.array([1.0])
-    keys: list = [None]  # label keys of the cells at the previous depth
+    keys, labels_of, children_of = _key_ops(spec)  # keys of the previous depth's cells
     for depth in range(1, m + 1):
-        labels = [spec.key_label(key) for key in keys]
+        labels = labels_of(keys)
+        groups = [(l, idx) for l in spec.levels if len(idx := np.flatnonzero(labels == l))]
+        if sum(len(idx) * stacks[l][0].shape[0] for l, idx in groups) > budget:
+            raise BudgetExceededError(f"more than {budget} cells at depth {depth}")
         chunk_chains, chunk_inv_r, new_keys = [], [], []
-        for l in spec.levels:
-            idx = [t for t, lab in enumerate(labels) if lab == l]
-            if not idx:
-                continue
+        for l, idx in groups:
             A_stack, rl = stacks[l]
             n_children = A_stack.shape[0]
             prod = np.einsum("cij,njk->ncik", A_stack, chains[idx])
             chunk_chains.append(prod.reshape(-1, d + 1, k))
             chunk_inv_r.append(np.repeat(inv_r[idx] / rl, n_children))
             if depth < m:  # the deepest cells are never expanded
-                for t in idx:
-                    new_keys.extend(spec.child_key(keys[t], (i, l)) for i in range(1, n_children + 1))
+                new_keys.append(children_of(keys[idx], l, n_children, depth == 1))
         chains = np.concatenate(chunk_chains, axis=0)
         inv_r = np.concatenate(chunk_inv_r)
-        keys = new_keys
-        if len(inv_r) > budget:
-            raise BudgetExceededError(f"more than {budget} cells at depth {depth}")
+        if new_keys:
+            keys = np.concatenate(new_keys)
         B = 2.0 * inv_r[:, None, None] * np.einsum("nij,ik,nkl->njl", chains, QM, chains)
         masses = np.trace(B, axis1=1, axis2=2) / k
         yield depth, B, masses / masses.sum()

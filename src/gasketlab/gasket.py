@@ -170,6 +170,8 @@ class GasketSpec:
             if any(w < 0 for w in weights.values()) or sum(weights.values()) <= 0:
                 raise SpecSemanticError("seeded weights must be nonnegative with positive sum")
             total = sum(weights[l] for l in self.levels)
+            if not math.isfinite(total):
+                raise SpecSemanticError(f"seeded weights must have a finite sum, got {weights}")
             cum = []
             acc = 0.0
             for l in self.levels:
@@ -210,7 +212,9 @@ class GasketSpec:
     # parent's in O(1), so a tree walk never re-reads a whole word.  The root's
     # key is None.  Seeded: the splitmix64 state over the word's encoding, so
     # a child continues it over ".i^l" ("i^l" below the root).  Explicit: the
-    # canonical encoding.  Homogeneous: always None.
+    # canonical encoding.  Homogeneous: always None.  energy's depth scan
+    # hashes a whole depth's seeded keys at once (`energy._key_ops`), so a
+    # change to this hash or to key_label's thresholds must be made there too.
 
     def child_key(self, key, letter: Letter):
         """The label key of the word `key` belongs to, extended by `letter`."""

@@ -109,6 +109,25 @@ def test_capacity_and_blowup_honour_and_record_the_budget(argv, sg_spec, tmp_pat
     assert json.loads(out.read_text())["config"]["budget"] == 100
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["words", "--depth", "2"],
+        ["dim-estimate", "--depth", "1"],
+        ["verify-a3", "--depth", "1"],
+        ["capacity", "--point", "5", "--base-depth", "2"],
+        ["blowup", "--depth", "2"],
+    ],
+    ids=["words", "dim-estimate", "verify-a3", "capacity", "blowup"],
+)
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_budget_below_1_exits_2_before_printing(argv, budget, sg_spec, capsys):
+    assert main(argv + ["--spec", sg_spec, "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: argument --budget: must be >= 1, got {budget}\n"
+
+
 def test_words_negative_depth_prints_nothing(sg_spec, capsys):
     assert main(["words", "--spec", sg_spec, "--depth", "-1"]) == 2
     captured = capsys.readouterr()
@@ -234,14 +253,15 @@ SEEDED = {"type": "seeded", "seed": 1, "weights": {"2": 1.0, "3": 1.0}}
         json.dumps({"dimension": 2, "levels": [2, 3], "labeling": dict(SEEDED, weights={"2": "a", "3": 1})}),
         json.dumps({"dimension": 2, "levels": [2, 3], "labeling": dict(SEEDED, seed="abc")}),
         '{"dimension": 2, "levels": [2, 3], "labeling": {"type": "seeded", "weights": {"2": NaN, "3": 1}}}',
+        '{"dimension": 2, "levels": [2, 3], "labeling": {"type": "seeded", "weights": {"2": 1e308, "3": 1e308}}}',
         '{"dimension": 2, "levels": [2], "measure": {"per_letter": {"2": ["x", "1/2", "1/2"]}}}',
         '{"dimension": 2, "levels": [2], "labeling": "x"}',
         '{"dimension": 2, "levels": [2, 3], "labeling": {"type": "explicit", "entries": [{"word": ""}], "default": 2}}',
         '{"dimension": 2, "levels": [2, 3], "labeling": {"type": "explicit",'
         ' "entries": [{"word": "1^3", "label": 3}, {"word": "01^3", "label": 2}], "default": 2}}',
     ],
-    ids=["levels-str", "dimension-str", "level-fraction", "weight-str", "seed-str", "weight-nan", "per-letter-str",
-         "labeling-str", "entry-no-label", "entry-conflict"],
+    ids=["levels-str", "dimension-str", "level-fraction", "weight-str", "seed-str", "weight-nan", "weight-sum-inf",
+         "per-letter-str", "labeling-str", "entry-no-label", "entry-conflict"],
 )
 def test_malformed_spec_exits_2_with_one_line(spec_text, tmp_path, capsys):
     path = tmp_path / "spec.json"

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasketlab.errors import DegenerateBasisError, InvalidParameterError, NotFoundError
+from gasketlab.errors import BudgetExceededError, DegenerateBasisError, InvalidParameterError, NotFoundError
 from gasketlab.energy import (
+    _depth_scan,
     basis_from_vectors,
     cell_energy_matrix,
     contraction_check,
@@ -117,6 +118,22 @@ def test_index_estimate_validates_inputs(sg):
         index_estimate(sg, 3, delta=0.0)
     with pytest.raises(DegenerateBasisError):
         index_estimate(sg, 2, basis=[[1, 1, 1], [1, 0, 0]])
+
+
+def test_depth_scan_refuses_a_depth_over_budget_before_building_it(monkeypatch):
+    spec = GasketSpec(2, [2, 3], {"type": "seeded", "seed": 1, "weights": {2: 1.0, 3: 1.0}})
+    basis = default_basis(2)
+    cells = [len(w) for _, _, w in _depth_scan(spec, 3, basis, 10**7)]
+    assert len(list(_depth_scan(spec, 2, basis, cells[1]))) == 2  # exactly at the budget is allowed
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: calls.append(args[0]) or einsum(*args))
+    scan = _depth_scan(spec, 3, basis, cells[1] - 1)
+    next(scan)
+    built = len(calls)
+    with pytest.raises(BudgetExceededError, match=f"^more than {cells[1] - 1} cells at depth 2$"):
+        next(scan)
+    assert len(calls) == built  # no einsum ran for the refused depth
 
 
 def test_corner_decay_trivial_target(sg):

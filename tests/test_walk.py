@@ -3,10 +3,12 @@ dimensions, level sets, labelings, seeds and measures."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gasketlab.energy import _depth_scan, _first_key_at, _float_letter_stacks, _key_ops, default_basis
 from gasketlab.errors import BudgetExceededError
 from gasketlab.gasket import (
     GasketSpec,
@@ -204,3 +206,99 @@ def test_explicit_entries_are_matched_by_canonical_text():
 def test_walk_rejects_a_negative_depth():
     with pytest.raises(ValueError):
         list(walk(GasketSpec(2, [2]), -1, None, lambda state, letter: None))
+
+
+# --- the depth scan's whole-depth label keys, against the per-key oracle -------
+
+seeded_specs = specs().filter(lambda spec: spec.labeling["type"] == "seeded")
+EDGE_KEYS = [0, 1, 2**63 - 1, 2**63, 2**64 - 1025, 2**64 - 1024, 2**64 - 1]
+
+
+@PROPERTY
+@given(seeded_specs, st.lists(st.integers(0, 2**64 - 1), max_size=8), st.integers(2, 12), st.sampled_from([3, 10, 15]))
+def test_array_child_keys_are_child_key(spec, keys, l, n):
+    # n >= 10 gives letters with a multi-digit cell index
+    root, _, children = _key_ops(spec)
+    keys = keys + EDGE_KEYS
+    got = children(np.array(keys, dtype=np.uint64), l, n, False)
+    assert got.tolist() == [spec.child_key(key, (i, l)) for key in keys for i in range(1, n + 1)]
+    assert children(root, l, n, True).tolist() == [spec.child_key(None, (i, l)) for i in range(1, n + 1)]
+
+
+@PROPERTY
+@given(seeded_specs, st.lists(st.integers(0, 2**64 - 1), max_size=8))
+def test_array_labels_are_key_label_at_every_threshold(spec, keys):
+    # the weights drawn by specs() include zeros, so thresholds repeat
+    root, labels, _ = _key_ops(spec)
+    edges = []
+    for _, acc in spec.labeling["_cum"]:
+        k = _first_key_at(acc)
+        assert k == 0 or (k - 1) / 2.0**64 < acc
+        assert k == 2**64 or k / 2.0**64 >= acc
+        edges += [x for x in (k - 1, k) if 0 <= x < 2**64]
+    keys = keys + edges + EDGE_KEYS
+    assert labels(np.array(keys, dtype=np.uint64)).tolist() == [spec.key_label(key) for key in keys]
+    assert labels(root).tolist() == [spec.key_label(None)]
+
+
+@pytest.mark.parametrize(
+    "weights, key, label",
+    [
+        # acc == 1.0 puts the threshold at 2**64 - 1024, whose keys map to
+        # u == 1.0 and so to the last level, though its weight is 0
+        ({2: 1.0, 3: 0.0}, 2**64 - 1025, 2),
+        ({2: 1.0, 3: 0.0}, 2**64 - 1024, 3),
+        ({2: 1.0, 3: 0.0}, 2**64 - 1, 3),
+        # the last two levels' acc round above 1.0: no key reaches them, so
+        # the keys above level 3's threshold take the first of them
+        ({2: 0.2, 3: 0.3, 4: 0.2, 5: 0.0}, 2**64 - 1, 4),
+    ],
+)
+def test_array_labels_keep_the_edge_quirks(weights, key, label):
+    spec = GasketSpec(2, list(weights), {"type": "seeded", "seed": 3, "weights": weights})
+    _, labels, _ = _key_ops(spec)
+    assert spec.key_label(key) == label
+    assert labels(np.array([key], dtype=np.uint64)).tolist() == [label]
+
+
+def reference_depth_scan(spec, m, basis):
+    """_depth_scan with the label keys taken one at a time through
+    GasketSpec.child_key / key_label."""
+    d, k = spec.d, basis.size
+    QM = np.array([[float(d) if i == j else -1.0 for j in range(d + 1)] for i in range(d + 1)])
+    stacks = _float_letter_stacks(spec)
+    chains = basis.float_columns()[None, :, :]
+    inv_r = np.array([1.0])
+    keys = [None]
+    for depth in range(1, m + 1):
+        labels = [spec.key_label(key) for key in keys]
+        chunk_chains, chunk_inv_r, new_keys = [], [], []
+        for l in spec.levels:
+            idx = [t for t, lab in enumerate(labels) if lab == l]
+            if not idx:
+                continue
+            A_stack, rl = stacks[l]
+            n_children = A_stack.shape[0]
+            chunk_chains.append(np.einsum("cij,njk->ncik", A_stack, chains[idx]).reshape(-1, d + 1, k))
+            chunk_inv_r.append(np.repeat(inv_r[idx] / rl, n_children))
+            for t in idx:
+                new_keys.extend(spec.child_key(keys[t], (i, l)) for i in range(1, n_children + 1))
+        chains = np.concatenate(chunk_chains, axis=0)
+        inv_r = np.concatenate(chunk_inv_r)
+        keys = new_keys
+        B = 2.0 * inv_r[:, None, None] * np.einsum("nij,ik,nkl->njl", chains, QM, chains)
+        masses = np.trace(B, axis1=1, axis2=2) / k
+        yield depth, B, masses / masses.sum()
+
+
+@PROPERTY
+@given(specs())
+def test_depth_scan_is_the_per_key_reference(spec):
+    m = max_depth(spec)
+    basis = default_basis(spec.d)
+    got = list(_depth_scan(spec, m, basis, 10**7))
+    want = list(reference_depth_scan(spec, m, basis))
+    assert len(got) == len(want) == m
+    for (depth, B, w), (depth_ref, B_ref, w_ref) in zip(got, want):
+        assert depth == depth_ref
+        assert np.array_equal(B, B_ref) and np.array_equal(w, w_ref)
