@@ -273,6 +273,72 @@ def _key_ops(spec: GasketSpec) -> tuple:
     return np.array([spec.labeling["_root"]], dtype=np.uint64), labels, children
 
 
+def _energy_form(d: int) -> np.ndarray:
+    """The base form Q as a float matrix: d on the diagonal, -1 elsewhere."""
+    return np.array([[float(d) if i == j else -1.0 for j in range(d + 1)] for i in range(d + 1)])
+
+
+def _child_term_order(count: int, k: int) -> list:
+    """The order in which np.einsum("cij,njk->ncik") sums the `count` terms
+    A[c, i, j] * parent[j, kk] of one child entry: lists of j, each summed
+    from zero in turn, whose partial sums are then added in turn.
+
+    With k >= 2 einsum's inner loop runs over kk and each entry takes its
+    terms in j order.  With k == 1 the j axis is the contiguous inner loop,
+    which numpy reduces in two 128-bit SIMD lanes (even and odd j): blocks
+    of 8 terms from their last pair down, then the rest in order.  This is
+    numpy's implementation, not its API, so the tests check it against the
+    installed np.einsum.
+    """
+    if k > 1:
+        return [list(range(count))]
+    lanes = [[], []]
+    blocks = count - count % 8
+    for start in range(0, blocks, 8):
+        for pair in (3, 2, 1, 0):
+            lanes[0].append(start + 2 * pair)
+            lanes[1].append(start + 2 * pair + 1)
+    for j in range(blocks, count):
+        lanes[j % 2].append(j)
+    return [lane for lane in lanes if lane]
+
+
+def _child_chains(A_stack: np.ndarray, parents: np.ndarray, out: np.ndarray) -> None:
+    """Write out[i, kk, p, c] = sum_j A_stack[c, i, j] * parents[j, kk, p],
+    the columns A_c A_w G of child c of each parent, into the zeroed out.
+
+    Each sum starts from zero and takes its terms in _child_term_order, so
+    every entry has the bits of the einsum it replaces."""
+    d1, k, g = parents.shape
+    lanes = _child_term_order(d1, k)
+    split = len(lanes) > 1  # each lane is summed apart, then added to out
+    term = np.empty((k, g, A_stack.shape[0]))
+    for i in range(d1):
+        for lane in lanes:
+            acc = np.zeros_like(term) if split else out[i]
+            for j in lane:
+                np.multiply(parents[j][:, :, None], A_stack[:, i, j], out=term)
+                np.add(acc, term, out=acc)
+            if split:
+                np.add(out[i], acc, out=out[i])
+
+
+def _cell_energies(chains: np.ndarray, QM: np.ndarray) -> np.ndarray:
+    """E[j, l, n] = sum_i sum_kk (chains[i, j, n] * QM[i, kk]) * chains[kk, l, n]
+    for every (j, l), the upper triangle included, summed from zero over i
+    and then kk, as np.einsum("nij,ik,nkl->njl") sums them."""
+    d1, k, n = chains.shape
+    E = np.zeros((k, k, n))
+    scaled = np.empty((k, n))
+    term = np.empty((k, k, n))
+    for i in range(d1):
+        for kk in range(d1):
+            np.multiply(chains[i], QM[i, kk], out=scaled)
+            np.multiply(scaled[:, None, :], chains[kk], out=term)
+            np.add(E, term, out=E)
+    return E
+
+
 def _depth_scan(spec: GasketSpec, m: int, basis: EnergyBasis, budget: int):
     """Yield (depth, B_stack, mass_weights) for depths 1..m in float mode.
 
@@ -282,33 +348,46 @@ def _depth_scan(spec: GasketSpec, m: int, basis: EnergyBasis, budget: int):
     The label keys of a whole depth are hashed at once (`_key_ops`), and a
     depth whose cells would exceed the budget is refused before any of them
     is built.
+
+    The transported columns A_w G are held as (d+1, k, ncells): one
+    contiguous vector of cells per matrix entry, so both contractions are
+    (d+1)^2 whole-array multiply-adds.  Their sums run in np.einsum's own
+    order (`_child_term_order`, `_cell_energies`), so every B and mass has
+    the bits the einsum scan gave.  matmul, einsum(optimize=True) and the
+    closed form (d+1) C^T C - s s^T each change last bits of most entries,
+    and with them the report's floats.
     """
-    d = spec.d
-    k = basis.size
-    QM = np.array([[float(d) if i == j else -1.0 for j in range(d + 1)] for i in range(d + 1)])
+    d1, k = spec.d + 1, basis.size
+    QM = _energy_form(spec.d)
     stacks = _float_letter_stacks(spec)
-    chains = basis.float_columns()[None, :, :]
+    chains = basis.float_columns()[:, :, None]
     inv_r = np.array([1.0])
     keys, labels_of, children_of = _key_ops(spec)  # keys of the previous depth's cells
     for depth in range(1, m + 1):
         labels = labels_of(keys)
         groups = [(l, idx) for l in spec.levels if len(idx := np.flatnonzero(labels == l))]
-        if sum(len(idx) * stacks[l][0].shape[0] for l, idx in groups) > budget:
+        total = sum(len(idx) * stacks[l][0].shape[0] for l, idx in groups)
+        if total > budget:
             raise BudgetExceededError(f"more than {budget} cells at depth {depth}")
-        chunk_chains, chunk_inv_r, new_keys = [], [], []
+        next_chains, next_inv_r, new_keys = np.zeros((d1, k, total)), np.empty(total), []
+        start = 0
         for l, idx in groups:
             A_stack, rl = stacks[l]
             n_children = A_stack.shape[0]
-            prod = np.einsum("cij,njk->ncik", A_stack, chains[idx])
-            chunk_chains.append(prod.reshape(-1, d + 1, k))
-            chunk_inv_r.append(np.repeat(inv_r[idx] / rl, n_children))
+            stop = start + len(idx) * n_children
+            # child c of the group's parent p is cell start + p * n_children + c
+            out = next_chains[:, :, start:stop].reshape(d1, k, len(idx), n_children)
+            _child_chains(A_stack, chains[:, :, idx], out)
+            next_inv_r[start:stop].reshape(len(idx), n_children)[:] = (inv_r[idx] / rl)[:, None]
             if depth < m:  # the deepest cells are never expanded
                 new_keys.append(children_of(keys[idx], l, n_children, depth == 1))
-        chains = np.concatenate(chunk_chains, axis=0)
-        inv_r = np.concatenate(chunk_inv_r)
+            start = stop
+        chains, inv_r = next_chains, next_inv_r
         if new_keys:
             keys = np.concatenate(new_keys)
-        B = 2.0 * inv_r[:, None, None] * np.einsum("nij,ik,nkl->njl", chains, QM, chains)
+        E = _cell_energies(chains, QM)
+        E *= 2.0 * inv_r
+        B = E.transpose(2, 0, 1)
         masses = np.trace(B, axis1=1, axis2=2) / k
         yield depth, B, masses / masses.sum()
 
@@ -384,11 +463,12 @@ def index_estimate(
         raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
     if m < 0:
         raise InvalidParameterError(f"depth must be >= 0, got {m}")
+    if budget < 1:
+        raise InvalidParameterError(f"budget must be >= 1, got {budget}")
     basis, _ = _resolve_basis(spec.d, basis)
 
     mean_trend, max_trend, rank2_trend = [], [], []
-    d = spec.d
-    QM = np.array([[float(d) if i == j else -1.0 for j in range(d + 1)] for i in range(d + 1)])
+    QM = _energy_form(spec.d)
     G0 = basis.float_columns()
     B0 = 2.0 * (G0.T @ QM @ G0)[None, :, :]
     final = (np.sort(np.linalg.eigvalsh(B0), axis=1), None, np.array([1.0]))

@@ -343,6 +343,8 @@ def walk(
     """
     if m < 0:
         raise InvalidParameterError(f"depth must be >= 0, got {m}")
+    if budget < 1:
+        raise InvalidParameterError(f"budget must be >= 1, got {budget}")
     key = spec.validate_word(root)
     if m == 0:
         yield (), start

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasketlab import energy
 from gasketlab.errors import BudgetExceededError, DegenerateBasisError, InvalidParameterError, NotFoundError
 from gasketlab.energy import (
     _depth_scan,
@@ -118,6 +119,10 @@ def test_index_estimate_validates_inputs(sg):
         index_estimate(sg, 3, delta=0.0)
     with pytest.raises(DegenerateBasisError):
         index_estimate(sg, 2, basis=[[1, 1, 1], [1, 0, 0]])
+    for budget in (0, -1):
+        for m in (0, 2):
+            with pytest.raises(InvalidParameterError, match=f"^budget must be >= 1, got {budget}$"):
+                index_estimate(sg, m, budget=budget)
 
 
 def test_depth_scan_refuses_a_depth_over_budget_before_building_it(monkeypatch):
@@ -126,14 +131,16 @@ def test_depth_scan_refuses_a_depth_over_budget_before_building_it(monkeypatch):
     cells = [len(w) for _, _, w in _depth_scan(spec, 3, basis, 10**7)]
     assert len(list(_depth_scan(spec, 2, basis, cells[1]))) == 2  # exactly at the budget is allowed
     calls = []
-    einsum = np.einsum
-    monkeypatch.setattr(np, "einsum", lambda *args: calls.append(args[0]) or einsum(*args))
+    for name in ("_child_chains", "_cell_energies"):
+        kernel = getattr(energy, name)
+        monkeypatch.setattr(energy, name, lambda *args, kernel=kernel: calls.append(kernel) or kernel(*args))
     scan = _depth_scan(spec, 3, basis, cells[1] - 1)
     next(scan)
     built = len(calls)
+    assert built > 0
     with pytest.raises(BudgetExceededError, match=f"^more than {cells[1] - 1} cells at depth 2$"):
         next(scan)
-    assert len(calls) == built  # no einsum ran for the refused depth
+    assert len(calls) == built  # no contraction ran for the refused depth
 
 
 def test_corner_decay_trivial_target(sg):

@@ -78,6 +78,14 @@ def test_enumerate_words_root_and_budget(sg):
         enumerate_words(sg, 5, budget=10)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_walk_rejects_a_budget_below_one(sg, budget):
+    # checked up front, even where the walk would yield the root alone
+    for m in (0, 2):
+        with pytest.raises(InvalidParameterError, match=f"^budget must be >= 1, got {budget}$"):
+            enumerate_words(sg, m, budget=budget)
+
+
 def test_measure_conservation(sg, mixed):
     assert measure_totals(sg, 5)[5] == 1
     assert measure_totals(mixed, 4)[4] == 1

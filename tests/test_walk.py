@@ -5,11 +5,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gasketlab.energy import _depth_scan, _first_key_at, _float_letter_stacks, _key_ops, default_basis
-from gasketlab.errors import BudgetExceededError
+from gasketlab.energy import (
+    _cell_energies,
+    _child_chains,
+    _depth_scan,
+    _energy_form,
+    _first_key_at,
+    _float_letter_stacks,
+    _key_ops,
+    basis_from_vectors,
+    default_basis,
+)
+from gasketlab.errors import BudgetExceededError, DegenerateBasisError, InvalidParameterError
 from gasketlab.gasket import (
     GasketSpec,
     _mix64,
@@ -27,8 +37,8 @@ PROPERTY = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def specs(draw):
-    d = draw(st.sampled_from([2, 3]))
+def specs(draw, dims=(2, 3)):
+    d = draw(st.sampled_from(dims))
     levels = sorted(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4, unique=True)))
     kinds = ["seeded", "explicit"] + (["homogeneous"] if len(levels) == 1 else [])
     kind = draw(st.sampled_from(kinds))
@@ -191,8 +201,10 @@ def test_a_stopped_walk_yields_the_cut_of_the_full_walk(spec, data):
     leaves = list(walk(spec, m, (), step, stop=stopped.__contains__))
     assert [w for w, _ in leaves] == expect
     assert all(state == w for w, state in leaves)
-    with pytest.raises(BudgetExceededError):
-        list(walk(spec, m, (), step, budget=len(expect) - 1, stop=stopped.__contains__))
+    # a stopped root leaves one leaf, and a budget of 0 is refused up front
+    budget = len(expect) - 1
+    with pytest.raises(BudgetExceededError if budget >= 1 else InvalidParameterError):
+        list(walk(spec, m, (), step, budget=budget, stop=stopped.__contains__))
 
 
 def test_explicit_entries_are_matched_by_canonical_text():
@@ -291,14 +303,44 @@ def reference_depth_scan(spec, m, basis):
         yield depth, B, masses / masses.sum()
 
 
+@st.composite
+def bases(draw, d):
+    """The default basis, or 1..d boundary vectors independent modulo
+    constants, through basis_from_vectors."""
+    if draw(st.booleans()):
+        return default_basis(d)
+    size = draw(st.integers(1, d))
+    vectors = draw(st.lists(st.lists(st.integers(-5, 5), min_size=d + 1, max_size=d + 1), min_size=size, max_size=size))
+    try:
+        return basis_from_vectors(d, vectors)
+    except DegenerateBasisError:
+        assume(False)
+
+
 @PROPERTY
-@given(specs())
-def test_depth_scan_is_the_per_key_reference(spec):
+@given(specs(dims=(2, 3, 4)), st.data())
+def test_depth_scan_is_the_per_key_reference(spec, data):
+    # bitwise: full B, the upper triangle included, and the masses
     m = max_depth(spec)
-    basis = default_basis(spec.d)
+    basis = data.draw(bases(spec.d))
     got = list(_depth_scan(spec, m, basis, 10**7))
     want = list(reference_depth_scan(spec, m, basis))
     assert len(got) == len(want) == m
     for (depth, B, w), (depth_ref, B_ref, w_ref) in zip(got, want):
         assert depth == depth_ref
         assert np.array_equal(B, B_ref) and np.array_equal(w, w_ref)
+
+
+@PROPERTY
+@given(st.integers(1, 20), st.integers(1, 4), st.integers(1, 7), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_contraction_kernels_are_the_einsums(count, k, n_children, n, seed):
+    # counts past 8 reach the unrolled blocks of the k == 1 einsum reduction
+    rng = np.random.default_rng(seed)
+    A_stack = rng.standard_normal((n_children, count, count))
+    parents = rng.standard_normal((n, count, k)) * 10.0 ** rng.integers(-8, 3, (n, count, k))
+    want = np.einsum("cij,njk->ncik", A_stack, parents).reshape(-1, count, k)
+    got = np.zeros((count, k, n * n_children))
+    _child_chains(A_stack, np.ascontiguousarray(parents.transpose(1, 2, 0)), got.reshape(count, k, n, n_children))
+    assert np.array_equal(got.transpose(2, 0, 1), want)
+    QM = _energy_form(count - 1)
+    assert np.array_equal(_cell_energies(got, QM).transpose(2, 0, 1), np.einsum("nij,ik,nkl->njl", want, QM, want))
