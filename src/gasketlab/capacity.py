@@ -49,8 +49,8 @@ from .gasket import (
     cell_corners,
     dirichlet_solve,
     encode_word,
-    enumerate_words,
     level_network,
+    walk,
     word_hash_unit,
 )
 from .harmonic import base_form, dual_vector, extension_matrices
@@ -395,7 +395,7 @@ def a3_report(
         raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
     d = spec.d
     QI = [[int(x) for x in row] for row in base_form(d).M]
-    words = enumerate_words(spec, m, budget)
+    words = list(walk(spec, m, None, spec.child_key, budget=budget))  # (word, label key)
 
     n_words = len(words)
     count = min(cap_words, n_words)
@@ -404,9 +404,8 @@ def a3_report(
     violations = 0
     wp, wq = 0, 1  # the worst nu_U / nu_V so far, as the integer pair wp / wq
     picked_samples: dict = {idx: [] for idx in picks}
-    for w_idx, (word, _, _) in enumerate(words):
+    for w_idx, (word, key) in enumerate(words):
         text = encode_word(word)
-        key = spec.label_key(word)
         forms = [_corner_chain_form(d, corner, _chain_labels(spec, key, corner, N)) for corner in range(1, d + 2)]
         # the summed corner masses as one integer form G over the common denominator L
         L = lcm(*(den for _, den in forms))
@@ -434,7 +433,7 @@ def a3_report(
     sample_rows = []
 
     for idx in picks:
-        word, r_w, _ = words[idx]
+        word, _ = words[idx]
         cap_rel = float(corner_chain_capacity(spec, word, N))
         # the point samples are vertices of the depth-N network below the word
         base = level_network(spec, N, root=word, budget=budget)
@@ -446,7 +445,7 @@ def a3_report(
             cap = _capacities("point", spec, word, N, 0, [coord], partial(_point_pins, coord), budget)
             pt_caps.append(float(cap.values[0]))
         cap_pt = min(pt_caps)
-        inv_r = 1.0 / float(r_w)
+        inv_r = 1.0 / float(base.root_r)
         for s_idx, q0, nu_V, osc in picked_samples[idx]:
             nu_U_abs = 2.0 * q0 * inv_r
             nu_V_abs = 2.0 * nu_V * inv_r

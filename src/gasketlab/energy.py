@@ -209,8 +209,9 @@ def _float_letter_stacks(spec: GasketSpec) -> dict:
 
 # The depth scan's label keys, a whole depth at a time.  Seeded keys are
 # uint64 arrays: numpy's uint64 arithmetic wraps mod 2**64 as gasket's masks
-# do, and labels come from exact integer thresholds, so every key and label
-# equals GasketSpec.child_key / key_label, which stay the per-key oracle.
+# do, and numpy rounds a uint64 to float64 as Python's int / float does, so
+# every key and label equals GasketSpec.child_key / key_label, which stay the
+# per-key oracle.
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -227,26 +228,13 @@ def _mix_keys(h: np.ndarray, text: str) -> np.ndarray:
     return h
 
 
-def _first_key_at(acc: float) -> int:
-    """The smallest integer k with k / 2.0**64 >= acc, or 2**64 if no 64-bit
-    key reaches acc; k / 2.0**64 is monotone in k, so bisect."""
-    lo, hi = 0, 2**64
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid / 2.0**64 >= acc:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _key_ops(spec: GasketSpec) -> tuple:
     """(root keys, labels(keys), children(keys, l, n, at_root)) for the scan.
 
     children gives the keys of cells 1..n of level l below each key, grouped
-    by parent.  A seeded key's label is the first level whose threshold is
-    above it, else the last level, as in key_label; a threshold of 2**64 lies
-    above every key and is dropped.  Other labelings go key by key.
+    by parent.  A seeded key's label is found by key_label's own test on
+    u = key / 2**64: the first level whose cumulative weight is above u, else
+    the last level.  Other labelings go key by key.
     """
     if spec.labeling["type"] != "seeded":
 
@@ -260,10 +248,10 @@ def _key_ops(spec: GasketSpec) -> tuple:
 
     cum = spec.labeling["_cum"]
     levels = np.array([l for l, _ in cum])
-    thresholds = np.array([k for k in (_first_key_at(acc) for _, acc in cum) if k < 2**64], dtype=np.uint64)
+    accs = np.array([acc for _, acc in cum])
 
     def labels(keys):
-        return levels[np.minimum(np.searchsorted(thresholds, keys, side="right"), len(levels) - 1)]
+        return levels[np.minimum(np.searchsorted(accs, keys / 2.0**64, side="right"), len(levels) - 1)]
 
     def children(keys, l, n, at_root):
         keys = _mix_keys(keys, "" if at_root else ".")
@@ -274,8 +262,8 @@ def _key_ops(spec: GasketSpec) -> tuple:
 
 
 def _energy_form(d: int) -> np.ndarray:
-    """The base form Q as a float matrix: d on the diagonal, -1 elsewhere."""
-    return np.array([[float(d) if i == j else -1.0 for j in range(d + 1)] for i in range(d + 1)])
+    """The base form Q as a float matrix."""
+    return np.array(base_form(d).M, dtype=float)
 
 
 def _child_term_order(count: int, k: int) -> list:
@@ -324,19 +312,13 @@ def _child_chains(A_stack: np.ndarray, parents: np.ndarray, out: np.ndarray) -> 
 
 
 def _cell_energies(chains: np.ndarray, QM: np.ndarray) -> np.ndarray:
-    """E[j, l, n] = sum_i sum_kk (chains[i, j, n] * QM[i, kk]) * chains[kk, l, n]
-    for every (j, l), the upper triangle included, summed from zero over i
-    and then kk, as np.einsum("nij,ik,nkl->njl") sums them."""
-    d1, k, n = chains.shape
-    E = np.zeros((k, k, n))
-    scaled = np.empty((k, n))
-    term = np.empty((k, k, n))
-    for i in range(d1):
-        for kk in range(d1):
-            np.multiply(chains[i], QM[i, kk], out=scaled)
-            np.multiply(scaled[:, None, :], chains[kk], out=term)
-            np.add(E, term, out=E)
-    return E
+    """E[j, l, n] = sum_i sum_kk chains[i, j, n] QM[i, kk] chains[kk, l, n],
+    the (k, k, ncells) cell energy matrices, the upper triangle included.
+
+    Unoptimised einsum on this layout sums in the order that
+    np.einsum("nij,ik,nkl->njl") takes on (ncells, d+1, k) columns, so the
+    bits match the per-key reference scan; the tests check this for d >= 2."""
+    return np.einsum("ijn,ik,kln->jln", chains, QM, chains)
 
 
 def _depth_scan(spec: GasketSpec, m: int, basis: EnergyBasis, budget: int):
@@ -350,12 +332,13 @@ def _depth_scan(spec: GasketSpec, m: int, basis: EnergyBasis, budget: int):
     is built.
 
     The transported columns A_w G are held as (d+1, k, ncells): one
-    contiguous vector of cells per matrix entry, so both contractions are
-    (d+1)^2 whole-array multiply-adds.  Their sums run in np.einsum's own
-    order (`_child_term_order`, `_cell_energies`), so every B and mass has
-    the bits the einsum scan gave.  matmul, einsum(optimize=True) and the
-    closed form (d+1) C^T C - s s^T each change last bits of most entries,
-    and with them the report's floats.
+    contiguous vector of cells per matrix entry.  The children are (d+1)^2
+    whole-array multiply-adds summed in np.einsum's own order
+    (`_child_term_order`), and the cell matrices are one einsum
+    (`_cell_energies`), so every B and mass has the bits of the per-key
+    einsum scan.  matmul, einsum(optimize=True) and the closed form
+    (d+1) C^T C - s s^T each change last bits of most entries, and with
+    them the report's floats.
     """
     d1, k = spec.d + 1, basis.size
     QM = _energy_form(spec.d)
@@ -470,9 +453,9 @@ def index_estimate(
     mean_trend, max_trend, rank2_trend = [], [], []
     QM = _energy_form(spec.d)
     G0 = basis.float_columns()
-    B0 = 2.0 * (G0.T @ QM @ G0)[None, :, :]
-    final = (np.sort(np.linalg.eigvalsh(B0), axis=1), None, np.array([1.0]))
-    for depth, B, w in _depth_scan(spec, m, basis, budget):
+    # depth 0, the root cell alone, until the scan yields a deeper one
+    ev, w = np.linalg.eigvalsh(2.0 * (G0.T @ QM @ G0)[None, :, :]), np.array([1.0])
+    for _, B, w in _depth_scan(spec, m, basis, budget):
         ev = np.linalg.eigvalsh(B)  # ascending
         lam1 = ev[:, -1]
         if basis.size >= 2:
@@ -482,12 +465,8 @@ def index_estimate(
         mean_trend.append(float((w * ratio).sum()))
         max_trend.append(float(ratio.max()) if len(ratio) else 0.0)
         rank2_trend.append(float(w[ratio > eps].sum()))
-        if depth == m:
-            final = (ev, lam1, w)
 
-    ev, lam1, w = final
-    if lam1 is None:
-        lam1 = ev[:, -1]
+    lam1 = ev[:, -1]
     ncells = len(lam1)
 
     def histogram_for(threshold: float) -> dict:
@@ -597,14 +576,12 @@ def contraction_check(d: int, corner: int, tau, u) -> ContractionCurve:
     th = theta(d, sorted(set(tau)))
 
     residuals, exact_sq, bounds = [], [], []
-    chain = None
+    vec = u  # A_chain u, one corner matrix applied per label
     r_chain = Fraction(1)
     for n, l in enumerate(tau, start=1):
         data = extension_matrices(d, l)
-        A = data.A[corner - 1]
-        chain = A if chain is None else mat_mul(A, chain)
+        vec = mat_vec(data.A[corner - 1], vec)
         r_chain *= data.r
-        vec = mat_vec(chain, u)
         scaled = [x / r_chain for x in vec]
         resid_vec = [a - b for a, b in zip(project(scaled), target)]
         sq = sum(x * x for x in resid_vec)

@@ -213,8 +213,9 @@ class GasketSpec:
     # key is None.  Seeded: the splitmix64 state over the word's encoding, so
     # a child continues it over ".i^l" ("i^l" below the root).  Explicit: the
     # canonical encoding.  Homogeneous: always None.  energy's depth scan
-    # hashes a whole depth's seeded keys at once (`energy._key_ops`), so a
-    # change to this hash or to key_label's thresholds must be made there too.
+    # hashes a whole depth's seeded keys at once and labels them with
+    # key_label's own test on key / 2**64 (`energy._key_ops`), so a change to
+    # this hash or to that test must be made there too.
 
     def child_key(self, key, letter: Letter):
         """The label key of the word `key` belongs to, extended by `letter`."""

@@ -13,7 +13,6 @@ from gasketlab.energy import (
     _child_chains,
     _depth_scan,
     _energy_form,
-    _first_key_at,
     _float_letter_stacks,
     _key_ops,
     basis_from_vectors,
@@ -241,13 +240,13 @@ def test_array_child_keys_are_child_key(spec, keys, l, n):
 @given(seeded_specs, st.lists(st.integers(0, 2**64 - 1), max_size=8))
 def test_array_labels_are_key_label_at_every_threshold(spec, keys):
     # the weights drawn by specs() include zeros, so thresholds repeat
+    # the keys whose u = key / 2**64 rounds onto acc lie within half a float64
+    # ulp of acc * 2**64, and that ulp is at most 4096 below 2**64
     root, labels, _ = _key_ops(spec)
     edges = []
     for _, acc in spec.labeling["_cum"]:
-        k = _first_key_at(acc)
-        assert k == 0 or (k - 1) / 2.0**64 < acc
-        assert k == 2**64 or k / 2.0**64 >= acc
-        edges += [x for x in (k - 1, k) if 0 <= x < 2**64]
+        at = int(acc * 2**64)
+        edges += [x for x in range(at - 2048, at + 2049) if 0 <= x < 2**64]
     keys = keys + edges + EDGE_KEYS
     assert labels(np.array(keys, dtype=np.uint64)).tolist() == [spec.key_label(key) for key in keys]
     assert labels(root).tolist() == [spec.key_label(None)]
@@ -342,5 +341,19 @@ def test_contraction_kernels_are_the_einsums(count, k, n_children, n, seed):
     got = np.zeros((count, k, n * n_children))
     _child_chains(A_stack, np.ascontiguousarray(parents.transpose(1, 2, 0)), got.reshape(count, k, n, n_children))
     assert np.array_equal(got.transpose(2, 0, 1), want)
-    QM = _energy_form(count - 1)
-    assert np.array_equal(_cell_energies(got, QM).transpose(2, 0, 1), np.einsum("nij,ik,nkl->njl", want, QM, want))
+    if count >= 3:  # a gasket has d >= 2
+        QM = _energy_form(count - 1)
+        assert np.array_equal(_cell_energies(got, QM).transpose(2, 0, 1), np.einsum("nij,ik,nkl->njl", want, QM, want))
+
+
+@pytest.mark.parametrize("d, k", [(d, k) for d in (2, 3, 4) for k in range(1, d + 1)])
+def test_cell_energies_are_the_cell_major_einsum(d, k):
+    # every cell count up to 64 crosses numpy's inner-loop blocks, and 51,030
+    # is the seeded d=2 T={2,3} scan's depth 8
+    rng = np.random.default_rng(d * 10 + k)
+    QM = _energy_form(d)
+    for n in [*range(1, 65), 51030]:
+        chains = rng.standard_normal((n, d + 1, k)) * 10.0 ** rng.integers(-8, 3, (n, d + 1, k))
+        want = np.einsum("nij,ik,nkl->njl", chains, QM, chains)
+        got = _cell_energies(np.ascontiguousarray(chains.transpose(1, 2, 0)), QM)
+        assert np.array_equal(got.transpose(2, 0, 1), want)
