@@ -11,10 +11,11 @@ relative capacity is then the energy of the chain cells' corner edges,
 d * sum over the corners of 1/r_chain, and the networks are exact traces, so
 every refinement reproduces that value.
 
-Every capacity is solved by `_capacities` on a trace-reduced network,
-refined only in the cells whose closure holds a corner of the word (relative
-capacity) or the target vertex (point capacity).  A full network is built
-only to number the vertices a point capacity may target.
+So `relative_capacity` reads every refinement off that identity and builds
+no network; the network solve stays in the tests as its oracle.  A point
+capacity is solved by `_point_capacities` on a trace-reduced network,
+refined only in the cells whose closure holds the target vertex.  A full
+network is built only to number the vertices a point capacity may target.
 
 The corner masses of the A3 report are read off the corner-chain
 eigenstructure: on u = a 1 + (u_i, u) v_i + y, the chain form
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import lcm
+from math import lcm, prod
 
 from .errors import InvalidParameterError, InvalidVertexError
 from .energy import corner_decay_N
@@ -62,10 +63,11 @@ def default_inner_depth(spec: GasketSpec) -> int:
 
 
 def corner_chain_labels(spec: GasketSpec, word: Word, corner: int, N: int) -> tuple:
-    """Labels l_1..l_N of the admissible corner chain i^l1 ... i^lN below word."""
+    """Labels l_1..l_N of the admissible corner chain i^l1 ... i^lN below word,
+    which must be admissible."""
     if N < 1:
         raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
-    return _chain_labels(spec, spec.label_key(word), corner, N)
+    return _chain_labels(spec, spec.validate_word(word), corner, N)
 
 
 def _chain_labels(spec: GasketSpec, key, corner: int, N: int) -> tuple:
@@ -120,16 +122,13 @@ def _point_pins(coord, net: ConductanceNetwork) -> dict:
     return pins
 
 
-def _misses(points):
-    """The `level_network` stop predicate that keeps whole every cell whose
-    closure holds none of `points`: the closed cell with map (scale, offset)
-    holds a point iff point[k] >= offset[k] for every k."""
-
-    def stop(state):
-        (_, offset), _ = state
-        return not any(all(x >= o for x, o in zip(p, offset)) for p in points)
-
-    return stop
+def _misses(point, state) -> bool:
+    """The `level_network` stop predicate, bound to `point` with partial, that
+    keeps whole every cell whose closure does not hold the point: the closed
+    cell with map (scale, offset) holds it iff point[k] >= offset[k] for
+    every k."""
+    (_, offset), _ = state
+    return any(x < o for x, o in zip(point, offset))
 
 
 @dataclass
@@ -149,53 +148,32 @@ class CapacityResult:
         return [v / self.root_r for v in self.values]
 
 
-def _capacities(
-    kind: str,
-    spec: GasketSpec,
-    word: Word,
-    base_depth: int,
-    K: int,
-    points,
-    pins,
-    budget: int,
-) -> CapacityResult:
-    """Solve the capacity problem that pins(network) poses below the word at
-    depth base_depth + k, for k = 0..K, on the network refined only in the
-    cells whose closure holds one of `points`.  Its energy is the full
-    network's when the full problem pins all of each whole cell's vertices
-    to one value, or none strictly inside it."""
+def _point_capacities(spec: GasketSpec, word: Word, base_depth: int, K: int, coord, budget: int) -> list:
+    """The capacities between the vertex at `coord` and the word's corners on
+    the depth-(base_depth + k) networks below the word, for k = 0..K, each
+    refined only in the cells whose closure holds the vertex.  Every other
+    cell stays whole as its complete graph with conductance 1/r_w, the exact
+    trace of the cells below it, so each value is the full network's."""
     if K < 0:
         raise InvalidParameterError(f"refinement must be >= 0, got {K}")
-    stop = _misses(points)
+    stop = partial(_misses, coord)
     values = []
     for k in range(K + 1):
         net = level_network(spec, base_depth + k, root=word, budget=budget, stop=stop)
-        values.append(dirichlet_solve(net, pins(net))[1])
-    return CapacityResult(
-        kind=kind,
-        word=word,
-        base_depth=base_depth,
-        refinements=list(range(K + 1)),
-        values=values,
-        root_r=net.root_r,
-    )
+        values.append(dirichlet_solve(net, _point_pins(coord, net))[1])
+    return values
 
 
-def relative_capacity(
-    spec: GasketSpec,
-    word: Word,
-    N: int,
-    K: int = 0,
-    budget: int = DEFAULT_WORD_BUDGET,
-) -> CapacityResult:
-    """Capacity between the inner set and the word's own corners, estimated on
-    networks of depth N..N+K below the word (non-increasing in the depth),
-    refined only at the word's corners, that is along the corner chains.  A
-    cell kept whole above depth N lies off the chains, so all its vertices
-    are pinned to 1; one inside a chain cell has only free vertices inside."""
-    pins = partial(inner_set_pins, spec, word, N)
-    corners = cell_corners(_root_affine(spec, word))
-    return _capacities("inner-set", spec, word, N, K, corners, pins, budget)
+def relative_capacity(spec: GasketSpec, word: Word, N: int, K: int = 0) -> CapacityResult:
+    """Capacity between the inner set and the word's own corners on the
+    networks of depth N..N+K below the word.  The networks are exact traces,
+    so every refinement is the corner-chain identity's value,
+    `corner_chain_capacity`; nothing is built or solved."""
+    if K < 0:
+        raise InvalidParameterError(f"refinement must be >= 0, got {K}")
+    value = corner_chain_capacity(spec, word, N)
+    root_r = prod((spec.r_of_letter(letter) for letter in word), start=Fraction(1))
+    return CapacityResult("inner-set", word, N, list(range(K + 1)), [value] * (K + 1), root_r)
 
 
 def point_capacity(
@@ -209,20 +187,17 @@ def point_capacity(
     """Capacity between one finite-level vertex and the word's corners.
 
     The vertex id refers to the depth-base_depth network below the word,
-    which gives the vertex its exact coordinates.  Refinement k solves on the
-    depth-(base_depth + k) network refined only in the cells whose closure
-    holds the vertex; every other cell stays whole as its complete graph with
-    conductance 1/r_w, the exact trace of the cells below it.  So each value
-    equals the solve on the full depth-(base_depth + k) network, and each
-    refinement is a distinct network that is solved.
+    which gives the vertex its exact coordinates.  Refinement k is the solve
+    of `_point_capacities` at depth base_depth + k, which equals the solve on
+    the full network of that depth.
     """
     base = level_network(spec, base_depth, root=word, budget=budget)
     if not 0 <= vertex < base.n_vertices:
         raise InvalidVertexError(f"vertex {vertex} not in depth-{base_depth} network")
     if vertex in base.boundary:
         raise InvalidVertexError("point capacity target must not be a corner of the word")
-    coord = base.coords[vertex]
-    return _capacities("point", spec, word, base_depth, K, [coord], partial(_point_pins, coord), budget)
+    values = _point_capacities(spec, word, base_depth, K, base.coords[vertex], budget)
+    return CapacityResult("point", word, base_depth, list(range(K + 1)), values, base.root_r)
 
 
 # --- the balance report ---------------------------------------------------------
@@ -377,9 +352,10 @@ def a3_report(
     corner-chain identity, exact at every refinement, so K only labels the
     report.  C_c uses point capacities at vertices of the depth-N network
     below the word, which is built whole once per word to number them; each
-    is solved by `_capacities` on that network refined only in the cells that
-    hold the vertex, which gives the same exact value.  All three constants
-    are scale invariant, so root normalization cancels.
+    is solved by `_point_capacities`, which `capacity --point` uses too, on
+    that network refined only in the cells that hold the vertex, which gives
+    the same exact value.  All three constants are scale invariant, so root
+    normalization cancels.
     """
     if K < 0:
         raise InvalidParameterError(f"refinement must be >= 0, got {K}")
@@ -442,8 +418,7 @@ def a3_report(
         pt_caps = []
         for j in range(pcount):
             coord = base.coords[inner[(j * len(inner)) // pcount]]
-            cap = _capacities("point", spec, word, N, 0, [coord], partial(_point_pins, coord), budget)
-            pt_caps.append(float(cap.values[0]))
+            pt_caps.append(float(_point_capacities(spec, word, N, 0, coord, budget)[0]))
         cap_pt = min(pt_caps)
         inv_r = 1.0 / float(base.root_r)
         for s_idx, q0, nu_V, osc in picked_samples[idx]:

@@ -213,7 +213,7 @@ def cmd_capacity(args) -> int:
         )
     else:
         n = capacity_mod.default_inner_depth(spec) if args.inner_n is None else args.inner_n
-        result = capacity_mod.relative_capacity(spec, word, n, K=args.refine, budget=args.budget)
+        result = capacity_mod.relative_capacity(spec, word, n, K=args.refine)
         resolved["inner_n"] = n
     payload = {
         "config": _config(args, spec, **resolved),

@@ -374,17 +374,31 @@ def walk(
             yield word + (letter,), step(state, letter)
 
 
+def _letter_pairs(spec: GasketSpec, weight) -> dict:
+    """level -> [(numerator, denominator) of weight((i, level)) for each cell i]."""
+    pairs = {}
+    for l in spec.levels:
+        ws = (weight((i, l)) for i in range(1, cell_count(spec.d, l) + 1))
+        pairs[l] = [(w.numerator, w.denominator) for w in ws]
+    return pairs
+
+
 def iter_words(spec: GasketSpec, m: int, budget: int = DEFAULT_WORD_BUDGET, root: Word = ()):
     """Yield (word, r_w, mu_w) for the admissible depth-m continuations of
     `root`, in depth-lexicographic order.  r and mu are relative to the root.
+    The walk carries both as unreduced integer pairs, and each yielded word
+    builds its two Fractions once.
     """
+    r_pairs, mu_pairs = _letter_pairs(spec, spec.r_of_letter), _letter_pairs(spec, spec.mu_of_letter)
 
     def step(state, letter):
-        r, mu = state
-        return r * spec.r_of_letter(letter), mu * spec.mu_of_letter(letter)
+        r_num, r_den, mu_num, mu_den = state
+        a, b = r_pairs[letter[1]][letter[0] - 1]
+        c, e = mu_pairs[letter[1]][letter[0] - 1]
+        return r_num * a, r_den * b, mu_num * c, mu_den * e
 
-    for word, (r, mu) in walk(spec, m, (Fraction(1), Fraction(1)), step, root, budget):
-        yield word, r, mu
+    for word, (r_num, r_den, mu_num, mu_den) in walk(spec, m, (1, 1, 1, 1), step, root, budget):
+        yield word, Fraction(r_num, r_den), Fraction(mu_num, mu_den)
 
 
 def enumerate_words(spec: GasketSpec, m: int, budget: int = DEFAULT_WORD_BUDGET) -> list:
@@ -406,10 +420,7 @@ def measure_totals(spec: GasketSpec, m: int, budget: int = DEFAULT_WORD_BUDGET) 
     only, so each node of the tree is counted once.
     """
     sums = [{} for _ in range(m + 1)]
-    weights = {}  # level -> (numerator, denominator) of mu, by cell index
-    for l in spec.levels:
-        mus = (spec.mu_of_letter((i, l)) for i in range(1, cell_count(spec.d, l) + 1))
-        weights[l] = [(mu.numerator, mu.denominator) for mu in mus]
+    weights = _letter_pairs(spec, spec.mu_of_letter)
 
     def step(path, letter):
         num, den = path[-1]
@@ -554,11 +565,12 @@ def level_network(
     for word, (affine, r) in walk(spec, m, (root_affine, Fraction(1)), step, root, budget, stop):
         ids = tuple(vid_of(coord) for coord in cell_corners(affine))
         w = 1 / r
+        # distinct cells share at most one vertex, so no edge is set twice
         for a in range(d + 1):
             for b in range(a + 1, d + 1):
                 i, j = ids[a], ids[b]
                 key = (i, j) if i < j else (j, i)
-                edges[key] = edges.get(key, Fraction(0)) + w
+                edges[key] = w
         cells.append((word, ids, w))
     boundary = [vid_of(coord) for coord in cell_corners(root_affine)]
     return ConductanceNetwork(

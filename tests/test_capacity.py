@@ -1,4 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 import numpy as np
@@ -23,7 +25,7 @@ from gasketlab.capacity import (
     relative_capacity,
     sample_direction,
 )
-from gasketlab.errors import InvalidParameterError, InvalidVertexError
+from gasketlab.errors import InadmissibleWordError, InvalidParameterError, InvalidVertexError
 from gasketlab.gasket import (
     GasketSpec,
     _root_affine,
@@ -108,6 +110,16 @@ def test_inner_set_classification(sg):
             for affine in chains
         )
         assert inside == (v in free)
+
+
+@pytest.mark.parametrize("bad", [((5, 2),), ((1, 3),)], ids=["cell-index", "level"])
+def test_corner_chain_functions_refuse_an_inadmissible_word(sg, bad):
+    with pytest.raises(InadmissibleWordError):
+        corner_chain_capacity(sg, bad, 2)
+    with pytest.raises(InadmissibleWordError):
+        relative_capacity(sg, bad, 2)
+    with pytest.raises(InadmissibleWordError):
+        inner_set_pins(sg, bad, 1, replace(level_network(sg, 1), root=bad))
 
 
 def test_relative_capacity_monotone_and_trace_exact(sg):
@@ -238,7 +250,8 @@ def test_a3_report_relative_capacity_is_the_refined_solve(K, sg, mixed):
         assert rep.rows and rep.K == K
         for row in rep.rows:
             word, r_w = r_of[row.word]
-            solved = relative_capacity(spec, word, N, K).values[-1]
+            full = level_network(spec, N + K, root=word)
+            solved = dirichlet_solve(full, inner_set_pins(spec, word, N, full))[1]
             assert row.cap_rel == float(solved) * (1.0 / float(r_w))
 
 
@@ -303,12 +316,10 @@ def test_relative_capacity_is_the_full_network_solve(case):
     # exact energy at every refinement
     spec, word, N, K = case
     res = relative_capacity(spec, word, N, K)
-    corners = cell_corners(_root_affine(spec, word))
     for k in range(K + 1):
         full = level_network(spec, N + k, root=word)
         assert res.values[k] == dirichlet_solve(full, inner_set_pins(spec, word, N, full))[1]
-        reduced = level_network(spec, N + k, root=word, stop=_misses(corners))
-        assert set(reduced.coords) <= set(full.coords)
+    assert res.root_r == full.root_r
 
 
 @PROPERTY
@@ -370,7 +381,7 @@ def test_point_capacity_is_the_full_network_solve(case):
         full = level_network(spec, base_depth + k, root=word)
         _, energy, _ = dirichlet_solve(full, _point_pins(coord, full))
         assert res.values[k] == energy
-        reduced = level_network(spec, base_depth + k, root=word, stop=_misses([coord]))
+        reduced = level_network(spec, base_depth + k, root=word, stop=partial(_misses, coord))
         assert set(reduced.coords) <= set(full.coords)
         at = [{rel for rel, ids, _ in net.cells if net.coord_index[coord] in ids} for net in (reduced, full)]
         assert at[0] == at[1]
@@ -404,11 +415,11 @@ def test_point_capacity_solves_only_reduced_networks(sg, monkeypatch):
     assert [m for m, stopped, _ in built if stopped] == [6, 7]
 
 
-def test_relative_capacity_solves_only_reduced_networks(sg, monkeypatch):
+def test_relative_capacity_builds_and_solves_nothing(sg, mixed, monkeypatch):
     built, solved = _record_networks_and_solves(monkeypatch)
     relative_capacity(sg, (), 4, K=2)
-    assert [m for m, stopped, _ in built] == [4, 5, 6] and all(stopped for _, stopped, _ in built)
-    assert len(solved) == 3 and max(solved) < 100
+    relative_capacity(mixed, ((2, 3), (1, 3)), 3, K=1)
+    assert built == [] and solved == []
 
 
 def test_a3_point_samples_solve_only_reduced_networks(mixed, monkeypatch):

@@ -97,16 +97,48 @@ def test_words_budget_failure_leaves_no_file(sg_spec, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["capacity", "--point", "5", "--base-depth", "6"], ["capacity", "--inner-n", "6"], ["blowup", "--depth", "6"]],
+    "argv, walks",
+    [
+        (["capacity", "--point", "5", "--base-depth", "6"], True),
+        (["capacity", "--inner-n", "6"], False),
+        (["blowup", "--depth", "6"], True),
+    ],
     ids=["point", "relative", "blowup"],
 )
-def test_capacity_and_blowup_honour_and_record_the_budget(argv, sg_spec, tmp_path, capsys):
+def test_capacity_and_blowup_honour_and_record_the_budget(argv, walks, sg_spec, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    if not walks:
+        # a relative capacity is the corner-chain identity: it walks no words
+        assert main(argv + ["--spec", sg_spec, "--budget", "10", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["budget"] == 10
+        return
     assert main(argv + ["--spec", sg_spec, "--budget", "10"]) == 2
     assert capsys.readouterr().err == "error: more than 10 words at depth 6\n"
-    out = tmp_path / "r.json"
     assert main(argv[:-1] + ["2", "--spec", sg_spec, "--budget", "100", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["config"]["budget"] == 100
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SEEDED_T23 = '{"dimension": 2, "levels": [2, 3], "labeling": {"type": "seeded", "seed": 1, "weights": {"2": 1.0, "3": 1.0}}}'
+SEEDED_D3 = '{"dimension": 3, "levels": [2, 3], "labeling": {"type": "seeded", "seed": 7, "weights": {"2": 1.0, "3": 1.0}}}'
+
+
+@pytest.mark.parametrize(
+    "golden, spec_text, argv",
+    [
+        ("capacity_sg_n4_r2.json", '{"dimension": 2, "levels": [2]}', ["--inner-n", "4", "--refine", "2"]),
+        ("capacity_seeded_1-3_r2.json", SEEDED_T23, ["--word", "1^3", "--refine", "2"]),
+        ("capacity_seeded_d3_n2.json", SEEDED_D3, ["--inner-n", "2"]),
+    ],
+    ids=["sg", "seeded-d2-T23", "seeded-d3"],
+)
+def test_relative_capacity_reports_are_the_golden_bytes(golden, spec_text, argv, tmp_path, capsys):
+    # the bytes the relative capacity printed when every refinement was a network solve
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    assert main(["capacity", "--spec", str(spec), *argv]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ((GOLDEN / golden).read_text(), "")
 
 
 @pytest.mark.parametrize(

@@ -23,8 +23,10 @@ from gasketlab.gasket import (
     GasketSpec,
     _mix64,
     _mix_text,
+    _root_affine,
     encode_word,
     iter_words,
+    level_network,
     measure_totals,
     walk,
     word_hash_unit,
@@ -204,6 +206,41 @@ def test_a_stopped_walk_yields_the_cut_of_the_full_walk(spec, data):
     budget = len(expect) - 1
     with pytest.raises(BudgetExceededError if budget >= 1 else InvalidParameterError):
         list(walk(spec, m, (), step, budget=budget, stop=stopped.__contains__))
+
+
+def test_iter_words_is_the_fraction_fold_below_a_root_with_a_per_letter_measure():
+    measure = {"per_letter": {2: ["1/2", "1/4", "1/4"], 3: ["1/3", "1/6", "1/6", "1/12", "1/12", "1/6"]}}
+    spec = GasketSpec(2, [2, 3], {"type": "seeded", "seed": 4, "weights": {2: 1.0, 3: 2.0}}, measure)
+    root = walked_words(spec, 2)[-1]
+    rows = list(iter_words(spec, 3, root=root))
+    assert [w for w, _, _ in rows] == walked_words(spec, 3, root)
+    for word, r, mu in rows:
+        want_r, want_mu = Fraction(1), Fraction(1)
+        for letter in word:
+            want_r *= spec.r_of_letter(letter)
+            want_mu *= spec.mu_of_letter(letter)
+        assert (r, mu) == (want_r, want_mu)
+    assert len({mu for _, _, mu in rows}) > 1
+
+
+@PROPERTY
+@given(specs(), st.data())
+def test_every_network_sets_each_cell_edge_once(spec, data):
+    # distinct cells share at most one vertex, so no two cells share an edge
+    widest = max(cell_count(spec.d, l) for l in spec.levels)
+    m = 0
+    while widest ** (m + 1) <= 400:
+        m += 1
+    stopped = set()
+    for k in range(1, m):
+        for word in data.draw(st.lists(st.sampled_from(walked_words(spec, k)), max_size=3)):
+            scale, offset = _root_affine(spec, word)
+            stopped.add((scale, tuple(offset)))
+    net = level_network(spec, m, stop=lambda state: (state[0][0], tuple(state[0][1])) in stopped)
+    d = spec.d
+    assert len(net.edges) == len(net.cells) * d * (d + 1) // 2
+    for _, ids, w in net.cells:
+        assert all(net.edges[min(i, j), max(i, j)] == w for i in ids for j in ids if i != j)
 
 
 def test_explicit_entries_are_matched_by_canonical_text():
