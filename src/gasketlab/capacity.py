@@ -13,9 +13,11 @@ every refinement reproduces that value.
 
 So `relative_capacity` reads every refinement off that identity and builds
 no network; the network solve stays in the tests as its oracle.  A point
-capacity is solved by `_point_capacities` on a trace-reduced network,
-refined only in the cells whose closure holds the target vertex.  A full
-network is built only to number the vertices a point capacity may target.
+capacity pins only vertices of its base depth, so by the same trace property
+every refinement has the base depth's value: `_point_capacities` solves it
+once, on a trace-reduced network refined only in the cells whose closure
+holds the target vertex.  The vertices a point capacity may target are
+numbered by `vertex_keys`, a walk over integer keys that builds no network.
 
 The corner masses of the A3 report are read off the corner-chain
 eigenstructure: on u = a 1 + (u_i, u) v_i + y, the chain form
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import lcm, prod
+from math import lcm
 
 from .errors import InvalidParameterError, InvalidVertexError
 from .energy import corner_decay_N
@@ -46,11 +48,14 @@ from .gasket import (
     _MASK64,
     _mix64,
     _mix_text,
-    _root_affine,
-    cell_corners,
+    _coord,
+    _corner_keys,
+    _denominator,
+    _root_cell,
     dirichlet_solve,
     encode_word,
     level_network,
+    vertex_keys,
     walk,
     word_hash_unit,
 )
@@ -101,13 +106,14 @@ def inner_set_pins(spec: GasketSpec, word: Word, N: int, net: ConductanceNetwork
     if net.root != word or net.depth < N:
         raise InvalidParameterError(f"inner-set pins need a network of depth >= {N} below the word")
     one = Fraction(1)
+    P = _denominator(spec, net.depth, word)
     pins = {}
     chains = set()
     for corner in range(1, spec.d + 2):
         chain = tuple((corner, l) for l in corner_chain_labels(spec, word, corner, N))
         chains.add(chain)
-        for coord in cell_corners(_root_affine(spec, word + chain)):
-            pins[net.coord_index[coord]] = one
+        for key in _corner_keys(_root_cell(spec, word + chain, P)):
+            pins[net.coord_index[_coord(key, P)]] = one
     for rel, ids, _ in net.cells:
         if rel[:N] not in chains:
             pins.update(dict.fromkeys(ids, one))
@@ -123,11 +129,12 @@ def _point_pins(coord, net: ConductanceNetwork) -> dict:
 
 
 def _misses(point, state) -> bool:
-    """The `level_network` stop predicate, bound to `point` with partial, that
-    keeps whole every cell whose closure does not hold the point: the closed
-    cell with map (scale, offset) holds it iff point[k] >= offset[k] for
-    every k."""
-    (_, offset), _ = state
+    """The `level_network` stop predicate, bound with partial to `point`, the
+    integer key of a vertex over the network's denominator, that keeps whole
+    every cell whose closure does not hold the vertex: the closed cell with
+    map z -> (q z + offset) / P holds it iff point[k] >= offset[k] for every
+    k."""
+    offset = state[1]
     return any(x < o for x, o in zip(point, offset))
 
 
@@ -148,20 +155,21 @@ class CapacityResult:
         return [v / self.root_r for v in self.values]
 
 
-def _point_capacities(spec: GasketSpec, word: Word, base_depth: int, K: int, coord, budget: int) -> list:
-    """The capacities between the vertex at `coord` and the word's corners on
-    the depth-(base_depth + k) networks below the word, for k = 0..K, each
-    refined only in the cells whose closure holds the vertex.  Every other
-    cell stays whole as its complete graph with conductance 1/r_w, the exact
-    trace of the cells below it, so each value is the full network's."""
+def _point_capacities(spec: GasketSpec, word: Word, base_depth: int, K: int, point, budget: int) -> list:
+    """The capacities between the vertex with integer key `point` in the
+    depth-base_depth network below the word (`vertex_keys`) and the word's
+    corners on the depth-(base_depth + k) networks, for k = 0..K.
+
+    The networks are exact traces and the problem pins only depth-base_depth
+    vertices, so every refinement has the same value: it is solved once, on
+    the depth-base_depth network refined only in the cells whose closure
+    holds the vertex.  Every other cell stays whole as its complete graph
+    with conductance 1/r_w, the exact trace of the cells below it."""
     if K < 0:
         raise InvalidParameterError(f"refinement must be >= 0, got {K}")
-    stop = partial(_misses, coord)
-    values = []
-    for k in range(K + 1):
-        net = level_network(spec, base_depth + k, root=word, budget=budget, stop=stop)
-        values.append(dirichlet_solve(net, _point_pins(coord, net))[1])
-    return values
+    net = level_network(spec, base_depth, root=word, budget=budget, stop=partial(_misses, point))
+    coord = _coord(point, _denominator(spec, base_depth, word))
+    return [dirichlet_solve(net, _point_pins(coord, net))[1]] * (K + 1)
 
 
 def relative_capacity(spec: GasketSpec, word: Word, N: int, K: int = 0) -> CapacityResult:
@@ -172,8 +180,7 @@ def relative_capacity(spec: GasketSpec, word: Word, N: int, K: int = 0) -> Capac
     if K < 0:
         raise InvalidParameterError(f"refinement must be >= 0, got {K}")
     value = corner_chain_capacity(spec, word, N)
-    root_r = prod((spec.r_of_letter(letter) for letter in word), start=Fraction(1))
-    return CapacityResult("inner-set", word, N, list(range(K + 1)), [value] * (K + 1), root_r)
+    return CapacityResult("inner-set", word, N, list(range(K + 1)), [value] * (K + 1), spec.r_of_word(word))
 
 
 def point_capacity(
@@ -186,18 +193,19 @@ def point_capacity(
 ) -> CapacityResult:
     """Capacity between one finite-level vertex and the word's corners.
 
-    The vertex id refers to the depth-base_depth network below the word,
-    which gives the vertex its exact coordinates.  Refinement k is the solve
-    of `_point_capacities` at depth base_depth + k, which equals the solve on
-    the full network of that depth.
+    The vertex id refers to the depth-base_depth network below the word.  The
+    network is not built: `vertex_keys` walks its cells and numbers their
+    corners, which checks the id and gives the vertex's integer key.
+    Every refinement k is the full depth-(base_depth + k) network's value,
+    which `_point_capacities` solves once.
     """
-    base = level_network(spec, base_depth, root=word, budget=budget)
-    if not 0 <= vertex < base.n_vertices:
+    keys, boundary = vertex_keys(spec, base_depth, word, budget)
+    if not 0 <= vertex < len(keys):
         raise InvalidVertexError(f"vertex {vertex} not in depth-{base_depth} network")
-    if vertex in base.boundary:
+    if vertex in boundary:
         raise InvalidVertexError("point capacity target must not be a corner of the word")
-    values = _point_capacities(spec, word, base_depth, K, base.coords[vertex], budget)
-    return CapacityResult("point", word, base_depth, list(range(K + 1)), values, base.root_r)
+    values = _point_capacities(spec, word, base_depth, K, keys[vertex], budget)
+    return CapacityResult("point", word, base_depth, list(range(K + 1)), values, spec.r_of_word(word))
 
 
 # --- the balance report ---------------------------------------------------------
@@ -351,11 +359,11 @@ def a3_report(
     C_b uses the relative capacity of each subsampled word from the
     corner-chain identity, exact at every refinement, so K only labels the
     report.  C_c uses point capacities at vertices of the depth-N network
-    below the word, which is built whole once per word to number them; each
-    is solved by `_point_capacities`, which `capacity --point` uses too, on
-    that network refined only in the cells that hold the vertex, which gives
-    the same exact value.  All three constants are scale invariant, so root
-    normalization cancels.
+    below the word, which `vertex_keys` numbers once per word without
+    building that network; each is solved once by `_point_capacities`, which
+    `capacity --point` uses too, on that network refined only in the cells
+    that hold the vertex, which gives the same exact value.  All three
+    constants are scale invariant, so root normalization cancels.
     """
     if K < 0:
         raise InvalidParameterError(f"refinement must be >= 0, got {K}")
@@ -412,15 +420,15 @@ def a3_report(
         word, _ = words[idx]
         cap_rel = float(corner_chain_capacity(spec, word, N))
         # the point samples are vertices of the depth-N network below the word
-        base = level_network(spec, N, root=word, budget=budget)
-        inner = [v for v in range(base.n_vertices) if v not in base.boundary]
+        keys, boundary = vertex_keys(spec, N, word, budget)
+        inner = [v for v in range(len(keys)) if v not in boundary]
         pcount = min(point_samples, len(inner))
         pt_caps = []
         for j in range(pcount):
-            coord = base.coords[inner[(j * len(inner)) // pcount]]
-            pt_caps.append(float(_point_capacities(spec, word, N, 0, coord, budget)[0]))
+            point = keys[inner[(j * len(inner)) // pcount]]
+            pt_caps.append(float(_point_capacities(spec, word, N, 0, point, budget)[0]))
         cap_pt = min(pt_caps)
-        inv_r = 1.0 / float(base.root_r)
+        inv_r = 1.0 / float(spec.r_of_word(word))
         for s_idx, q0, nu_V, osc in picked_samples[idx]:
             nu_U_abs = 2.0 * q0 * inv_r
             nu_V_abs = 2.0 * nu_V * inv_r

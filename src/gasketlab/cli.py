@@ -400,6 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # an exact rational may run past the interpreter's default limit of 4,300
+    # digits for turning an int into a string
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .errors import (
     BudgetExceededError,
@@ -267,6 +267,10 @@ class GasketSpec:
     def r_of_letter(self, letter: Letter) -> Fraction:
         return extension_matrices(self.d, letter[1]).r
 
+    def r_of_word(self, word: Word) -> Fraction:
+        """The product of r over the word's letters."""
+        return math.prod((self.r_of_letter(letter) for letter in word), start=Fraction(1))
+
     def mu_of_letter(self, letter: Letter) -> Fraction:
         i, l = letter
         if self.measure == "natural":
@@ -467,28 +471,46 @@ def harmonic_values(spec: GasketSpec, m: int, u, budget: int = DEFAULT_WORD_BUDG
 
 # --- cell geometry ------------------------------------------------------------
 #
-# A cell's map psi(x) = scale * x + offset in barycentric coordinates is
-# carried as the pair (scale, offset).
+# The vertices of one network are keyed by integers over one denominator P
+# (`_denominator`), which every coordinate of the network divides.  A cell is
+# the pair (q, offset) of its map z -> (q z + offset) / P in barycentric
+# coordinates: q = P * scale and offset a tuple of integer numerators.
 
 
-def affine_step(affine, letter: Letter) -> tuple:
-    """The map of the child cell `letter` inside the cell with map `affine`."""
-    scale, offset = affine
+def _denominator(spec: GasketSpec, m: int, root: Word) -> int:
+    """P = lcm(levels) ** (len(root) + m): every vertex coordinate of the
+    depth-m network below `root` is an integer over it."""
+    return math.lcm(*spec.levels) ** (len(root) + m)
+
+
+@lru_cache(maxsize=None)
+def _anchor_rows(d: int, l: int) -> list:
+    """The integer anchors a of the level-l cells, whose maps are z -> (z + a) / l."""
+    return [tuple(int(x * l) for x in cell) for cell in subdivide(d, l).cells]
+
+
+def _cell_step(cell, letter: Letter) -> tuple:
+    """The child cell `letter` of `cell`: (q // l, offset + (q // l) * anchor)."""
+    q, offset = cell
     i, l = letter
-    alpha = subdivide(len(offset) - 1, l).cells[i - 1]
-    return scale / l, [offset[k] + scale * alpha[k] for k in range(len(offset))]
+    q //= l
+    return q, tuple(o + q * a for o, a in zip(offset, _anchor_rows(len(offset) - 1, l)[i - 1]))
 
 
-def _root_affine(spec: GasketSpec, root: Word) -> tuple:
-    """The map of the root word's cell, composed letter by letter."""
-    return reduce(affine_step, root, (Fraction(1), [Fraction(0)] * (spec.d + 1)))
+def _root_cell(spec: GasketSpec, root: Word, P: int) -> tuple:
+    """The root word's cell over the denominator P, composed letter by letter."""
+    return reduce(_cell_step, root, (P, (0,) * (spec.d + 1)))
 
 
-def cell_corners(affine) -> list:
-    """Exact coordinates of a cell's d+1 corners, in corner order."""
-    scale, offset = affine
-    n = len(offset)
-    return [tuple(offset[t] + (scale if t == k else 0) for t in range(n)) for k in range(n)]
+def _corner_keys(cell) -> list:
+    """The integer keys of a cell's d+1 corners, in corner order."""
+    q, offset = cell
+    return [offset[:k] + (offset[k] + q,) + offset[k + 1 :] for k in range(len(offset))]
+
+
+def _coord(key, P: int) -> tuple:
+    """The exact barycentric coordinates of the vertex with integer key `key`."""
+    return tuple(Fraction(x, P) for x in key)
 
 
 # --- conductance networks -----------------------------------------------------
@@ -526,45 +548,63 @@ class ConductanceNetwork:
         return adj
 
 
+def _numbered_cells(spec: GasketSpec, m: int, root: Word, budget: int, stop, index: dict):
+    """Walk the cells of the depth-m network below `root` and number their
+    corners.  Yields (relative word, corner ids, r_num, r_den) for each leaf
+    cell, with r_num / r_den its r_w relative to the root as an unreduced
+    integer pair; `index` is filled with each corner's integer key over
+    P = `_denominator(spec, m, root)`, mapped to its id, in the order in which
+    the walk first reaches it.
+
+    The walk state, which `stop` is given, is (q, offset, r_num, r_den):
+    the cell's map z -> (q z + offset) / P and the pair r_num / r_den."""
+    spec.validate_word(root)
+    r_pairs = _letter_pairs(spec, spec.r_of_letter)
+
+    def step(state, letter):
+        q, offset, r_num, r_den = state
+        a, b = r_pairs[letter[1]][letter[0] - 1]
+        return (*_cell_step((q, offset), letter), r_num * a, r_den * b)
+
+    start = (*_root_cell(spec, root, _denominator(spec, m, root)), 1, 1)
+    for word, (q, offset, r_num, r_den) in walk(spec, m, start, step, root, budget, stop):
+        ids = tuple(index.setdefault(key, len(index)) for key in _corner_keys((q, offset)))
+        yield word, ids, r_num, r_den
+
+
+def vertex_keys(spec: GasketSpec, m: int, root: Word = (), budget: int = DEFAULT_WORD_BUDGET) -> tuple:
+    """(keys, boundary) of `level_network(spec, m, root, budget)`: its
+    vertices' integer keys over `_denominator(spec, m, root)` in id order, and
+    its boundary ids, from the same walk, with no edge, cell or Fraction
+    built."""
+    index: dict = {}
+    for _ in _numbered_cells(spec, m, root, budget, None, index):
+        pass
+    P = _denominator(spec, m, root)
+    return list(index), [index[key] for key in _corner_keys(_root_cell(spec, root, P))]
+
+
 def level_network(
     spec: GasketSpec, m: int, root: Word = (), budget: int = DEFAULT_WORD_BUDGET, stop=None
 ) -> ConductanceNetwork:
     """The depth-m cell network below `root`: vertices are the distinct
     images of the simplex corners, each cell contributes complete-graph edges
     with conductance 1/r_w (relative to the root).  Vertex ids follow the
-    order in which the walk first reaches each corner.
+    order in which the walk of `_numbered_cells` first reaches each corner,
+    and each vertex's exact coordinates are built once from its integer key.
 
-    `stop` is passed to the walk, on the state ((scale, offset), r_w) of a
-    cell: a cell above depth m that it stops is kept whole, as its complete
+    `stop` is passed to that walk, on the state (q, offset, r_num, r_den) of
+    a cell: a cell above depth m that it stops is kept whole, as its complete
     graph with conductance 1/r_w, exactly as a depth-m cell is.  That graph
     is the exact trace of every cell below it, so the network is the trace
     of the depth-m network onto its own vertices, and a Dirichlet problem
     that pins only vertices of it has the same energy on both."""
-    spec.validate_word(root)
     d = spec.d
-    root_affine = _root_affine(spec, root)
-    root_r = math.prod((spec.r_of_letter(letter) for letter in root), start=Fraction(1))
-
-    coords: list = []
-    coord_index: dict = {}
+    index: dict = {}
     edges: dict = {}
     cells: list = []
-
-    def vid_of(coord) -> int:
-        v = coord_index.get(coord)
-        if v is None:
-            v = len(coords)
-            coord_index[coord] = v
-            coords.append(coord)
-        return v
-
-    def step(state, letter):
-        affine, r = state
-        return affine_step(affine, letter), r * spec.r_of_letter(letter)
-
-    for word, (affine, r) in walk(spec, m, (root_affine, Fraction(1)), step, root, budget, stop):
-        ids = tuple(vid_of(coord) for coord in cell_corners(affine))
-        w = 1 / r
+    for word, ids, r_num, r_den in _numbered_cells(spec, m, root, budget, stop, index):
+        w = Fraction(r_den, r_num)
         # distinct cells share at most one vertex, so no edge is set twice
         for a in range(d + 1):
             for b in range(a + 1, d + 1):
@@ -572,16 +612,17 @@ def level_network(
                 key = (i, j) if i < j else (j, i)
                 edges[key] = w
         cells.append((word, ids, w))
-    boundary = [vid_of(coord) for coord in cell_corners(root_affine)]
+    P = _denominator(spec, m, root)
+    coords = [_coord(key, P) for key in index]
     return ConductanceNetwork(
         d=d,
         coords=coords,
-        coord_index=coord_index,
+        coord_index={coord: v for v, coord in enumerate(coords)},
         edges=edges,
-        boundary=boundary,
+        boundary=[index[key] for key in _corner_keys(_root_cell(spec, root, P))],
         cells=cells,
         root=root,
-        root_r=root_r,
+        root_r=spec.r_of_word(root),
         depth=m,
     )
 

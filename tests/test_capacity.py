@@ -28,8 +28,9 @@ from gasketlab.capacity import (
 from gasketlab.errors import InadmissibleWordError, InvalidParameterError, InvalidVertexError
 from gasketlab.gasket import (
     GasketSpec,
-    _root_affine,
-    cell_corners,
+    _corner_keys,
+    _denominator,
+    _root_cell,
     dirichlet_solve,
     encode_word,
     enumerate_words,
@@ -102,13 +103,11 @@ def test_inner_set_classification(sg):
     assert {v for v, x in pins.items() if x == 0} == set(net3.boundary)
     # a free vertex lies in a closed chain cell (every coordinate at least the
     # cell's offset) without being one of its corners
-    chains = [_root_affine(sg, tuple((c, l) for l in corner_chain_labels(sg, (), c, 2))) for c in (1, 2, 3)]
+    P = _denominator(sg, 3, ())
+    chains = [_root_cell(sg, tuple((c, l) for l in corner_chain_labels(sg, (), c, 2)), P) for c in (1, 2, 3)]
     for v in range(net3.n_vertices):
-        coord = net3.coords[v]
-        inside = any(
-            coord not in cell_corners(affine) and all(x >= o for x, o in zip(coord, affine[1]))
-            for affine in chains
-        )
+        key = tuple(int(x * P) for x in net3.coords[v])
+        inside = any(key not in _corner_keys(cell) and all(x >= o for x, o in zip(key, cell[1])) for cell in chains)
         assert inside == (v in free)
 
 
@@ -371,8 +370,9 @@ def point_cases(draw):
 @PROPERTY
 @given(point_cases())
 def test_point_capacity_is_the_full_network_solve(case):
-    # the trace-reduced network gives the full depth-m solve's exact energy,
-    # and it is refined to depth m in exactly the cells at the vertex
+    # every refinement is the full depth-(base_depth + k) solve's exact
+    # energy, and the trace-reduced network is refined to its depth in
+    # exactly the cells at the vertex
     spec, word, vertex, base_depth, K = case
     res = point_capacity(spec, word, vertex, K, base_depth)
     assert res.refinements == list(range(K + 1)) and all(isinstance(v, Fraction) for v in res.values)
@@ -381,7 +381,9 @@ def test_point_capacity_is_the_full_network_solve(case):
         full = level_network(spec, base_depth + k, root=word)
         _, energy, _ = dirichlet_solve(full, _point_pins(coord, full))
         assert res.values[k] == energy
-        reduced = level_network(spec, base_depth + k, root=word, stop=partial(_misses, coord))
+        P = _denominator(spec, base_depth + k, word)
+        point = tuple(int(x * P) for x in coord)
+        reduced = level_network(spec, base_depth + k, root=word, stop=partial(_misses, point))
         assert set(reduced.coords) <= set(full.coords)
         at = [{rel for rel, ids, _ in net.cells if net.coord_index[coord] in ids} for net in (reduced, full)]
         assert at[0] == at[1]
@@ -407,12 +409,16 @@ def _record_networks_and_solves(monkeypatch):
 
 
 def test_point_capacity_solves_only_reduced_networks(sg, monkeypatch):
+    # the vertex walk numbers the depth-6 vertices without building a network,
+    # and one solve at depth 6 gives every refinement
     built, solved = _record_networks_and_solves(monkeypatch)
-    point_capacity(sg, (), 5, K=1, base_depth=6)
-    assert len(solved) == 2 and max(solved) < 100
-    # the one whole network is the depth-6 numbering; both depths are solved reduced
-    assert [(m, n) for m, stopped, n in built if not stopped] == [(6, 1095)]
-    assert [m for m, stopped, _ in built if stopped] == [6, 7]
+    for K in (0, 1, 3):
+        built.clear()
+        solved.clear()
+        res = point_capacity(sg, (), 5, K=K, base_depth=6)
+        assert [(m, stopped) for m, stopped, _ in built] == [(6, True)]
+        assert len(solved) == 1 and solved[0] < 100
+        assert len(res.values) == K + 1
 
 
 def test_relative_capacity_builds_and_solves_nothing(sg, mixed, monkeypatch):
@@ -423,13 +429,12 @@ def test_relative_capacity_builds_and_solves_nothing(sg, mixed, monkeypatch):
 
 
 def test_a3_point_samples_solve_only_reduced_networks(mixed, monkeypatch):
+    # no whole depth-N network: the point samples are numbered by the vertex walk
     built, solved = _record_networks_and_solves(monkeypatch)
     N = default_inner_depth(mixed)
     a3_report(mixed, 3, samples=2, cap_words=1, point_samples=3)
     assert len(solved) == 3 and max(solved) < 100
-    whole = [(m, n) for m, stopped, n in built if not stopped]
-    assert len(whole) == 1 and whole[0][0] == N and whole[0][1] > 100
-    assert [m for m, stopped, _ in built if stopped] == [N] * 3
+    assert [(m, stopped) for m, stopped, _ in built] == [(N, True)] * 3
 
 
 # --- the exact sampling loop --------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasketlab.capacity import corner_chain_capacity
 from gasketlab.cli import load_spec, main
 from gasketlab.errors import SpecParseError, SpecSemanticError
 from gasketlab.subdivision import cell_count
@@ -119,6 +120,7 @@ def test_capacity_and_blowup_honour_and_record_the_budget(argv, walks, sg_spec, 
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SG = '{"dimension": 2, "levels": [2]}'
 SEEDED_T23 = '{"dimension": 2, "levels": [2, 3], "labeling": {"type": "seeded", "seed": 1, "weights": {"2": 1.0, "3": 1.0}}}'
 SEEDED_D3 = '{"dimension": 3, "levels": [2, 3], "labeling": {"type": "seeded", "seed": 7, "weights": {"2": 1.0, "3": 1.0}}}'
 
@@ -126,7 +128,7 @@ SEEDED_D3 = '{"dimension": 3, "levels": [2, 3], "labeling": {"type": "seeded", "
 @pytest.mark.parametrize(
     "golden, spec_text, argv",
     [
-        ("capacity_sg_n4_r2.json", '{"dimension": 2, "levels": [2]}', ["--inner-n", "4", "--refine", "2"]),
+        ("capacity_sg_n4_r2.json", SG, ["--inner-n", "4", "--refine", "2"]),
         ("capacity_seeded_1-3_r2.json", SEEDED_T23, ["--word", "1^3", "--refine", "2"]),
         ("capacity_seeded_d3_n2.json", SEEDED_D3, ["--inner-n", "2"]),
     ],
@@ -139,6 +141,75 @@ def test_relative_capacity_reports_are_the_golden_bytes(golden, spec_text, argv,
     assert main(["capacity", "--spec", str(spec), *argv]) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ((GOLDEN / golden).read_text(), "")
+
+
+@pytest.mark.parametrize(
+    "golden, spec_text, argv",
+    [
+        ("capacity_point_sg_d4_v5.json", SG, ["--point", "5", "--base-depth", "4", "--refine", "1"]),
+        ("capacity_point_sg_d4_v100.json", SG, ["--point", "100", "--base-depth", "4", "--refine", "1"]),
+        (
+            "capacity_point_seeded_1-3_v7_d3.json",
+            SEEDED_T23,
+            ["--word", "1^3", "--point", "7", "--base-depth", "3", "--refine", "1"],
+        ),
+    ],
+    ids=["sg-v5", "sg-v100", "seeded-d2-T23"],
+)
+def test_point_capacity_reports_are_the_golden_bytes(golden, spec_text, argv, tmp_path, capsys):
+    # the bytes the point capacity printed when it numbered the vertices on a
+    # whole network and solved every refinement
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    assert main(["capacity", "--spec", str(spec), *argv]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ((GOLDEN / golden).read_text(), "")
+
+
+def test_verify_a3_report_and_rows_are_the_golden_bytes(tmp_path, capsys):
+    # the bytes verify-a3 wrote when it numbered each capacity word's point
+    # samples on the whole depth-N network
+    spec = tmp_path / "spec.json"
+    spec.write_text(SEEDED_T23)
+    rows = tmp_path / "rows.csv"
+    argv = ["verify-a3", "--spec", str(spec), "--depth", "2", "--cap-words", "2", "--rows-out", str(rows)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ((GOLDEN / "verify_a3_seeded_d2_c2.json").read_text(), "")
+    assert rows.read_bytes() == (GOLDEN / "verify_a3_seeded_d2_c2_rows.csv").read_bytes()
+
+
+def test_a_capacity_past_the_int_string_limit_prints_in_full(tmp_path, capsys):
+    # the depth-10,000 corner chains give a denominator of more than 4,300
+    # digits, Python's default limit for turning an int into a string
+    spec = tmp_path / "spec.json"
+    spec.write_text(SEEDED_T23)
+    assert main(["capacity", "--spec", str(spec), "--inner-n", "10000", "--refine", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (value,) = json.loads(captured.out)["report"]["values"]
+    num, den = value.split("/")
+    assert len(den) > 4300
+    want = corner_chain_capacity(load_spec(str(spec)), (), 10000)
+    assert (int(num), int(den)) == (want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--point", "5", "--base-depth", "6", "--budget", "100"], "more than 100 words at depth 6"),
+        (["--point", "-1", "--base-depth", "6"], "vertex -1 not in depth-6 network"),
+        (["--point", "1095", "--base-depth", "6"], "vertex 1095 not in depth-6 network"),
+        (["--point", "0", "--base-depth", "6"], "point capacity target must not be a corner of the word"),
+    ],
+    ids=["budget", "negative", "past-the-last", "corner"],
+)
+def test_a_bad_point_capacity_input_exits_2_with_one_line(argv, message, sg_spec, capsys):
+    # the numbering walk counts the same depth-6 leaves against the budget as
+    # the whole network did, and the depth-6 standard gasket has 1,095 vertices
+    assert main(["capacity", "--spec", sg_spec, *argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

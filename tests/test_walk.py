@@ -2,6 +2,7 @@
 dimensions, level sets, labelings, seeds and measures."""
 
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,19 +21,23 @@ from gasketlab.energy import (
 )
 from gasketlab.errors import BudgetExceededError, DegenerateBasisError, InvalidParameterError
 from gasketlab.gasket import (
+    ConductanceNetwork,
     GasketSpec,
+    _coord,
+    _denominator,
     _mix64,
     _mix_text,
-    _root_affine,
+    _root_cell,
     encode_word,
     iter_words,
     level_network,
     measure_totals,
+    vertex_keys,
     walk,
     word_hash_unit,
 )
 from gasketlab.harmonic import extension_matrices
-from gasketlab.subdivision import cell_count
+from gasketlab.subdivision import cell_count, subdivide
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -223,24 +228,112 @@ def test_iter_words_is_the_fraction_fold_below_a_root_with_a_per_letter_measure(
     assert len({mu for _, _, mu in rows}) > 1
 
 
-@PROPERTY
-@given(specs(), st.data())
-def test_every_network_sets_each_cell_edge_once(spec, data):
-    # distinct cells share at most one vertex, so no two cells share an edge
+def network_depth(spec: GasketSpec) -> int:
+    """The deepest network that stays below a few hundred cells."""
     widest = max(cell_count(spec.d, l) for l in spec.levels)
     m = 0
     while widest ** (m + 1) <= 400:
         m += 1
+    return m
+
+
+@PROPERTY
+@given(specs(), st.data())
+def test_every_network_sets_each_cell_edge_once(spec, data):
+    # distinct cells share at most one vertex, so no two cells share an edge;
+    # the stop set is keyed on the cell (q, offset) of the walk state
+    m = network_depth(spec)
+    P = _denominator(spec, m, ())
     stopped = set()
     for k in range(1, m):
         for word in data.draw(st.lists(st.sampled_from(walked_words(spec, k)), max_size=3)):
-            scale, offset = _root_affine(spec, word)
-            stopped.add((scale, tuple(offset)))
-    net = level_network(spec, m, stop=lambda state: (state[0][0], tuple(state[0][1])) in stopped)
+            stopped.add(_root_cell(spec, word, P))
+    net = level_network(spec, m, stop=lambda state: state[:2] in stopped)
     d = spec.d
     assert len(net.edges) == len(net.cells) * d * (d + 1) // 2
     for _, ids, w in net.cells:
         assert all(net.edges[min(i, j), max(i, j)] == w for i in ids for j in ids if i != j)
+
+
+# --- the Fraction-keyed network builder, kept as the oracle of level_network ---
+
+
+def reference_affine_step(affine, letter):
+    """The map (scale, offset) of the child cell `letter`, in Fractions."""
+    scale, offset = affine
+    i, l = letter
+    alpha = subdivide(len(offset) - 1, l).cells[i - 1]
+    return scale / l, [offset[k] + scale * alpha[k] for k in range(len(offset))]
+
+
+def reference_root_affine(spec, root):
+    return reduce(reference_affine_step, root, (Fraction(1), [Fraction(0)] * (spec.d + 1)))
+
+
+def reference_corners(affine):
+    scale, offset = affine
+    n = len(offset)
+    return [tuple(offset[t] + (scale if t == k else 0) for t in range(n)) for k in range(n)]
+
+
+def reference_network(spec, m, root=(), stop=None):
+    """level_network with Fraction coordinates all the way: the walk carries
+    each cell's map (scale, offset) and r_w as Fractions, `stop` is given
+    ((scale, offset), r_w), and a vertex is numbered by its coordinate tuple."""
+    d = spec.d
+    root_affine = reference_root_affine(spec, root)
+    coords, coord_index, edges, cells = [], {}, {}, []
+
+    def vid_of(coord):
+        if coord not in coord_index:
+            coord_index[coord] = len(coords)
+            coords.append(coord)
+        return coord_index[coord]
+
+    def step(state, letter):
+        affine, r = state
+        return reference_affine_step(affine, letter), r * spec.r_of_letter(letter)
+
+    for word, (affine, r) in walk(spec, m, (root_affine, Fraction(1)), step, root, stop=stop):
+        ids = tuple(vid_of(coord) for coord in reference_corners(affine))
+        for a in range(d + 1):
+            for b in range(a + 1, d + 1):
+                edges[min(ids[a], ids[b]), max(ids[a], ids[b])] = 1 / r
+        cells.append((word, ids, 1 / r))
+    boundary = [vid_of(coord) for coord in reference_corners(root_affine)]
+    root_r = reduce(lambda r, letter: r * spec.r_of_letter(letter), root, Fraction(1))
+    return ConductanceNetwork(d, coords, coord_index, edges, boundary, cells, root, root_r, m)
+
+
+@PROPERTY
+@given(specs(), st.data())
+def test_level_network_is_the_fraction_keyed_reference(spec, data):
+    # below a root word of depth 0..2, unstopped or with a random stop set
+    # keyed on each builder's own walk state
+    root = data.draw(st.sampled_from(walked_words(spec, data.draw(st.integers(0, 2)))))
+    m = network_depth(spec)
+    above = sorted({w[:k] for w in walked_words(spec, m, root) for k in range(m)})
+    stopped = data.draw(st.sets(st.sampled_from(above), max_size=5)) if above else set()
+    P = _denominator(spec, m, root)
+    fraction_keys = set()
+    for w in stopped:
+        scale, offset = reference_root_affine(spec, root + w)
+        fraction_keys.add((scale, tuple(offset)))
+    integer_keys = {_root_cell(spec, root + w, P) for w in stopped}
+    fraction_stop = (lambda state: (state[0][0], tuple(state[0][1])) in fraction_keys) if stopped else None
+    want = reference_network(spec, m, root, stop=fraction_stop)
+    got = level_network(spec, m, root, stop=(lambda state: state[:2] in integer_keys) if stopped else None)
+    assert got.coords == want.coords
+    assert all(type(x) is Fraction for coord in got.coords for x in coord)
+    assert got.coord_index == want.coord_index
+    assert got.edges == want.edges
+    assert got.cells == want.cells
+    assert (got.boundary, got.root_r, got.root, got.depth) == (want.boundary, want.root_r, root, m)
+    # the vertex walk numbers the unstopped network's vertices as it does
+    keys, boundary = vertex_keys(spec, m, root)
+    whole = reference_network(spec, m, root) if stopped else want
+    assert [_coord(key, P) for key in keys] == whole.coords
+    assert boundary == whole.boundary
 
 
 def test_explicit_entries_are_matched_by_canonical_text():
