@@ -9,13 +9,11 @@ with the balance constants, and the blow-up/push-forward diagnostic.
 from .blowup import BlowupCloud, blowup_cloud, density_grid
 from .capacity import (
     A3Report,
-    CapacityResult,
     a3_report,
     corner_chain_capacity,
     default_inner_depth,
     inner_set_pins,
     point_capacity,
-    relative_capacity,
 )
 from .energy import (
     CellEnergyMatrix,

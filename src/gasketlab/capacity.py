@@ -11,13 +11,12 @@ relative capacity is then the energy of the chain cells' corner edges,
 d * sum over the corners of 1/r_chain, and the networks are exact traces, so
 every refinement reproduces that value.
 
-So `relative_capacity` reads every refinement off that identity and builds
-no network; the network solve stays in the tests as its oracle.  A point
-capacity pins only vertices of its base depth, so by the same trace property
-every refinement has the base depth's value: `_point_capacities` solves it
-once, on a trace-reduced network refined only in the cells whose closure
-holds the target vertex.  The vertices a point capacity may target are
-numbered by `vertex_keys`, a walk over integer keys that builds no network.
+So every capacity is one exact value, and nothing takes a refinement count.
+`corner_chain_capacity` reads it off that identity; the network solve stays
+in the tests as its oracle.  A point capacity pins only vertices of its base
+depth, so it is the base depth's value: `_point_capacity` solves it once, on
+a trace-reduced network refined only in the cells whose closure holds the
+target vertex, numbered by `vertex_keys`, a walk that builds no network.
 
 The corner masses of the A3 report are read off the corner-chain
 eigenstructure: on u = a 1 + (u_i, u) v_i + y, the chain form
@@ -89,10 +88,13 @@ def corner_chain_capacity(spec: GasketSpec, word: Word, N: int) -> Fraction:
     """The root-normalized relative capacity below `word` from the corner-chain
     identity: d * sum over the corners of 1/r_chain, where r_chain is the
     product of r over the labels of the corner's N-deep chain."""
+    if N < 1:
+        raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
+    key = spec.validate_word(word)
     total = Fraction(0)
     for corner in range(1, spec.d + 2):
         r_chain = Fraction(1)
-        for l in corner_chain_labels(spec, word, corner, N):
+        for l in _chain_labels(spec, key, corner, N):
             r_chain *= extension_matrices(spec.d, l).r
         total += 1 / r_chain
     return spec.d * total
@@ -138,74 +140,37 @@ def _misses(point, state) -> bool:
     return any(x < o for x, o in zip(point, offset))
 
 
-@dataclass
-class CapacityResult:
-    """Capacity estimates over nested refinements.  Values are root
-    normalized; divide by root_r for the absolute scale."""
-
-    kind: str
-    word: Word
-    base_depth: int
-    refinements: list
-    values: list
-    root_r: Fraction = Fraction(1)
-
-    @property
-    def absolute_values(self) -> list:
-        return [v / self.root_r for v in self.values]
-
-
-def _point_capacities(spec: GasketSpec, word: Word, base_depth: int, K: int, point, budget: int) -> list:
-    """The capacities between the vertex with integer key `point` in the
-    depth-base_depth network below the word (`vertex_keys`) and the word's
-    corners on the depth-(base_depth + k) networks, for k = 0..K.
+def _point_capacity(spec: GasketSpec, word: Word, base_depth: int, point, budget: int) -> Fraction:
+    """The capacity between the vertex with integer key `point` in the
+    depth-base_depth network below the word (`vertex_keys`) and its corners.
 
     The networks are exact traces and the problem pins only depth-base_depth
     vertices, so every refinement has the same value: it is solved once, on
     the depth-base_depth network refined only in the cells whose closure
     holds the vertex.  Every other cell stays whole as its complete graph
     with conductance 1/r_w, the exact trace of the cells below it."""
-    if K < 0:
-        raise InvalidParameterError(f"refinement must be >= 0, got {K}")
     net = level_network(spec, base_depth, root=word, budget=budget, stop=partial(_misses, point))
     coord = _coord(point, _denominator(spec, base_depth, word))
-    return [dirichlet_solve(net, _point_pins(coord, net))[1]] * (K + 1)
-
-
-def relative_capacity(spec: GasketSpec, word: Word, N: int, K: int = 0) -> CapacityResult:
-    """Capacity between the inner set and the word's own corners on the
-    networks of depth N..N+K below the word.  The networks are exact traces,
-    so every refinement is the corner-chain identity's value,
-    `corner_chain_capacity`; nothing is built or solved."""
-    if K < 0:
-        raise InvalidParameterError(f"refinement must be >= 0, got {K}")
-    value = corner_chain_capacity(spec, word, N)
-    return CapacityResult("inner-set", word, N, list(range(K + 1)), [value] * (K + 1), spec.r_of_word(word))
+    return dirichlet_solve(net, _point_pins(coord, net))[1]
 
 
 def point_capacity(
-    spec: GasketSpec,
-    word: Word,
-    vertex: int,
-    K: int = 0,
-    base_depth: int = 1,
-    budget: int = DEFAULT_WORD_BUDGET,
-) -> CapacityResult:
-    """Capacity between one finite-level vertex and the word's corners.
+    spec: GasketSpec, word: Word, vertex: int, base_depth: int = 1, budget: int = DEFAULT_WORD_BUDGET
+) -> Fraction:
+    """Root-normalized capacity between one finite-level vertex and the
+    word's corners; divide by r_w for the absolute scale.
 
     The vertex id refers to the depth-base_depth network below the word.  The
     network is not built: `vertex_keys` walks its cells and numbers their
     corners, which checks the id and gives the vertex's integer key.
-    Every refinement k is the full depth-(base_depth + k) network's value,
-    which `_point_capacities` solves once.
+    `_point_capacity` solves it once; every deeper network has the same value.
     """
     keys, boundary = vertex_keys(spec, base_depth, word, budget)
     if not 0 <= vertex < len(keys):
         raise InvalidVertexError(f"vertex {vertex} not in depth-{base_depth} network")
     if vertex in boundary:
         raise InvalidVertexError("point capacity target must not be a corner of the word")
-    values = _point_capacities(spec, word, base_depth, K, keys[vertex], budget)
-    return CapacityResult("point", word, base_depth, list(range(K + 1)), values, spec.r_of_word(word))
+    return _point_capacity(spec, word, base_depth, keys[vertex], budget)
 
 
 # --- the balance report ---------------------------------------------------------
@@ -301,7 +266,6 @@ class A3Report:
     spec_digest: str
     depth: int
     N: int
-    K: int
     samples: int
     seed: int
     words_total: int
@@ -319,7 +283,6 @@ class A3Report:
             "spec": self.spec_digest,
             "depth": self.depth,
             "inner_depth": self.N,
-            "refinement": self.K,
             "samples_per_word": self.samples,
             "seed": self.seed,
             "words_total": self.words_total,
@@ -339,7 +302,6 @@ def a3_report(
     m: int,
     N: int | None = None,
     samples: int = 64,
-    K: int = 1,
     seed: int = 0,
     cap_words: int = 8,
     point_samples: int = 3,
@@ -357,16 +319,14 @@ def a3_report(
     cross-multiplication, and only the rows of the capacity words are kept.
 
     C_b uses the relative capacity of each subsampled word from the
-    corner-chain identity, exact at every refinement, so K only labels the
-    report.  C_c uses point capacities at vertices of the depth-N network
-    below the word, which `vertex_keys` numbers once per word without
-    building that network; each is solved once by `_point_capacities`, which
-    `capacity --point` uses too, on that network refined only in the cells
-    that hold the vertex, which gives the same exact value.  All three
+    corner-chain identity, exact at every refinement.  C_c uses point
+    capacities at vertices of the depth-N network below the word, which
+    `vertex_keys` numbers once per word without building that network; each
+    is solved once by `_point_capacity`, which `capacity --point` uses too,
+    on that network refined only in the cells that hold the vertex, which
+    gives the same exact value.  All three
     constants are scale invariant, so root normalization cancels.
     """
-    if K < 0:
-        raise InvalidParameterError(f"refinement must be >= 0, got {K}")
     if samples < 1:
         raise InvalidParameterError("need at least one sample per word")
     if cap_words < 1:
@@ -426,7 +386,7 @@ def a3_report(
         pt_caps = []
         for j in range(pcount):
             point = keys[inner[(j * len(inner)) // pcount]]
-            pt_caps.append(float(_point_capacities(spec, word, N, 0, point, budget)[0]))
+            pt_caps.append(float(_point_capacity(spec, word, N, point, budget)))
         cap_pt = min(pt_caps)
         inv_r = 1.0 / float(spec.r_of_word(word))
         for s_idx, q0, nu_V, osc in picked_samples[idx]:
@@ -456,7 +416,6 @@ def a3_report(
         spec_digest=spec.describe(),
         depth=m,
         N=N,
-        K=K,
         samples=samples,
         seed=seed,
         words_total=n_words,

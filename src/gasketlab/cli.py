@@ -179,20 +179,26 @@ def cmd_dim_estimate(args) -> int:
     return 0
 
 
+def _check_refine(refine: int) -> None:
+    if refine < 0:
+        raise InvalidParameterError(f"refinement must be >= 0, got {refine}")
+
+
 def cmd_verify_a3(args) -> int:
     spec = load_spec(args.spec)
+    _check_refine(args.refine)
     report = capacity_mod.a3_report(
         spec,
         args.depth,
         N=args.inner_n,
         samples=args.samples,
-        K=args.refine,
         seed=args.seed,
         cap_words=args.cap_words,
         point_samples=args.point_samples,
         budget=args.budget,
     )
-    _emit_json({"config": _config(args, spec, inner_n=report.N), "report": report.to_dict()}, args.out)
+    payload = {"config": _config(args, spec, inner_n=report.N), "report": {**report.to_dict(), "refinement": args.refine}}
+    _emit_json(payload, args.out)
     if args.rows_out:
         _emit_csv(
             ["word", "sample_id", "nu_U", "nu_V", "osc", "cap_rel", "cap_pt", "ratio_a", "ratio_b", "ratio_c"],
@@ -202,26 +208,36 @@ def cmd_verify_a3(args) -> int:
     return 0
 
 
+def _refinements(args) -> list:
+    """The refinements k = 0..--refine of a capacity report.  A capacity is one
+    exact value at every refinement, so the report only repeats it, and at
+    most --budget times."""
+    _check_refine(args.refine)
+    if args.refine + 1 > args.budget:
+        raise InvalidParameterError(f"more than {args.budget} refinements")
+    return list(range(args.refine + 1))
+
+
 def cmd_capacity(args) -> int:
     spec = load_spec(args.spec)
     word = parse_word(args.word)
     spec.validate_word(word)
     resolved = {}
     if args.point is not None:
-        result = capacity_mod.point_capacity(
-            spec, word, args.point, K=args.refine, base_depth=args.base_depth, budget=args.budget
-        )
+        value = capacity_mod.point_capacity(spec, word, args.point, base_depth=args.base_depth, budget=args.budget)
+        refinements = _refinements(args)
     else:
         n = capacity_mod.default_inner_depth(spec) if args.inner_n is None else args.inner_n
-        result = capacity_mod.relative_capacity(spec, word, n, K=args.refine)
+        refinements = _refinements(args)
+        value = capacity_mod.corner_chain_capacity(spec, word, n)
         resolved["inner_n"] = n
     payload = {
         "config": _config(args, spec, **resolved),
         "report": {
-            "kind": result.kind,
-            "refinements": result.refinements,
-            "values": [frac_str(v) for v in result.values],
-            "root_r": frac_str(result.root_r),
+            "kind": "inner-set" if args.point is None else "point",
+            "refinements": refinements,
+            "values": [frac_str(value)] * len(refinements),
+            "root_r": frac_str(spec.r_of_word(word)),
             "arithmetic_mode": "exact",
         },
     }

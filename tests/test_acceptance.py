@@ -11,7 +11,14 @@ from itertools import combinations
 
 import numpy as np
 
-from gasketlab.capacity import a3_report, default_inner_depth, point_capacity, relative_capacity
+from gasketlab.capacity import (
+    _point_pins,
+    a3_report,
+    corner_chain_capacity,
+    default_inner_depth,
+    inner_set_pins,
+    point_capacity,
+)
 from gasketlab.cli import main
 from gasketlab.energy import default_basis, index_estimate, kusuoka_distribution
 from gasketlab.blowup import blowup_cloud, density_grid
@@ -173,14 +180,14 @@ def test_criterion_8_a3_balance_and_stability():
         for name, spec in THREE_SPECS:
             n_inner = default_inner_depth(spec)
             for depth in (2, 3, 4):
-                rep = a3_report(spec, depth, N=n_inner, samples=64, K=1, seed=0, cap_words=4)
+                rep = a3_report(spec, depth, N=n_inner, samples=64, seed=0, cap_words=4)
                 assert rep.inequality_violations == 0, (name, depth)
                 num, den = map(int, rep.worst_mass_ratio.split("/"))
                 assert Fraction(num, den) <= 2, (name, depth)
         for name, spec in THREE_SPECS:
             cbs, ccs = [], []
             for depth in (2, 3, 4, 5):
-                rep = a3_report(spec, depth, samples=16, K=1, seed=0, cap_words=6)
+                rep = a3_report(spec, depth, samples=16, seed=0, cap_words=6)
                 cbs.append(rep.C_b)
                 ccs.append(rep.C_c)
             assert all(np.isfinite(cbs)) and all(np.isfinite(ccs))
@@ -189,7 +196,7 @@ def test_criterion_8_a3_balance_and_stability():
 
 
 def test_criterion_9_capacity_solver_oracle_and_monotone_sequences():
-    with Criterion(9, "triangle Dirichlet oracle; capacity sequences non-increasing"):
+    with Criterion(9, "triangle Dirichlet oracle; capacities constant across refinements"):
         net = level_network(SG, 0)
         b0, b1, b2 = net.boundary
         vals, energy, _ = dirichlet_solve(net, {b0: Fraction(1), b1: Fraction(0)})
@@ -204,14 +211,16 @@ def test_criterion_9_capacity_solver_oracle_and_monotone_sequences():
             n_inner = default_inner_depth(spec)
             words = [w for w, _, _ in enumerate_words(spec, 2)]
             for word in (words[0], words[len(words) // 2]):
-                rel = relative_capacity(spec, word, n_inner, K=1)
-                assert all(
-                    rel.values[i + 1] <= rel.values[i] for i in range(len(rel.values) - 1)
-                ), (name, word)
+                # one exact value equal to the full depth-N and depth-N+1
+                # solves: constant, the strongest form of non-increasing
+                rel = corner_chain_capacity(spec, word, n_inner)
                 desc_net = level_network(spec, n_inner, root=word)
                 inner = [v for v in range(desc_net.n_vertices) if v not in desc_net.boundary]
-                pt = point_capacity(spec, word, inner[0], K=1, base_depth=n_inner)
-                assert all(pt.values[i + 1] <= pt.values[i] for i in range(len(pt.values) - 1))
+                pt = point_capacity(spec, word, inner[0], base_depth=n_inner)
+                coord = desc_net.coords[inner[0]]
+                for net in (desc_net, level_network(spec, n_inner + 1, root=word)):
+                    assert dirichlet_solve(net, inner_set_pins(spec, word, n_inner, net))[1] == rel, (name, word)
+                    assert dirichlet_solve(net, _point_pins(coord, net))[1] == pt, (name, word)
 
 
 def test_criterion_10_blowup_conservation():

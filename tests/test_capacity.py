@@ -22,7 +22,6 @@ from gasketlab.capacity import (
     default_inner_depth,
     inner_set_pins,
     point_capacity,
-    relative_capacity,
     sample_direction,
 )
 from gasketlab.errors import InadmissibleWordError, InvalidParameterError, InvalidVertexError
@@ -116,35 +115,39 @@ def test_corner_chain_functions_refuse_an_inadmissible_word(sg, bad):
     with pytest.raises(InadmissibleWordError):
         corner_chain_capacity(sg, bad, 2)
     with pytest.raises(InadmissibleWordError):
-        relative_capacity(sg, bad, 2)
+        corner_chain_labels(sg, bad, 1, 2)
     with pytest.raises(InadmissibleWordError):
         inner_set_pins(sg, bad, 1, replace(level_network(sg, 1), root=bad))
 
 
 def test_relative_capacity_monotone_and_trace_exact(sg):
-    res = relative_capacity(sg, (), 4, K=2)
-    assert all(isinstance(v, Fraction) for v in res.values)
-    vals = res.values
-    assert all(vals[i + 1] <= vals[i] for i in range(len(vals) - 1))
-    # the discrete networks are exact traces, so the estimates agree exactly
-    assert vals[0] == vals[1] == vals[2]
+    value = corner_chain_capacity(sg, (), 4)
+    assert isinstance(value, Fraction)
+    # the discrete networks are exact traces, so the full solves at depths
+    # 4..6 all give the one value: constant, so non-increasing
+    for m in (4, 5, 6):
+        net = level_network(sg, m)
+        assert dirichlet_solve(net, inner_set_pins(sg, (), 4, net))[1] == value
 
 
 def test_relative_capacity_scaling_is_inverse_root_weight(sg):
-    root = relative_capacity(sg, (), 2, K=0)
-    below = relative_capacity(sg, ((1, 2), (1, 2)), 2, K=0)
+    word = ((1, 2), (1, 2))
+    root = corner_chain_capacity(sg, (), 2)
+    below = corner_chain_capacity(sg, word, 2)
     # homogeneous gasket: the root-normalized value reproduces itself below any
     # word, and the absolute value picks up the 1/r_w factor exactly
-    assert below.values[0] == root.values[0]
-    assert below.absolute_values[0] == root.values[0] / below.root_r
-    assert below.root_r == Fraction(9, 25)
+    assert below == root
+    net = level_network(sg, 2, root=word)
+    assert net.root_r == sg.r_of_word(word) == Fraction(9, 25)
+    absolute = replace(net, edges={e: c / net.root_r for e, c in net.edges.items()})
+    assert dirichlet_solve(absolute, inner_set_pins(sg, word, 2, absolute))[1] == root / net.root_r
 
 
 def test_point_capacity_midpoint_oracle(sg):
     net = level_network(sg, 1)
     mid = [v for v in range(net.n_vertices) if v not in net.boundary][0]
-    res = point_capacity(sg, (), mid, K=2, base_depth=1)
-    assert res.values[0] == res.values[1] == res.values[2]
+    value = point_capacity(sg, (), mid, base_depth=1)
+    assert isinstance(value, Fraction)
     # independent dense float solve on the 6-vertex level-1 network
     n = net.n_vertices
     L = np.zeros((n, n))
@@ -161,7 +164,7 @@ def test_point_capacity_midpoint_oracle(sg):
         x[v] = val
     x[free] = np.linalg.solve(L[np.ix_(free, free)], -L[np.ix_(free, list(fixed))] @ x[list(fixed)])
     oracle = x @ L @ x
-    assert abs(float(res.values[0]) - oracle) < 1e-12
+    assert abs(float(value) - oracle) < 1e-12
 
 
 def test_point_capacity_validates_vertex(sg):
@@ -222,7 +225,7 @@ def test_sample_direction_is_deterministic_and_nonconstant():
 
 
 def test_a3_report_standard_sg(sg):
-    rep = a3_report(sg, 2, samples=32, K=1, seed=0, cap_words=4)
+    rep = a3_report(sg, 2, samples=32, seed=0, cap_words=4)
     assert rep.inequality_violations == 0
     assert rep.C_a <= 2.0 + 1e-9
     num, den = map(int, rep.worst_mass_ratio.split("/"))
@@ -233,8 +236,8 @@ def test_a3_report_standard_sg(sg):
 
 
 def test_a3_report_is_deterministic(sg):
-    r1 = a3_report(sg, 2, samples=8, K=0, seed=3, cap_words=3)
-    r2 = a3_report(sg, 2, samples=8, K=0, seed=3, cap_words=3)
+    r1 = a3_report(sg, 2, samples=8, seed=3, cap_words=3)
+    r2 = a3_report(sg, 2, samples=8, seed=3, cap_words=3)
     assert r1.to_dict() == r2.to_dict()
     assert [row.as_list() for row in r1.rows] == [row.as_list() for row in r2.rows]
 
@@ -244,9 +247,9 @@ def test_a3_report_relative_capacity_is_the_refined_solve(K, sg, mixed):
     # the report reads cap_rel from the corner-chain identity; the solve on the
     # depth-N+K network is the oracle
     for spec, m, N in ((sg, 2, 2), (mixed, 1, 2)):
-        rep = a3_report(spec, m, N=N, samples=2, K=K, cap_words=3, point_samples=1)
+        rep = a3_report(spec, m, N=N, samples=2, cap_words=3, point_samples=1)
         r_of = {encode_word(w): (w, r_w) for w, r_w, _ in enumerate_words(spec, m)}
-        assert rep.rows and rep.K == K
+        assert rep.rows
         for row in rep.rows:
             word, r_w = r_of[row.word]
             full = level_network(spec, N + K, root=word)
@@ -257,8 +260,8 @@ def test_a3_report_relative_capacity_is_the_refined_solve(K, sg, mixed):
 def test_a3_scaling_covariance_on_homogeneous_spec(sg):
     # self-similarity: the constants reproduce across depths because every
     # root-normalized capacity below a word equals the root's
-    shallow = a3_report(sg, 2, samples=16, K=1, seed=0, cap_words=6)
-    deeper = a3_report(sg, 3, samples=16, K=1, seed=0, cap_words=6)
+    shallow = a3_report(sg, 2, samples=16, seed=0, cap_words=6)
+    deeper = a3_report(sg, 3, samples=16, seed=0, cap_words=6)
     assert abs(shallow.C_b - deeper.C_b) < 1e-9
     assert abs(shallow.C_c - deeper.C_c) < 1e-9
 
@@ -294,18 +297,17 @@ def inner_set_cases(draw):
 @PROPERTY
 @given(inner_set_cases())
 def test_relative_capacity_is_the_corner_chain_sum_at_every_refinement(case):
-    spec, word, N, K = case
+    # every refinement's value is the one sum; the full solves at depths
+    # N..N+K check it in test_relative_capacity_is_the_full_network_solve
+    spec, word, N, _ = case
     expect = Fraction(0)
     for corner in range(1, spec.d + 2):
         r_chain = Fraction(1)
         for l in corner_chain_labels(spec, word, corner, N):
             r_chain *= extension_matrices(spec.d, l).r
         expect += spec.d / r_chain
-    res = relative_capacity(spec, word, N, K)
-    assert res.refinements == list(range(K + 1))
-    assert res.values == [expect] * (K + 1)
-    assert all(isinstance(v, Fraction) for v in res.values)
-    assert corner_chain_capacity(spec, word, N) == expect
+    value = corner_chain_capacity(spec, word, N)
+    assert isinstance(value, Fraction) and value == expect
 
 
 @PROPERTY
@@ -314,11 +316,11 @@ def test_relative_capacity_is_the_full_network_solve(case):
     # the network reduced to the corner chains gives the full network's
     # exact energy at every refinement
     spec, word, N, K = case
-    res = relative_capacity(spec, word, N, K)
+    value = corner_chain_capacity(spec, word, N)
     for k in range(K + 1):
         full = level_network(spec, N + k, root=word)
-        assert res.values[k] == dirichlet_solve(full, inner_set_pins(spec, word, N, full))[1]
-    assert res.root_r == full.root_r
+        assert value == dirichlet_solve(full, inner_set_pins(spec, word, N, full))[1]
+    assert spec.r_of_word(word) == full.root_r
 
 
 @PROPERTY
@@ -370,17 +372,17 @@ def point_cases(draw):
 @PROPERTY
 @given(point_cases())
 def test_point_capacity_is_the_full_network_solve(case):
-    # every refinement is the full depth-(base_depth + k) solve's exact
-    # energy, and the trace-reduced network is refined to its depth in
-    # exactly the cells at the vertex
+    # the value is every full depth-(base_depth + k) solve's exact energy,
+    # and the trace-reduced network is refined to its depth in exactly the
+    # cells at the vertex
     spec, word, vertex, base_depth, K = case
-    res = point_capacity(spec, word, vertex, K, base_depth)
-    assert res.refinements == list(range(K + 1)) and all(isinstance(v, Fraction) for v in res.values)
+    value = point_capacity(spec, word, vertex, base_depth)
+    assert isinstance(value, Fraction)
     coord = level_network(spec, base_depth, root=word).coords[vertex]
     for k in range(K + 1):
         full = level_network(spec, base_depth + k, root=word)
         _, energy, _ = dirichlet_solve(full, _point_pins(coord, full))
-        assert res.values[k] == energy
+        assert value == energy
         P = _denominator(spec, base_depth + k, word)
         point = tuple(int(x * P) for x in coord)
         reduced = level_network(spec, base_depth + k, root=word, stop=partial(_misses, point))
@@ -410,21 +412,20 @@ def _record_networks_and_solves(monkeypatch):
 
 def test_point_capacity_solves_only_reduced_networks(sg, monkeypatch):
     # the vertex walk numbers the depth-6 vertices without building a network,
-    # and one solve at depth 6 gives every refinement
+    # and one solve at depth 6 gives the value of every refinement
     built, solved = _record_networks_and_solves(monkeypatch)
-    for K in (0, 1, 3):
+    for vertex in (5, 100):
         built.clear()
         solved.clear()
-        res = point_capacity(sg, (), 5, K=K, base_depth=6)
+        assert isinstance(point_capacity(sg, (), vertex, base_depth=6), Fraction)
         assert [(m, stopped) for m, stopped, _ in built] == [(6, True)]
         assert len(solved) == 1 and solved[0] < 100
-        assert len(res.values) == K + 1
 
 
 def test_relative_capacity_builds_and_solves_nothing(sg, mixed, monkeypatch):
     built, solved = _record_networks_and_solves(monkeypatch)
-    relative_capacity(sg, (), 4, K=2)
-    relative_capacity(mixed, ((2, 3), (1, 3)), 3, K=1)
+    corner_chain_capacity(sg, (), 4)
+    corner_chain_capacity(mixed, ((2, 3), (1, 3)), 3)
     assert built == [] and solved == []
 
 

@@ -213,6 +213,42 @@ def test_a_bad_point_capacity_input_exits_2_with_one_line(argv, message, sg_spec
 
 
 @pytest.mark.parametrize(
+    "spec_text, argv, message",
+    [
+        (SG, ["capacity", "--inner-n", "0", "--refine", "-1"], "refinement must be >= 0, got -1"),
+        (SG, ["capacity", "--point", "1095", "--base-depth", "6", "--refine", "-1"],
+         "vertex 1095 not in depth-6 network"),
+        (SG, ["capacity", "--point", "5", "--base-depth", "6", "--refine", "-1"], "refinement must be >= 0, got -1"),
+        (SG, ["verify-a3", "--depth", "1", "--samples", "0", "--refine", "-1"], "refinement must be >= 0, got -1"),
+        (SEEDED_T23, ["capacity", "--word", "2^3.1^2", "--refine", "-1"],
+         "letter 1^2 after prefix '2^3' must have level 3"),
+    ],
+    ids=["relative-refine-before-inner-n", "point-vertex-before-refine", "point-refine",
+         "verify-refine-before-samples", "word-before-refine"],
+)
+def test_the_first_of_two_bad_inputs_is_the_one_reported(spec_text, argv, message, tmp_path, capsys):
+    # a relative run checks --refine before the inner-set depth, a point run
+    # only once the target vertex is numbered, verify-a3 before its sampling
+    # arguments, and every run after the word
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    assert main([*argv, "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("point", [[], ["--point", "4"]], ids=["relative", "point"])
+def test_capacity_refinements_are_bounded_by_the_budget(point, sg_spec, capsys):
+    # the report repeats the one value refine + 1 times, at most --budget
+    argv = ["capacity", "--spec", sg_spec, *point, "--budget", "3"]
+    assert main([*argv, "--refine", "3"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: more than 3 refinements\n")
+    assert main([*argv, "--refine", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["refinements"] == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["words", "--depth", "2"],
