@@ -124,7 +124,11 @@ class CellEnergyMatrix:
 
 def _exact_cell_record(word, U, den, r_w: Fraction, basis: EnergyBasis, normalized: bool) -> CellEnergyMatrix:
     """Build a record from the exact transported columns U / den = A_w G
-    (integer U on the walks, one Fraction per entry of B)."""
+    (integer U on the walks, one Fraction per entry of B).
+
+    The eigenvalues come from np.linalg.eigvalsh, not `_stack_eigvalsh`: a
+    record holds one k x k matrix, k = 1..d, where a closed form over a
+    block of cells saves nothing, and eigvalsh is the oracle it matches."""
     k, corners = basis.size, basis.d + 1
     Ut = mat_t(U)
     sums = [sum(col) for col in Ut]
@@ -425,6 +429,65 @@ def _index_from_fractions(rank_mass: dict, delta: float) -> int:
     return 0
 
 
+# LAPACK's double-precision constants (dlamch) for the 2x2 eigenvalues: dsterf's
+# eps and its square, and the entry magnitudes inside which neither dsyevd
+# ([sqrt(safmin / 2eps), sqrt(2eps / safmin)]) nor dsterf
+# ([sqrt(safmin) / eps^2, sqrt(1 / safmin) / 3]) rescales the matrix.
+_EPS = 2.0**-53
+_EPS2 = _EPS * _EPS
+_SAFMIN = 2.0**-1022
+_UNSCALED_LO = max(math.sqrt(_SAFMIN / (2 * _EPS)), math.sqrt(_SAFMIN) / _EPS2)
+_UNSCALED_HI = min(math.sqrt(2 * _EPS / _SAFMIN), math.sqrt(1 / _SAFMIN) / 3)
+_EIG_BLOCK = 8192  # cells per block, so the temporaries stay small
+
+
+def _stack_eigvalsh(B: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(B), ascending, for a (n, k, k) stack of symmetric
+    matrices, with the bits of the installed numpy.
+
+    For k == 2 it repeats over whole blocks of cells what eigvalsh runs per
+    matrix: dsyevd(jobz='N', uplo='L'), so only a = B[0,0], b = B[1,0] and
+    c = B[1,1] count; dsytd2 leaves them as they are; dsterf splits the
+    matrix into (a, c) when |b| <= sqrt|a| sqrt|c| eps or b^2 <= eps^2 |a c|,
+    and else calls dlae2 on (a, sqrt(b^2), c); dlasrt sorts.  Cells that
+    LAPACK would rescale, non-finite cells and every k != 2 go to
+    np.linalg.eigvalsh itself.  This is LAPACK's implementation, not numpy's
+    API, so the tests check it against the installed np.linalg.eigvalsh.
+    """
+    if B.shape[1] != 2:
+        return np.linalg.eigvalsh(B)
+    ev = np.empty(B.shape[:2])
+    for start in range(0, len(B), _EIG_BLOCK):
+        block = B[start : start + _EIG_BLOCK]
+        a, b, c = block[:, 0, 0], block[:, 1, 0], block[:, 1, 1]
+        with np.errstate(all="ignore"):  # split and fallback cells compute junk
+            e, abs_a, abs_c = b * b, np.abs(a), np.abs(c)
+            split = (np.abs(b) <= np.sqrt(abs_a) * np.sqrt(abs_c) * _EPS) | (e <= _EPS2 * np.abs(a * c))
+            # dlae2(a, rte, c): rt1 is the eigenvalue of larger magnitude
+            rte = np.sqrt(e)
+            sm, adf, ab = a + c, np.abs(a - c), np.abs(rte + rte)
+            hi, lo = np.maximum(adf, ab), np.minimum(adf, ab)
+            # dlae2's three branches in one: adf == ab gives ab * sqrt(2); both
+            # zero means b^2 == 0, a split cell
+            rt = hi * np.sqrt(1.0 + (lo / hi) ** 2)
+            rt1 = 0.5 * (sm + np.where(sm < 0, -rt, rt))
+            a_big = abs_a > abs_c
+            acmx, acmn = np.where(a_big, a, c), np.where(a_big, c, a)
+            rt2 = np.where(sm == 0, -0.5 * rt, (acmx / rt1) * acmn - (rte / rt1) * rte)
+            # dsterf stores (rt1, rt2) in an order set by |a| vs |c|, which the
+            # sort hides: rt1 is never zero here, so equal values have equal bits
+            d1, d2 = np.where(split, a, rt1), np.where(split, c, rt2)
+            swap = d2 < d1  # dlasrt swaps only a strictly smaller second entry
+            out = ev[start : start + _EIG_BLOCK]
+            out[:, 0] = np.where(swap, d2, d1)
+            out[:, 1] = np.where(swap, d1, d2)
+            amax = np.maximum(np.maximum(abs_a, np.abs(b)), abs_c)
+            rescaled = ~np.isfinite(amax) | ((amax != 0) & ((amax < _UNSCALED_LO) | (amax > _UNSCALED_HI)))
+        if rescaled.any():
+            out[rescaled] = np.linalg.eigvalsh(block[rescaled])
+    return ev
+
+
 def index_estimate(
     spec: GasketSpec,
     m: int,
@@ -454,9 +517,9 @@ def index_estimate(
     QM = _energy_form(spec.d)
     G0 = basis.float_columns()
     # depth 0, the root cell alone, until the scan yields a deeper one
-    ev, w = np.linalg.eigvalsh(2.0 * (G0.T @ QM @ G0)[None, :, :]), np.array([1.0])
+    ev, w = _stack_eigvalsh(2.0 * (G0.T @ QM @ G0)[None, :, :]), np.array([1.0])
     for _, B, w in _depth_scan(spec, m, basis, budget):
-        ev = np.linalg.eigvalsh(B)  # ascending
+        ev = _stack_eigvalsh(B)  # ascending
         lam1 = ev[:, -1]
         if basis.size >= 2:
             ratio = np.where(lam1 > 0, ev[:, -2] / np.where(lam1 > 0, lam1, 1.0), 0.0)

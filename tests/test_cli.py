@@ -179,6 +179,25 @@ def test_verify_a3_report_and_rows_are_the_golden_bytes(tmp_path, capsys):
     assert rows.read_bytes() == (GOLDEN / "verify_a3_seeded_d2_c2_rows.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "golden, spec_text, depth",
+    [
+        ("dim_estimate_seeded_d2_m6.json", SEEDED_T23, 6),
+        ("dim_estimate_sg_m8.json", SG, 8),
+        ("dim_estimate_seeded_d3_m4.json", SEEDED_D3, 4),
+    ],
+    ids=["seeded-d2-T23", "sg", "seeded-d3"],
+)
+def test_dim_estimate_reports_are_the_golden_bytes(golden, spec_text, depth, tmp_path, capsys):
+    # the bytes dim-estimate printed when every cell's eigenvalues came from
+    # np.linalg.eigvalsh; d = 3 still takes that path
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    assert main(["dim-estimate", "--spec", str(spec), "--depth", str(depth)]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ((GOLDEN / golden).read_text(), "")
+
+
 def test_a_capacity_past_the_int_string_limit_prints_in_full(tmp_path, capsys):
     # the depth-10,000 corner chains give a denominator of more than 4,300
     # digits, Python's default limit for turning an int into a string

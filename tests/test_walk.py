@@ -16,6 +16,7 @@ from gasketlab.energy import (
     _energy_form,
     _float_letter_stacks,
     _key_ops,
+    _stack_eigvalsh,
     basis_from_vectors,
     default_basis,
 )
@@ -458,6 +459,7 @@ def test_depth_scan_is_the_per_key_reference(spec, data):
     for (depth, B, w), (depth_ref, B_ref, w_ref) in zip(got, want):
         assert depth == depth_ref
         assert np.array_equal(B, B_ref) and np.array_equal(w, w_ref)
+        assert_eigvalsh_bits(B)
 
 
 @PROPERTY
@@ -487,3 +489,114 @@ def test_cell_energies_are_the_cell_major_einsum(d, k):
         want = np.einsum("nij,ik,nkl->njl", chains, QM, chains)
         got = _cell_energies(np.ascontiguousarray(chains.transpose(1, 2, 0)), QM)
         assert np.array_equal(got.transpose(2, 0, 1), want)
+
+
+def assert_eigvalsh_bits(B):
+    # bit patterns, so signed zeros and NaNs count too
+    got, want = _stack_eigvalsh(B), np.linalg.eigvalsh(B)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def stack_2x2(a, b, c, upper=None):
+    """The (n, 2, 2) stack [[a, upper], [b, c]]; upper defaults to b."""
+    a, b, c = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c)))
+    B = np.empty((a.size, 2, 2))
+    B[:, 0, 0], B[:, 1, 0], B[:, 1, 1] = a.ravel(), b.ravel(), c.ravel()
+    B[:, 0, 1] = B[:, 1, 0] if upper is None else np.broadcast_to(upper, a.shape).ravel()
+    return B
+
+
+ENTRY = st.builds(lambda x, e: x * 10.0**e, st.floats(-10, 10), st.integers(-8, 3))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(ENTRY, ENTRY, ENTRY), min_size=1, max_size=64))
+def test_stack_eigvalsh_is_eigvalsh(cells):
+    a, b, c = np.array(cells).T
+    assert_eigvalsh_bits(stack_2x2(a, b, c))
+    assert_eigvalsh_bits(stack_2x2(a, b, -c))
+    assert_eigvalsh_bits(stack_2x2(a, b, a))  # a == c
+    assert_eigvalsh_bits(stack_2x2(a, b, -a))  # a == -c, so sm == 0
+    assert_eigvalsh_bits(stack_2x2(a * a, a * c, c * c))  # rank one
+
+
+def test_stack_eigvalsh_is_eigvalsh_on_constructed_cells():
+    rng = np.random.default_rng(18)
+    a = rng.standard_normal(200) * 10.0 ** rng.integers(-8, 4, 200)
+    c = rng.standard_normal(200) * 10.0 ** rng.integers(-8, 4, 200)
+    zeros = np.zeros(4)
+    signed = np.array([0.0, -0.0])
+    cases = [
+        stack_2x2(zeros, zeros, zeros),
+        stack_2x2(signed[:, None], signed[None, :], signed[:, None, None]),  # every sign of zero
+        stack_2x2(a, 0.0, c),  # diagonal
+        stack_2x2(a, zeros[:1], -0.0),
+        stack_2x2(0.0, a, 0.0),
+        stack_2x2(a, c, a),
+        stack_2x2(a, c, -a),
+        stack_2x2(np.abs(a), c, np.abs(a) * np.sign(c)),  # |a| == |c|, either sign
+        stack_2x2(a, np.abs(a) * 0.5, a),  # adf < ab
+        stack_2x2(a, a, -a),  # sm == 0 with adf == ab
+        stack_2x2(a, 0.5 * a, 0.0),  # adf == ab, sm != 0
+        stack_2x2(a, a, 0.0),
+    ]
+    # off-diagonals a few ulps either side of dsterf's two split tests,
+    # |b| <= sqrt|a| sqrt|c| eps and b^2 <= eps^2 |a c|; with c close to a
+    # the split and the dlae2 eigenvalues differ in their last bits
+    eps = 2.0**-53
+    for c2 in (c, a * (1.0 + 1e-15 * rng.standard_normal(200))):
+        for edge in (np.sqrt(np.abs(a)) * np.sqrt(np.abs(c2)) * eps, np.sqrt(eps * eps * np.abs(a * c2))):
+            b = edge
+            for _ in range(4):
+                b = np.nextafter(b, 0.0)
+            for _ in range(9):
+                cases += [stack_2x2(a, b, c2), stack_2x2(a, -b, c2)]
+                b = np.nextafter(b, np.inf)
+    for case in cases:
+        assert_eigvalsh_bits(case)
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [1e-300, 1e-200, 1e-147, 1e-140, 1e-125, 1e-120, 1e145, 1e147, 1e150, 1e160, 1e300],
+)
+def test_stack_eigvalsh_is_eigvalsh_where_lapack_rescales(scale):
+    # dsyevd rescales below 2**-485 and above 2**485 (about 1e146), dsterf
+    # below 2**-405 (about 1.5e-122); mixed scales keep some cells unscaled
+    rng = np.random.default_rng(int(np.log10(scale)) + 400)
+    B = stack_2x2(*(rng.standard_normal((3, 64)) * scale))
+    B[::2] /= scale
+    assert_eigvalsh_bits(B)
+    assert_eigvalsh_bits(stack_2x2(scale, 1.0, 1.0))
+    assert_eigvalsh_bits(stack_2x2(1.0, scale, 1.0))
+
+
+def test_stack_eigvalsh_is_eigvalsh_on_non_finite_and_asymmetric_cells():
+    inf, nan = np.inf, np.nan
+    for special in (nan, inf, -inf):
+        for at in range(3):
+            entries = [1.0, 0.5, 2.0]
+            entries[at] = special
+            assert_eigvalsh_bits(stack_2x2(*entries))
+    # only the lower triangle counts, as with uplo='L'
+    B = stack_2x2([1.0, 1.0, 3.0, 1.0], [0.0, 5.0, 1.0, 1.0], [2.0, 2.0, 3.0, 1.0], upper=[5.0, 0.0, nan, -7.0])
+    assert_eigvalsh_bits(B)
+    assert np.array_equal(_stack_eigvalsh(B), _stack_eigvalsh(stack_2x2(B[:, 0, 0], B[:, 1, 0], B[:, 1, 1])))
+
+
+@pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 2 * 8192 + 5])
+def test_stack_eigvalsh_is_eigvalsh_across_blocks(n):
+    rng = np.random.default_rng(n)
+    a, b, c = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-8, 4, (3, n))
+    B = stack_2x2(a, b, c)
+    if n:
+        B[n // 2, 0, 0] = 1e200  # one rescaled cell in the middle block
+    assert_eigvalsh_bits(B)
+
+
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_stack_eigvalsh_is_eigvalsh_for_other_sizes(k):
+    rng = np.random.default_rng(k)
+    X = rng.standard_normal((100, k, k))
+    assert_eigvalsh_bits(X + X.transpose(0, 2, 1))
