@@ -23,6 +23,14 @@ eigenstructure: on u = a 1 + (u_i, u) v_i + y, the chain form
 (1/r_chain) Q(A_chain u) is r_chain (u_i, u)^2 / d + (s_chain^2 / r_chain) Q(y),
 since Q(v_i) = 1/d and Q(v_i, y) = 0.
 
+The report's sampling loop works on blocks of words and samples at once.  It
+hashes the directions as uint64 arrays (`_draws`, with `sample_direction`
+as the retry path and oracle), and it takes every form on the quotient by
+constants: Q and each chain form are symmetric with zero row sums, so
+u^T M u = x^T M[1:, 1:] x with x = u[1:] - u[0], d (d + 1) / 2 monomials
+instead of (d + 1)^2 products.  Q is applied in int64; the summed chain
+forms, one per distinct tuple of chain labels, keep Python ints.
+
 Capacity values are computed on root-normalized networks (the root cell
 carries conductance weight 1).  The balance constants are scale invariant,
 so the root factor cancels out of every reported ratio.  Every capacity
@@ -36,8 +44,10 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm
 
+import numpy as np
+
 from .errors import InvalidParameterError, InvalidVertexError
-from .energy import corner_decay_N
+from .energy import _mix_keys, corner_decay_N
 from .exactla import integer_form
 from .gasket import (
     DEFAULT_WORD_BUDGET,
@@ -177,6 +187,7 @@ def point_capacity(
 
 
 _SPAN = 17  # direction coordinates lie in [-_SPAN, _SPAN]
+_BLOCK = 1024  # word x sample cells per block of the sampling loop, so the temporaries stay small
 
 
 def sample_direction(d: int, seed: int, word_text: str, idx: int) -> list:
@@ -184,9 +195,9 @@ def sample_direction(d: int, seed: int, word_text: str, idx: int) -> list:
 
     Attempt a draws coordinate k as int(u * (2 * _SPAN + 1)) - _SPAN with
     u = word_hash_unit(seed + 1_000_003 * a, f"{word_text}|{idx}|{k}"), and
-    the first nonconstant attempt is returned.  `_sample_directions` draws
-    the same vectors from shared hash prefixes; this is its retry path and
-    the oracle of its tests."""
+    the first nonconstant attempt is returned.  `_draws` draws the same
+    vectors for whole blocks of words and samples from shared hash prefixes;
+    this is its retry path and the oracle of its tests."""
     attempt = 0
     while True:
         vals = []
@@ -198,30 +209,38 @@ def sample_direction(d: int, seed: int, word_text: str, idx: int) -> list:
         attempt += 1
 
 
-def _sample_directions(d: int, seed: int, word_text: str, samples: int):
-    """sample_direction(d, seed, word_text, idx) for idx in range(samples).
+def _draws(d: int, seed: int, texts: list, start: int, stop: int) -> np.ndarray:
+    """sample_direction(d, seed, text, idx) for every word text in `texts`
+    and idx in range(start, stop), as an int64 array of shape
+    (len(texts), stop - start, d + 1).
 
-    The attempt-0 hash of f"{word_text}|{idx}|{k}" is one splitmix64 byte
-    stream, so the state after f"{word_text}|" is kept once for the word and
-    the state after f"{idx}|" once for the sample, and each coordinate only
-    continues it over str(k).  A constant draw is retried by sample_direction."""
-    h_word = _mix_text(_mix64(seed & _MASK64), f"{word_text}|")
-    digits = [str(k) for k in range(d + 1)]
-    for idx in range(samples):
-        h = _mix_text(h_word, f"{idx}|")
-        vals = [int(_mix_text(h, k) / 2.0**64 * (2 * _SPAN + 1)) - _SPAN for k in digits]
-        yield vals if len(set(vals)) > 1 else sample_direction(d, seed, word_text, idx)
+    The attempt-0 hash of f"{text}|{idx}|{k}" is one splitmix64 byte stream.
+    The state after f"{text}|" is taken once per word; `_mix_keys` continues
+    those states over f"{idx}|", one pass per digit count, and then over
+    str(k).  A draw is constant exactly when its oscillation is 0, and
+    sample_direction retries those."""
+    base = _mix64(seed & _MASK64)
+    states = np.array([_mix_text(base, f"{text}|") for text in texts], dtype=np.uint64)
+    out = np.empty((len(texts), stop - start, d + 1), dtype=np.int64)
+    lo = start
+    while lo < stop:
+        hi = min(stop, 10 ** len(str(lo)))  # the samples whose idx has as many digits as lo
+        tails = np.array([list(f"{idx}|".encode()) for idx in range(lo, hi)], dtype=np.uint64).T
+        h = _mix_keys(states[:, None], tails)
+        for k in range(d + 1):
+            u = _mix_keys(h, str(k)) / 2.0**64
+            out[:, lo - start : hi - start, k] = (u * (2 * _SPAN + 1)).astype(np.int64) - _SPAN
+        lo = hi
+    for w, s in np.argwhere(out.max(axis=2) == out.min(axis=2)):
+        out[w, s] = sample_direction(d, seed, texts[w], start + int(s))
+    return out
 
 
-def _int_quad(m, u) -> int:
-    n = len(u)
-    total = 0
-    for i in range(n):
-        row = m[i]
-        ui = u[i]
-        if ui:
-            total += ui * sum(row[j] * u[j] for j in range(n))
-    return total
+def _quotient_coefficients(M, iu, ju) -> list:
+    """The coefficients of u^T M u over the monomials x_i x_j, (i, j) in
+    zip(iu, ju), of x = u[1:] - u[0].  M is symmetric and vanishes on
+    constants, so u^T M u = x^T M[1:, 1:] x."""
+    return [M[i][i] if i == j else M[i][j] + M[j][i] for i, j in zip(iu + 1, ju + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -311,10 +330,13 @@ def a3_report(
     the three balance constants on an equispaced word subsample.
 
     The inequality nu_h(U) <= 2 nu_h(V) is decided in plain integers for
-    `samples` seeded directions per word, drawn by `_sample_directions` from
-    the word's hash prefix.  The d+1 corner-chain forms are summed into one
-    integer form G over their common denominator L, so nu_U = u^T Q u and
-    nu_V = (nu_U L - u^T G u) / L take two quadratic forms per sample; the
+    `samples` seeded directions per word, drawn by `_draws` for up to
+    `_BLOCK` word x sample cells at a time.  The d+1 corner-chain forms are
+    summed into one integer form G over their common denominator L, built
+    once per distinct tuple of chain labels, so nu_U = u^T Q u and
+    nu_V = (nu_U L - u^T G u) / L.  Both are taken on the monomials of
+    x = u[1:] - u[0]: u^T Q u in int64, exact since |x_i| <= 2 _SPAN + 1,
+    and u^T G u against G's Python-int coefficients, exact for any L.  The
     worst nu_U / nu_V is kept as an integer pair compared by
     cross-multiplication, and only the rows of the capacity words are kept.
 
@@ -338,36 +360,62 @@ def a3_report(
     if N < 1:
         raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
     d = spec.d
-    QI = [[int(x) for x in row] for row in base_form(d).M]
     words = list(walk(spec, m, None, spec.child_key, budget=budget))  # (word, label key)
 
     n_words = len(words)
     count = min(cap_words, n_words)
     picks = sorted({(j * n_words) // count for j in range(count)})
 
+    # every form below vanishes on constants, so each is taken on x = u[1:] - u[0]
+    iu, ju = np.triu_indices(d)
+    Q = np.array(_quotient_coefficients([[int(x) for x in row] for row in base_form(d).M], iu, ju))
+    texts, forms, summed = [], [], {}
+    for word, key in words:
+        texts.append(encode_word(word))
+        chains = tuple(_chain_labels(spec, key, corner, N) for corner in range(1, d + 2))
+        if chains not in summed:
+            # the summed corner masses as one integer form over the common denominator
+            corner_forms = [_corner_chain_form(d, corner, labels) for corner, labels in enumerate(chains, 1)]
+            common = lcm(*(den for _, den in corner_forms))
+            form = [
+                [sum(fm[i][j] * (common // den) for fm, den in corner_forms) for j in range(d + 1)] for i in range(d + 1)
+            ]
+            summed[chains] = (_quotient_coefficients(form, iu, ju), common)
+        forms.append(summed[chains])
+    # word by word: the summed form G over its denominator L, in Python ints, exact for any L
+    G = np.array([g for g, _ in forms], dtype=object)
+    L = np.array([den for _, den in forms], dtype=object)
+
     violations = 0
     wp, wq = 0, 1  # the worst nu_U / nu_V so far, as the integer pair wp / wq
     picked_samples: dict = {idx: [] for idx in picks}
-    for w_idx, (word, key) in enumerate(words):
-        text = encode_word(word)
-        forms = [_corner_chain_form(d, corner, _chain_labels(spec, key, corner, N)) for corner in range(1, d + 2)]
-        # the summed corner masses as one integer form G over the common denominator L
-        L = lcm(*(den for _, den in forms))
-        G = [[sum(fm[i][j] * (L // den) for fm, den in forms) for j in range(d + 1)] for i in range(d + 1)]
-        rows = picked_samples.get(w_idx)
-        for s_idx, u in enumerate(_sample_directions(d, seed, text, samples)):
-            q0 = _int_quad(QI, u)
-            corner_total = _int_quad(G, u)
+    block_words = max(1, _BLOCK // samples)
+    block_samples = min(samples, _BLOCK)
+    for w0 in range(0, n_words, block_words):
+        w1 = min(n_words, w0 + block_words)
+        for s0 in range(0, samples, block_samples):
+            s1 = min(samples, s0 + block_samples)
+            u = _draws(d, seed, texts[w0:w1], s0, s1)
+            x = u[..., 1:] - u[..., :1]
+            mono = x[..., iu] * x[..., ju]
+            q0 = mono @ Q
+            corner_total = (mono * G[w0:w1, None, :]).sum(axis=2)
             # nu_U = q0 and nu_V = nv / L;  nu_U <= 2 nu_V  <=>  2 * corner masses <= q0
-            qL = q0 * L
+            qL = q0 * L[w0:w1, None]
             nv = qL - corner_total
-            if 2 * corner_total > qL:
-                violations += 1
-            if nv > 0 and qL * wq > wp * nv:
-                wp, wq = qL, nv
-            if rows is not None:
+            violations += int(np.count_nonzero(2 * corner_total > qL))
+            positive = nv > 0
+            for p, q in zip(qL[positive].tolist(), nv[positive].tolist()):
+                if p * wq > wp * q:
+                    wp, wq = p, q
+            for w in picked_samples.keys() & range(w0, w1):
+                i = w - w0
+                osc = u[i].max(axis=1) - u[i].min(axis=1)
                 # int / int is correctly rounded, so this is float(Fraction(nv, L))
-                rows.append((s_idx, q0, nv / L, max(u) - min(u)))
+                picked_samples[w].extend(
+                    (s_idx, q, v / L[w], o)
+                    for s_idx, q, v, o in zip(range(s0, s1), q0[i].tolist(), nv[i].tolist(), osc.tolist())
+                )
     worst_ratio = Fraction(wp, wq)
 
     # capacity constants on an equispaced word subsample

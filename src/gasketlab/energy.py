@@ -222,9 +222,13 @@ _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix_keys(h: np.ndarray, text: str) -> np.ndarray:
-    """gasket._mix_text over a uint64 array of splitmix64 states at once."""
-    for b in text.encode("utf-8"):
+def _mix_keys(h: np.ndarray, text) -> np.ndarray:
+    """gasket._mix_text over a uint64 array of splitmix64 states at once.
+
+    `text` is a str, whose bytes continue every state, or a uint64 array of
+    shape (bytes, ...) whose row b holds byte b of each state's own text and
+    broadcasts against h."""
+    for b in text.encode("utf-8") if isinstance(text, str) else text:
         z = (h ^ np.uint64(b)) + _GAMMA
         z = (z ^ (z >> np.uint64(30))) * _MUL1
         z = (z ^ (z >> np.uint64(27))) * _MUL2

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from gasketlab import capacity
 from gasketlab.capacity import (
+    _BLOCK,
     _SPAN,
     _corner_chain_form,
-    _int_quad,
+    _draws,
     _misses,
     _point_pins,
-    _sample_directions,
+    _quotient_coefficients,
     a3_report,
     corner_chain_capacity,
     corner_chain_labels,
@@ -443,34 +444,84 @@ def test_a3_point_samples_solve_only_reduced_networks(mixed, monkeypatch):
 
 @st.composite
 def direction_cases(draw):
-    """(d, seed, word text, samples) over negative seeds, seeds past 2**64 and
-    the words of seeded labelings."""
+    """(d, seed, word texts, start, stop) over negative seeds, seeds past
+    2**64, the words of seeded labelings, 1- to 4-digit sample indices and
+    ranges that start mid-block, as the sampling loop's blocks do."""
     d = draw(st.sampled_from([2, 3]))
     seed = draw(st.one_of(st.integers(-(2**70), -1), st.integers(0, 2**32), st.integers(2**64, 2**70)))
     spec = GasketSpec(d, [2, 3], {"type": "seeded", "seed": draw(st.integers(0, 2**32)), "weights": {2: 1.0, 3: 1.0}})
-    word = ()
-    for _ in range(draw(st.integers(0, 3))):
-        l = spec.label_of(word)
-        word += ((draw(st.integers(1, cell_count(d, l))), l),)
-    return d, seed, encode_word(word), draw(st.integers(1, 64))
+    texts = []
+    for _ in range(draw(st.integers(1, 3))):
+        word = ()
+        for _ in range(draw(st.integers(0, 3))):
+            l = spec.label_of(word)
+            word += ((draw(st.integers(1, cell_count(d, l))), l),)
+        texts.append(encode_word(word))
+    start = draw(st.one_of(st.just(0), st.sampled_from([9, 95, 99, 100, _BLOCK - 1, _BLOCK]), st.integers(0, 1200)))
+    return d, seed, texts, start, start + draw(st.integers(1, 150))
 
 
 @PROPERTY
 @given(direction_cases())
 def test_prefix_hashed_directions_are_sample_direction(case):
-    d, seed, text, samples = case
-    drawn = list(_sample_directions(d, seed, text, samples))
-    assert drawn == [sample_direction(d, seed, text, idx) for idx in range(samples)]
+    d, seed, texts, start, stop = case
+    drawn = _draws(d, seed, texts, start, stop)
+    assert drawn.dtype == np.int64 and drawn.shape == (len(texts), stop - start, d + 1)
+    assert drawn.tolist() == [[sample_direction(d, seed, text, idx) for idx in range(start, stop)] for text in texts]
 
 
 def test_a_constant_first_draw_is_retried():
     # found by search: the attempt-0 draw of sample 20 of "1^2" under seed 19
-    # is constant, so the prefix-hashed path must take sample_direction's retry
+    # is constant, so the array draws must take sample_direction's retry
     d, seed, text, idx = 2, 19, "1^2", 20
     first = [int(word_hash_unit(seed, f"{text}|{idx}|{k}") * (2 * _SPAN + 1)) - _SPAN for k in range(d + 1)]
     assert len(set(first)) == 1
-    drawn = list(_sample_directions(d, seed, text, idx + 1))[idx]
+    drawn = _draws(d, seed, ["1^3", text], idx - 3, idx + 1)[1, 3].tolist()
     assert drawn == sample_direction(d, seed, text, idx) and len(set(drawn)) > 1
+
+
+@st.composite
+def chain_form_cases(draw):
+    """(d, a corner-chain form or the base form Q as a matrix, u)."""
+    d = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        M = [[int(x) for x in row] for row in base_form(d).M]
+    else:
+        corner = draw(st.integers(1, d + 1))
+        labels = tuple(draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=4)))
+        M = [list(row) for row in _corner_chain_form(d, corner, labels)[0]]
+    u = draw(st.lists(st.integers(-(2 * _SPAN + 1), 2 * _SPAN + 1), min_size=d + 1, max_size=d + 1))
+    return d, M, u
+
+
+@PROPERTY
+@given(chain_form_cases())
+def test_the_forms_vanish_on_constants_and_live_on_the_quotient(case):
+    # the sampling loop takes every form on x = u[1:] - u[0]; that is exact
+    # only because Q and each corner-chain form are symmetric with zero row sums
+    d, M, u = case
+    assert all(sum(row) == 0 for row in M)
+    assert M == [list(col) for col in zip(*M)]
+    iu, ju = np.triu_indices(d)
+    x = [v - u[0] for v in u[1:]]
+    coefficients = _quotient_coefficients(M, iu, ju)
+    assert sum(c * x[i] * x[j] for c, i, j in zip(coefficients, iu, ju)) == _int_quad(M, u)
+
+
+@pytest.mark.parametrize("block", [1, 5, 24, 48])
+def test_blocks_of_any_size_give_the_same_report(block, mixed, monkeypatch):
+    # 12 samples cross the 1- to 2-digit boundary; blocks of 1 and 5 split
+    # each word's samples, and blocks of 24 and 48 hold 2 and 4 of the 30
+    # words, the last one 2
+    want = a3_report(mixed, 2, samples=12, seed=-3, cap_words=9, point_samples=1)
+    monkeypatch.setattr(capacity, "_BLOCK", block)
+    got = a3_report(mixed, 2, samples=12, seed=-3, cap_words=9, point_samples=1)
+    assert got.to_dict() == want.to_dict() and got.rows == want.rows
+
+
+def _int_quad(m, u) -> int:
+    """u^T m u in Python ints."""
+    return sum(ui * sum(row[j] * u[j] for j in range(len(u))) for ui, row in zip(u, m))
 
 
 def mass_inequality_reference(spec, m, samples, seed, cap_words):

@@ -180,6 +180,26 @@ def test_verify_a3_report_and_rows_are_the_golden_bytes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "golden, spec_text, argv",
+    [
+        ("verify_a3_d3_T2_m2", '{"dimension": 3, "levels": [2]}', ["--depth", "2"]),
+        ("verify_a3_seeded_d2_s150_seed-7", SEEDED_T23, ["--depth", "2", "--samples", "150", "--seed", "-7", "--cap-words", "2"]),
+    ],
+    ids=["d3-T2", "seeded-d2-T23-150-samples"],
+)
+def test_verify_a3_reports_and_rows_are_the_golden_bytes(golden, spec_text, argv, tmp_path, capsys):
+    # the bytes verify-a3 wrote when every direction was hashed and every
+    # quadratic form taken one sample at a time
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    rows = tmp_path / "rows.csv"
+    assert main(["verify-a3", "--spec", str(spec), *argv, "--rows-out", str(rows)]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ((GOLDEN / f"{golden}.json").read_text(), "")
+    assert rows.read_bytes() == (GOLDEN / f"{golden}_rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
     "golden, spec_text, depth",
     [
         ("dim_estimate_seeded_d2_m6.json", SEEDED_T23, 6),
