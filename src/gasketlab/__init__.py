@@ -11,6 +11,7 @@ from .capacity import (
     A3Report,
     a3_report,
     corner_chain_capacity,
+    corner_decay_N,
     default_inner_depth,
     inner_set_pins,
     point_capacity,
@@ -21,7 +22,6 @@ from .energy import (
     RankReport,
     cell_energy_matrix,
     contraction_check,
-    corner_decay_N,
     default_basis,
     index_estimate,
     kusuoka_distribution,

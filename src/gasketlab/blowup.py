@@ -155,7 +155,10 @@ def density_grid(cloud: BlowupCloud, resolution: int) -> np.ndarray:
     """
     if resolution < 8:
         raise InvalidParameterError(f"resolution must be >= 8, got {resolution}")
-    grid = np.zeros((resolution, resolution))
+    try:
+        grid = np.zeros((resolution, resolution))
+    except (ValueError, MemoryError):  # numpy refuses the allocation
+        raise InvalidParameterError(f"resolution {resolution} needs a grid too large to allocate") from None
     if cloud.n_points == 0:
         return grid
     pts = cloud.points

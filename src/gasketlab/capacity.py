@@ -1,7 +1,8 @@
 """Discrete relative capacities, equilibrium potentials, inner sets, and the
 empirical energy/capacity balance report.
 
-The inner set below a word excludes one N-deep corner chain per corner.  On
+The inner set below a word excludes one N-deep corner chain per corner, by
+default the shortest that contracts energy by 1/(2(d+1)) (`corner_decay_N`).  On
 a network of depth >= N below the word, its capacity problem pins the word's
 own corners to 0, and pins to 1 every vertex of a cell outside the chains
 and every corner of a chain cell; the vertices strictly inside a chain cell
@@ -46,21 +47,19 @@ from math import lcm
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidVertexError
-from .energy import _mix_keys, corner_decay_N
+from .errors import InvalidParameterError, InvalidVertexError, NotFoundError
 from .exactla import integer_form
 from .gasket import (
     DEFAULT_WORD_BUDGET,
     ConductanceNetwork,
     GasketSpec,
     Word,
-    _MASK64,
-    _mix64,
-    _mix_text,
     _coord,
     _corner_keys,
     _denominator,
+    _mix_keys,
     _root_cell,
+    _seed_state,
     dirichlet_solve,
     encode_word,
     level_network,
@@ -69,6 +68,34 @@ from .gasket import (
     word_hash_unit,
 )
 from .harmonic import base_form, dual_vector, extension_matrices
+
+
+def corner_decay_N(spec_or_dims, c, max_N: int = 64) -> int:
+    """Smallest N such that every corner chain of length N contracts the
+    energy mass of harmonic functions by the factor c.
+
+    A chain fixes 1 and scales v_i by r_chain and every secondary y by
+    s_chain, and Q(v_i, y) = 0, so sup_u Q(A u) / (r_chain Q(u)) over
+    nonconstant u is max(r_chain, s_chain^2 / r_chain) = r_chain, since
+    |s| < r.  The worst chain of length N repeats the level of largest r, so
+    N is the smallest with r_max^N <= c, decided exactly.
+    """
+    if isinstance(spec_or_dims, GasketSpec):
+        d, levels = spec_or_dims.d, spec_or_dims.levels
+    else:
+        d, levels = spec_or_dims
+    if not levels:
+        raise InvalidParameterError("need at least one level")
+    c = Fraction(c)
+    if not 0 < c < 1:
+        raise InvalidParameterError(f"contraction target must be in (0,1), got {c}")
+    r_max = max(extension_matrices(d, l).r for l in levels)
+    for N in range(1, max_N + 1):
+        if r_max**N <= c:
+            return N
+    raise NotFoundError(
+        f"no N <= {max_N} achieves contraction {c}; worst sup at N={max_N} is {float(r_max**max_N):.6g}"
+    )
 
 
 def default_inner_depth(spec: GasketSpec) -> int:
@@ -219,8 +246,7 @@ def _draws(d: int, seed: int, texts: list, start: int, stop: int) -> np.ndarray:
     those states over f"{idx}|", one pass per digit count, and then over
     str(k).  A draw is constant exactly when its oscillation is 0, and
     sample_direction retries those."""
-    base = _mix64(seed & _MASK64)
-    states = np.array([_mix_text(base, f"{text}|") for text in texts], dtype=np.uint64)
+    states = np.array([_seed_state(seed, f"{text}|") for text in texts], dtype=np.uint64)
     out = np.empty((len(texts), stop - start, d + 1), dtype=np.int64)
     lo = start
     while lo < stop:

@@ -260,6 +260,8 @@ def cmd_blowup(args) -> int:
         basis = energy_mod.default_basis(spec.d)
         b1, b2 = basis.raw[0], basis.raw[1]
     cloud = blowup_mod.blowup_cloud(spec, word, b1, b2, args.depth, budget=args.budget)
+    # the grid is built before any file is written, so a refused grid leaves none
+    grid = blowup_mod.density_grid(cloud, args.res) if args.out_grid else None
     if args.out_cloud:
         rows = (
             [encode_word(cloud.word), float(x), float(y), float(w), float(e)]
@@ -267,7 +269,6 @@ def cmd_blowup(args) -> int:
         )
         _emit_csv(["word", "x", "y", "weight", "e_value"], rows, args.out_cloud)
     if args.out_grid:
-        grid = blowup_mod.density_grid(cloud, args.res)
         rows = (
             [i, j, grid[i, j]]
             for i in range(args.res)

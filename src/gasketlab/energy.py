@@ -7,13 +7,13 @@ the empirical index estimate.
 
 Exact rational arithmetic is used for masses, traces and every decision that
 the tests assert exactly; eigenvalues of the small symmetric matrices are
-always floating point.
+always floating point.  Label keys are hashed in `gasket` (`_key_ops`).
 
 The corner-chain quantities are read off the eigenstructure that
 `extension_matrices` verifies, not solved for: each corner matrix fixes 1,
 scales v_i by r and every secondary y by s, with |s| < r and Q(v_i, y) = 0.
-So a chain's energy ratio is r_chain (`corner_decay_N`), and u - (u_i, u) v_i
-is u's secondary component up to a constant (`contraction_check`).
+So u - (u_i, u) v_i is u's secondary component up to a constant
+(`contraction_check`); `capacity.corner_decay_N` reads r_chain off it too.
 """
 
 from __future__ import annotations
@@ -25,14 +25,9 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    DegenerateBasisError,
-    InvalidParameterError,
-    NotFoundError,
-)
+from .errors import BudgetExceededError, DegenerateBasisError, InvalidParameterError
 from .exactla import det, integer_form, mat_mul, mat_t, mat_vec
-from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, walk
+from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _key_ops, walk
 from .harmonic import base_form, dual_vector, extension_matrices, principal_vector, theta
 
 
@@ -211,64 +206,6 @@ def _float_letter_stacks(spec: GasketSpec) -> dict:
     return stacks
 
 
-# The depth scan's label keys, a whole depth at a time.  Seeded keys are
-# uint64 arrays: numpy's uint64 arithmetic wraps mod 2**64 as gasket's masks
-# do, and numpy rounds a uint64 to float64 as Python's int / float does, so
-# every key and label equals GasketSpec.child_key / key_label, which stay the
-# per-key oracle.
-
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
-_MUL2 = np.uint64(0x94D049BB133111EB)
-
-
-def _mix_keys(h: np.ndarray, text) -> np.ndarray:
-    """gasket._mix_text over a uint64 array of splitmix64 states at once.
-
-    `text` is a str, whose bytes continue every state, or a uint64 array of
-    shape (bytes, ...) whose row b holds byte b of each state's own text and
-    broadcasts against h."""
-    for b in text.encode("utf-8") if isinstance(text, str) else text:
-        z = (h ^ np.uint64(b)) + _GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _MUL1
-        z = (z ^ (z >> np.uint64(27))) * _MUL2
-        h = z ^ (z >> np.uint64(31))
-    return h
-
-
-def _key_ops(spec: GasketSpec) -> tuple:
-    """(root keys, labels(keys), children(keys, l, n, at_root)) for the scan.
-
-    children gives the keys of cells 1..n of level l below each key, grouped
-    by parent.  A seeded key's label is found by key_label's own test on
-    u = key / 2**64: the first level whose cumulative weight is above u, else
-    the last level.  Other labelings go key by key.
-    """
-    if spec.labeling["type"] != "seeded":
-
-        def labels(keys):
-            return np.array([spec.key_label(key) for key in keys])
-
-        def children(keys, l, n, at_root):
-            return np.array([spec.child_key(key, (i, l)) for key in keys for i in range(1, n + 1)], dtype=object)
-
-        return np.array([None], dtype=object), labels, children
-
-    cum = spec.labeling["_cum"]
-    levels = np.array([l for l, _ in cum])
-    accs = np.array([acc for _, acc in cum])
-
-    def labels(keys):
-        return levels[np.minimum(np.searchsorted(accs, keys / 2.0**64, side="right"), len(levels) - 1)]
-
-    def children(keys, l, n, at_root):
-        keys = _mix_keys(keys, "" if at_root else ".")
-        return np.stack([_mix_keys(keys, f"{i}^{l}") for i in range(1, n + 1)], axis=1).reshape(-1)
-
-    # a 1-element array, not a scalar: numpy warns when a uint64 scalar overflows
-    return np.array([spec.labeling["_root"]], dtype=np.uint64), labels, children
-
-
 def _energy_form(d: int) -> np.ndarray:
     """The base form Q as a float matrix."""
     return np.array(base_form(d).M, dtype=float)
@@ -335,9 +272,9 @@ def _depth_scan(spec: GasketSpec, m: int, basis: EnergyBasis, budget: int):
     B_stack is (ncells, k, k); the masses are normalized to sum to 1 at each
     depth.  Expansion batches the cells by their label, which keeps the order
     deterministic (grouped by level, then parent order, then cell index).
-    The label keys of a whole depth are hashed at once (`_key_ops`), and a
-    depth whose cells would exceed the budget is refused before any of them
-    is built.
+    The label keys and labels of a whole depth come at once from gasket's
+    `_key_ops`, and a depth whose cells would exceed the budget is refused
+    before any of them is built.
 
     The transported columns A_w G are held as (d+1, k, ncells): one
     contiguous vector of cells per matrix entry.  The children are (d+1)^2
@@ -567,35 +504,7 @@ def index_estimate(
     )
 
 
-# --- corner decay and contraction ------------------------------------------------
-
-
-def corner_decay_N(spec_or_dims, c, max_N: int = 64) -> int:
-    """Smallest N such that every corner chain of length N contracts the
-    energy mass of harmonic functions by the factor c.
-
-    A chain fixes 1 and scales v_i by r_chain and every secondary y by
-    s_chain, and Q(v_i, y) = 0, so sup_u Q(A u) / (r_chain Q(u)) over
-    nonconstant u is max(r_chain, s_chain^2 / r_chain) = r_chain, since
-    |s| < r.  The worst chain of length N repeats the level of largest r, so
-    N is the smallest with r_max^N <= c, decided exactly.
-    """
-    if isinstance(spec_or_dims, GasketSpec):
-        d, levels = spec_or_dims.d, spec_or_dims.levels
-    else:
-        d, levels = spec_or_dims
-    if not levels:
-        raise InvalidParameterError("need at least one level")
-    c = Fraction(c)
-    if not 0 < c < 1:
-        raise InvalidParameterError(f"contraction target must be in (0,1), got {c}")
-    r_max = max(extension_matrices(d, l).r for l in levels)
-    for N in range(1, max_N + 1):
-        if r_max**N <= c:
-            return N
-    raise NotFoundError(
-        f"no N <= {max_N} achieves contraction {c}; worst sup at N={max_N} is {float(r_max**max_N):.6g}"
-    )
+# --- contraction ---------------------------------------------------------------
 
 
 @dataclass

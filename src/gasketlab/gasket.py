@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 
+import numpy as np
+
 from .errors import (
     BudgetExceededError,
     DisconnectedNetworkError,
@@ -61,16 +63,21 @@ def parse_word(text: str) -> Word:
 
 
 # --- seeded labeling hash ----------------------------------------------------
+# A seeded label is a function of the splitmix64 state over (seed, word
+# encoding).  Only this module hashes: key by key here and in GasketSpec's
+# label keys, and whole arrays in `_mix_keys` and `_key_ops`.
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 
 
 def _mix64(x: int) -> int:
     """The splitmix64 finalizer; a fixed, platform-independent 64-bit mix."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = (x + _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -79,16 +86,37 @@ def _mix_text(h: int, text: str) -> int:
     for each byte b, with the finalizer inlined because this loop is the hash's
     hot path."""
     for b in text.encode("utf-8"):
-        z = ((h ^ b) + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((h ^ b) + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
         h = z ^ (z >> 31)
     return h
 
 
+def _mix_keys(h: np.ndarray, text) -> np.ndarray:
+    """_mix_text over a uint64 array of splitmix64 states at once: numpy's
+    uint64 arithmetic wraps mod 2**64 as the masks do.
+
+    `text` is a str, whose bytes continue every state, or a uint64 array of
+    shape (bytes, ...) whose row b holds byte b of each state's own text and
+    broadcasts against h."""
+    gamma, mul1, mul2 = np.uint64(_GAMMA), np.uint64(_MUL1), np.uint64(_MUL2)
+    for b in text.encode("utf-8") if isinstance(text, str) else text:
+        z = (h ^ np.uint64(b)) + gamma
+        z = (z ^ (z >> np.uint64(30))) * mul1
+        z = (z ^ (z >> np.uint64(27))) * mul2
+        h = z ^ (z >> np.uint64(31))
+    return h
+
+
+def _seed_state(seed: int, text: str) -> int:
+    """The splitmix64 state over `text` from the seed's own state."""
+    return _mix_text(_mix64(seed & _MASK64), text)
+
+
 def word_hash_unit(seed: int, text: str) -> float:
     """Deterministic hash of (seed, word encoding) mapped into [0, 1)."""
-    return _mix_text(_mix64(seed & _MASK64), text) / 2.0**64
+    return _seed_state(seed, text) / 2.0**64
 
 
 def _spec_value(convert, value, what: str):
@@ -156,7 +184,7 @@ class GasketSpec:
             return {"type": "explicit", "entries": entries, "default": default}
         if kind == "seeded":
             seed = _spec_value(int, labeling.get("seed", 0), "seeded labeling seed")
-            weights = labeling.get("weights") or {l: 1.0 for l in self.levels}
+            weights = {l: 1.0 for l in self.levels} if labeling.get("weights") is None else labeling["weights"]
             if not isinstance(weights, dict):
                 raise SpecSemanticError(f"seeded weights must map levels to numbers, got {weights!r}")
             weights = {
@@ -177,8 +205,7 @@ class GasketSpec:
             for l in self.levels:
                 acc += weights[l] / total
                 cum.append((l, acc))
-            root = _mix64(seed & _MASK64)
-            return {"type": "seeded", "seed": seed, "weights": weights, "_cum": cum, "_root": root}
+            return {"type": "seeded", "seed": seed, "weights": weights, "_cum": cum, "_root": _seed_state(seed, "")}
         raise SpecSemanticError(f"unknown labeling type {kind!r}")
 
     def _check_measure(self, measure):
@@ -212,10 +239,8 @@ class GasketSpec:
     # parent's in O(1), so a tree walk never re-reads a whole word.  The root's
     # key is None.  Seeded: the splitmix64 state over the word's encoding, so
     # a child continues it over ".i^l" ("i^l" below the root).  Explicit: the
-    # canonical encoding.  Homogeneous: always None.  energy's depth scan
-    # hashes a whole depth's seeded keys at once and labels them with
-    # key_label's own test on key / 2**64 (`energy._key_ops`), so a change to
-    # this hash or to that test must be made there too.
+    # canonical encoding.  Homogeneous: always None.  `_key_ops` takes the
+    # same keys and labels a whole depth at a time.
 
     def child_key(self, key, letter: Letter):
         """The label key of the word `key` belongs to, extended by `letter`."""
@@ -314,7 +339,7 @@ class GasketSpec:
         if isinstance(labeling, dict) and labeling.get("type") == "explicit":
             items = labeling.get("entries", [])
             if not isinstance(items, list) or not all(
-                isinstance(item, dict) and "word" in item and "label" in item for item in items
+                isinstance(item, dict) and isinstance(item.get("word"), str) and "label" in item for item in items
             ):
                 raise SpecSemanticError(f"explicit entries must be a list of {{word, label}} objects, got {items!r}")
             labeling = dict(labeling, entries={item["word"]: item["label"] for item in items})
@@ -329,6 +354,42 @@ class GasketSpec:
         elif kind == "explicit":
             extra = f" entries={len(self.labeling['entries'])}"
         return f"d={self.d} T={list(self.levels)} labeling={kind}{extra}"
+
+
+def _key_ops(spec: GasketSpec) -> tuple:
+    """(root keys, labels(keys), children(keys, l, n, at_root)): the label
+    keys of a whole depth at once, with child_key and key_label as the
+    per-key oracle.
+
+    children gives the keys of cells 1..n of level l below each key, grouped
+    by parent.  Seeded keys are uint64 arrays (`_mix_keys`), and numpy rounds
+    a uint64 to float64 as Python's int / float does, so a key's label is
+    key_label's own test on u = key / 2**64: the first level whose cumulative
+    weight is above u, else the last level.  Other labelings go key by key.
+    """
+    if spec.labeling["type"] != "seeded":
+
+        def labels(keys):
+            return np.array([spec.key_label(key) for key in keys])
+
+        def children(keys, l, n, at_root):
+            return np.array([spec.child_key(key, (i, l)) for key in keys for i in range(1, n + 1)], dtype=object)
+
+        return np.array([None], dtype=object), labels, children
+
+    cum = spec.labeling["_cum"]
+    levels = np.array([l for l, _ in cum])
+    accs = np.array([acc for _, acc in cum])
+
+    def labels(keys):
+        return levels[np.minimum(np.searchsorted(accs, keys / 2.0**64, side="right"), len(levels) - 1)]
+
+    def children(keys, l, n, at_root):
+        keys = _mix_keys(keys, "" if at_root else ".")
+        return np.stack([_mix_keys(keys, f"{i}^{l}") for i in range(1, n + 1)], axis=1).reshape(-1)
+
+    # a 1-element array, not a scalar: numpy warns when a uint64 scalar overflows
+    return np.array([spec.labeling["_root"]], dtype=np.uint64), labels, children
 
 
 # --- the word-tree walk ---------------------------------------------------------

@@ -430,16 +430,21 @@ SEEDED = {"type": "seeded", "seed": 1, "weights": {"2": 1.0, "3": 1.0}}
         '{"dimension": 2, "levels": [2.5]}',
         json.dumps({"dimension": 2, "levels": [2, 3], "labeling": dict(SEEDED, weights={"2": "a", "3": 1})}),
         json.dumps({"dimension": 2, "levels": [2, 3], "labeling": dict(SEEDED, seed="abc")}),
+        # only a missing or null weights means uniform
+        *(json.dumps({"dimension": 2, "levels": [2, 3], "labeling": dict(SEEDED, weights=w)}) for w in ({}, [], 0)),
         '{"dimension": 2, "levels": [2, 3], "labeling": {"type": "seeded", "weights": {"2": NaN, "3": 1}}}',
         '{"dimension": 2, "levels": [2, 3], "labeling": {"type": "seeded", "weights": {"2": 1e308, "3": 1e308}}}',
         '{"dimension": 2, "levels": [2], "measure": {"per_letter": {"2": ["x", "1/2", "1/2"]}}}',
         '{"dimension": 2, "levels": [2], "labeling": "x"}',
         '{"dimension": 2, "levels": [2, 3], "labeling": {"type": "explicit", "entries": [{"word": ""}], "default": 2}}',
+        '{"dimension": 2, "levels": [2], "labeling": {"type": "explicit", "entries": [{"word": [], "label": 2}], "default": 2}}',
         '{"dimension": 2, "levels": [2, 3], "labeling": {"type": "explicit",'
         ' "entries": [{"word": "1^3", "label": 3}, {"word": "01^3", "label": 2}], "default": 2}}',
     ],
-    ids=["levels-str", "dimension-str", "level-fraction", "weight-str", "seed-str", "weight-nan", "weight-sum-inf",
-         "per-letter-str", "labeling-str", "entry-no-label", "entry-conflict"],
+    ids=["levels-str", "dimension-str", "level-fraction", "weight-str", "seed-str", "weights-empty-dict",
+         "weights-empty-list", "weights-zero", "weight-nan", "weight-sum-inf",
+         "per-letter-str", "labeling-str", "entry-no-label", "entry-word-list",
+         "entry-conflict"],
 )
 def test_malformed_spec_exits_2_with_one_line(spec_text, tmp_path, capsys):
     path = tmp_path / "spec.json"
@@ -543,12 +548,14 @@ def test_help_still_prints_usage_and_exits_0(capsys):
 
 
 def test_blowup_checks_res_before_writing(sg_spec, tmp_path, capsys):
-    cloudf = tmp_path / "c.csv"
-    argv = ["blowup", "--spec", sg_spec, "--depth", "2", "--res", "4", "--out-cloud", str(cloudf)]
-    assert main(argv + ["--out-grid", str(tmp_path / "g.csv")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not cloudf.exists() and not (tmp_path / "g.csv").exists()
+    cloudf, gridf = tmp_path / "c.csv", tmp_path / "g.csv"
+    # 3000000000 passes the CLI's own check, and numpy refuses a grid that large
+    for res in ("4", "3000000000"):
+        argv = ["blowup", "--spec", sg_spec, "--depth", "2", "--res", res, "--out-cloud", str(cloudf)]
+        assert main(argv + ["--out-grid", str(gridf)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not cloudf.exists() and not gridf.exists()
 
 
 def test_closed_stdout_ends_quietly(sg_spec):

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasketlab import energy
+from gasketlab.capacity import corner_decay_N
 from gasketlab.errors import BudgetExceededError, DegenerateBasisError, InvalidParameterError, NotFoundError
 from gasketlab.energy import (
     _depth_scan,
     basis_from_vectors,
     cell_energy_matrix,
     contraction_check,
-    corner_decay_N,
     default_basis,
     index_estimate,
     kusuoka_distribution,

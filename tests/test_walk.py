@@ -1,21 +1,23 @@
 """Property tests of the word-tree walk and the incremental label keys, across
 dimensions, level sets, labelings, seeds and measures."""
 
+import ast
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import gasketlab
 from gasketlab.energy import (
     _cell_energies,
     _child_chains,
     _depth_scan,
     _energy_form,
     _float_letter_stacks,
-    _key_ops,
     _stack_eigvalsh,
     basis_from_vectors,
     default_basis,
@@ -26,6 +28,7 @@ from gasketlab.gasket import (
     GasketSpec,
     _coord,
     _denominator,
+    _key_ops,
     _mix64,
     _mix_text,
     _root_cell,
@@ -148,6 +151,19 @@ def mix_text_reference(h: int, text: str) -> int:
 @example(2**64 - 1, "1^2.3^3|é∂|")
 def test_mix_text_is_the_per_byte_mix64_fold(h, text):
     assert _mix_text(h, text) == mix_text_reference(h, text)
+
+
+def test_gasket_is_the_one_owner_of_the_label_hash():
+    # the splitmix64 constants are spelled in gasket alone, and capacity
+    # reaches the hash without the float module
+    package = Path(gasketlab.__file__).parent
+    spelled = sorted(path.name for path in package.glob("*.py") if "9E3779B97F4A7C15" in path.read_text().upper())
+    assert spelled == ["gasket.py"]
+    imports = [node for node in ast.walk(ast.parse((package / "capacity.py").read_text()))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = [node.module or "" for node in imports if isinstance(node, ast.ImportFrom)]
+    names += [alias.name for node in imports for alias in node.names]
+    assert not [name for name in names if name.rsplit(".", 1)[-1] == "energy"]
 
 
 @PROPERTY
