@@ -11,6 +11,13 @@ cells meet only at their corners, so inside a cell the potential is the
 harmonic extension of its corner values, e_child = A_letter e_parent.  Only
 pairs (two harmonic directions) are supported; that is the shape the
 limiting-measure argument consumes.
+
+The transport moves a whole depth at a time: the cells' integer numerators
+are one array, each level's children are one matmul with the integer
+extension matrices M = D A, and the children are scattered into the walk's
+depth-lexicographic order.  The arrays are int64 while an exact bound keeps
+every entry, sum and square below 2**62 and Python ints after that, so every
+value is exact, and each float is read from exact integers as int / int.
 """
 
 from __future__ import annotations
@@ -21,12 +28,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateBasisError, InvalidParameterError
+from .errors import BudgetExceededError, DegenerateBasisError, InvalidParameterError
 from .capacity import default_inner_depth
 from .energy import basis_from_vectors
-from .exactla import integer_form, mat_vec
-from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _exact_sum, walk
+from .exactla import integer_form
+from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _exact_sum, _key_ops
 from .harmonic import extension_matrices
+from .subdivision import cell_count
 
 
 @dataclass
@@ -48,6 +56,18 @@ class BlowupCloud:
         return len(self.weights)
 
 
+_LIMIT = 1 << 62  # every int64 entry, sum and square stays below this
+_TOO_LARGE = "the harmonic pair is too large for floating point"
+
+
+def _as_exact(S: np.ndarray, bound) -> np.ndarray:
+    """S, or S as Python ints (dtype=object) once bound(its largest absolute
+    entry) could reach 2**62; an object array stays one."""
+    if S.dtype == object or bound(max(int(S.max()), -int(S.min()))) < _LIMIT:
+        return S
+    return S.astype(object)
+
+
 def blowup_cloud(
     spec: GasketSpec,
     word: Word,
@@ -59,10 +79,15 @@ def blowup_cloud(
 ) -> BlowupCloud:
     """Build the weighted cloud for the harmonic pair (b1, b2) below `word`.
 
-    The walk carries the potential at each cell's corners: down to depth N
-    the corner cell i keeps its parent's value at corner i and every other
-    corner value is 1; deeper the values follow the extension matrices.
-    Masses are root normalized.
+    The cells of a depth are carried together, in the walk's
+    depth-lexicographic order.  Each holds an integer (3, d+1) block, the
+    numerators of the pair's two vertex vectors over its denominator `den`
+    and of the potential at its corners over `e_den`, with `den`, `e_den`
+    and 1/r_w = ir_num / ir_den as Python ints.  Down to depth N the corner
+    cell i keeps its parent's potential at corner i and every other corner
+    value is 1; deeper the values follow the extension matrices.  Masses are
+    root normalized.  More than `budget` depth-m cells are refused before
+    any depth is built.
     """
     basis = basis_from_vectors(spec.d, [b1, b2])
     if basis.size != 2:
@@ -71,69 +96,132 @@ def blowup_cloud(
         N = default_inner_depth(spec)
     if N < 1:
         raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
+    if m < 0:
+        raise InvalidParameterError(f"depth must be >= 0, got {m}")
+    if budget < 1:
+        raise InvalidParameterError(f"budget must be >= 1, got {budget}")
+    keys, labels_of, children_of = _key_ops(spec, word)
 
     d = spec.d
     n = d + 1
-    # the state holds integer numerators over its denominators den and e_den
-    pair, den0 = integer_form(basis.raw[0] + basis.raw[1])
+    stacks = {}
 
-    def step(state, letter):
-        to_n, ir_num, ir_den, v1, v2, den, e, e_den = state
-        i, l = letter
-        data = extension_matrices(d, l)
-        M = data.M[i - 1]
-        if to_n > 0:
-            # a child's corner is a corner of its parent only at corner i of
-            # the corner cell i; a new vertex is no corner of the word, so 1
-            e = [x if k == i - 1 else e_den for k, x in enumerate(e)]
-        elif min(e) != max(e):  # A is row-stochastic, so it keeps a constant
-            e, e_den = mat_vec(M, e), e_den * data.D
-        r = data.r
-        return (
-            to_n - 1, ir_num * r.denominator, ir_den * r.numerator,
-            mat_vec(M, v1), mat_vec(M, v2), den * data.D, e, e_den,
-        )
+    def stack(l):  # (M_c^T stacked, D, r, the largest absolute row sum of an M_c)
+        if l not in stacks:
+            data = extension_matrices(d, l)
+            rows = max(sum(abs(x) for x in row) for M in data.M for row in M)
+            stacks[l] = np.array(data.M, dtype=np.int64).transpose(0, 2, 1), data.D, data.r, rows
+        return stacks[l]
 
-    def q(v):  # Q(v, v) for the base form Q = (d+1) I - J
-        s = sum(v)
-        return n * sum(x * x for x in v) - s * s
+    def groups(labels):  # (l, the indices of the cells of level l) for each level present
+        return [(l, idx) for l in spec.levels if len(idx := np.flatnonzero(labels == l))]
 
-    sums, e_means, masses, weights = [], [], [], []
+    def expand(S, scal, keys, present, counts, depth):
+        """The children of the cells (S, scal, keys) whose levels are grouped
+        in `present`, in depth-lexicographic order: child c of parent p goes
+        to slot starts[p] + c.  Without keys the children get none."""
+        starts = np.cumsum(counts) - counts
+        total = int(starts[-1] + counts[-1])
+        S_next, scal_next = np.empty((total, 3, n), dtype=S.dtype), np.empty((total, 4), dtype=object)
+        keys_next = None if keys is None else np.empty(total, dtype=keys.dtype)
+        for l, idx in present:
+            MT, D, r, _ = stack(l)
+            nc = MT.shape[0]
+            P = S[idx]
+            C = np.matmul(P[:, None], MT)  # C[p, c, k] = M_c P[p, k]
+            sc = scal[idx] * np.array([D, r.denominator, r.numerator, 1], dtype=object)
+            if depth <= N:
+                # a child's corner is a corner of its parent only at corner i of
+                # the corner cell i; a new vertex is no corner of the word, so 1
+                C[:, :, 2] = 1
+                corner = np.arange(min(nc, n))
+                C[:, corner, 2, corner] = P[:, 2, : len(corner)]
+            else:  # A is row-stochastic, so a constant potential stays as it is
+                flat = P[:, 2].max(1) == P[:, 2].min(1)
+                C[flat, :, 2] = P[flat, None, 2]
+                sc[~flat, 3] *= D
+            slots = (starts[idx, None] + np.arange(nc)).reshape(-1)
+            S_next[slots] = C.reshape(-1, 3, n)
+            scal_next[slots] = np.repeat(sc, nc, axis=0)
+            if keys is not None:
+                keys_next[slots] = children_of(keys[idx], l, nc, depth == 1)
+        return S_next, scal_next, keys_next
+
+    e_means, masses, weights = [], [], []
     by_den: dict = {}  # the weights' numerators tallied by their denominators
     max_num, max_den = 0, 1  # the largest squared vertex norm of the pair
-    start = (N, 1, 1, pair[:n], pair[n:], den0, [0] * n, 1)
-    for _, (_, ir_num, ir_den, v1, v2, den, e, e_den) in walk(spec, m, start, step, root=word, budget=budget):
-        den_sq = den * den
-        for x, y in zip(v1, v2):
-            sq = x * x + y * y
-            if sq * max_den > max_num * den_sq:
-                max_num, max_den = sq, den_sq
-        # mass is (1/2) sum of the 2/r_w energy masses; weight is e_mean^2 mass
-        mass_num, mass_den = ir_num * (q(v1) + q(v2)), ir_den * den_sq
-        mean_num, mean_den = sum(e), n * e_den
-        w_num, w_den = mean_num * mean_num * mass_num, mean_den * mean_den * mass_den
-        by_den[w_den] = by_den.get(w_den, 0) + w_num
-        sums.append((sum(v1), sum(v2), n * den))
-        e_means.append(Fraction(mean_num, mean_den))
-        masses.append(Fraction(mass_num, mass_den))
-        weights.append(Fraction(w_num, w_den))
+
+    def record(S, scal):
+        """Reduce a block of depth-m cells into `points` and the output lists."""
+        nonlocal max_num, max_den
+        at, means = len(weights), []
+        S = _as_exact(S, lambda peak: 2 * n * n * peak * peak)
+        V = S[:, :2]
+        s = V.sum(2)
+        sq = V * V
+        qs = (n * sq.sum(2) - s * s).sum(1)  # Q(v1, v1) + Q(v2, v2), Q = (d+1) I - J
+        tops = sq.sum(1).max(1)
+        e_sums = S[:, 2].sum(1)
+        for (s1, s2), q, top, e_sum, (den, ir_num, ir_den, e_den) in zip(
+            s.tolist(), qs.tolist(), tops.tolist(), e_sums.tolist(), scal.tolist()
+        ):
+            den_sq = den * den
+            if top * max_den > max_num * den_sq:
+                max_num, max_den = top, den_sq
+            # mass is (1/2) sum of the 2/r_w energy masses; weight is e_mean^2 mass
+            mass_num, mass_den = ir_num * q, ir_den * den_sq
+            mean_den = n * e_den
+            w_num, w_den = e_sum * e_sum * mass_num, mean_den * mean_den * mass_den
+            by_den[w_den] = by_den.get(w_den, 0) + w_num
+            try:  # int / int is correctly rounded, so these are the floats of the reduced fractions
+                means.append((s1 / (n * den), s2 / (n * den)))
+            except OverflowError:  # then so does the largest vertex norm
+                raise InvalidParameterError(_TOO_LARGE) from None
+            e_means.append(Fraction(e_sum, mean_den))
+            masses.append(Fraction(mass_num, mass_den))
+            weights.append(Fraction(w_num, w_den))
+        points[at : at + len(means)] = means
+
+    pair, den0 = integer_form(basis.raw[0] + basis.raw[1])
+    S = np.array([[pair[:n], pair[n:], [0] * n]], dtype=object)
+    if max(abs(x) for x in pair) < _LIMIT:
+        S = S.astype(np.int64)
+    scal = np.array([[den0, 1, 1, 1]], dtype=object)  # den, ir_num, ir_den, e_den
+    if m == 0:
+        points = np.empty((1, 2))
+        record(S, scal)
+    for depth in range(1, m + 1):
+        labels = labels_of(keys)
+        present = groups(labels)
+        counts = np.empty(len(labels), dtype=np.int64)
+        for l, idx in present:
+            counts[idx] = cell_count(d, l)
+        if counts.sum() > budget:
+            raise BudgetExceededError(f"more than {budget} words at depth {m}")
+        rows = max(stack(l)[3] for l, _ in present)
+        S = _as_exact(S, lambda peak: peak * rows)
+        if depth < m:
+            S, scal, keys = expand(S, scal, keys, present, counts, depth)
+            continue
+        # the deepest cells are built and reduced a block of parents at a time
+        points = np.empty((int(counts.sum()), 2))
+        per = max(1, 1024 // int(counts.max()))
+        for lo in range(0, len(labels), per):
+            block = slice(lo, lo + per)
+            S_block, scal_block, _ = expand(S[block], scal[block], None, groups(labels[block]), counts[block], depth)
+            record(S_block, scal_block)
     if max_num == 0:
         raise DegenerateBasisError("the harmonic pair vanishes on the cell")
     total = _exact_sum(by_den)
-    # int / int is correctly rounded, so these floats are those of the reduced fractions
     try:
         norm = math.sqrt(max_num / max_den)
         float(total)  # every weight is at most the total, so all weights have floats
     except OverflowError:
-        raise InvalidParameterError("the harmonic pair is too large for floating point") from None
+        raise InvalidParameterError(_TOO_LARGE) from None
     if norm == 0.0:
         raise InvalidParameterError("the harmonic pair is too small for floating point")
     alpha = 1.0 / norm
-
-    points = np.empty((len(sums), 2))
-    for idx, (s1, s2, h_den) in enumerate(sums):
-        points[idx, 0] = alpha * (s1 / h_den)
-        points[idx, 1] = alpha * (s2 / h_den)
+    points *= alpha
     return BlowupCloud(
         word=word,
         depth=m,

@@ -269,12 +269,8 @@ def cmd_blowup(args) -> int:
         )
         _emit_csv(["word", "x", "y", "weight", "e_value"], rows, args.out_cloud)
     if args.out_grid:
-        rows = (
-            [i, j, grid[i, j]]
-            for i in range(args.res)
-            for j in range(args.res)
-            if grid[i, j] != 0.0
-        )
+        # nonzero() walks the grid row-major, as the rows were always written
+        rows = ([i, j, grid[i, j]] for i, j in zip(*grid.nonzero()))
         _emit_csv(["row", "col", "mass"], rows, args.out_grid)
     payload = {
         "config": _config(args, spec, b1=[frac_str(x) for x in b1], b2=[frac_str(x) for x in b2]),

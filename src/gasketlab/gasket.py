@@ -356,17 +356,22 @@ class GasketSpec:
         return f"d={self.d} T={list(self.levels)} labeling={kind}{extra}"
 
 
-def _key_ops(spec: GasketSpec) -> tuple:
+def _key_ops(spec: GasketSpec, root: Word = ()) -> tuple:
     """(root keys, labels(keys), children(keys, l, n, at_root)): the label
-    keys of a whole depth at once, with child_key and key_label as the
-    per-key oracle.
+    keys of a whole depth below `root` at once, with child_key and key_label
+    as the per-key oracle.  The root keys hold the one key of the admissible
+    word `root`.
 
     children gives the keys of cells 1..n of level l below each key, grouped
-    by parent.  Seeded keys are uint64 arrays (`_mix_keys`), and numpy rounds
-    a uint64 to float64 as Python's int / float does, so a key's label is
-    key_label's own test on u = key / 2**64: the first level whose cumulative
-    weight is above u, else the last level.  Other labelings go key by key.
+    by parent; at_root says the keys are the root keys, whose seeded
+    children continue without the "." separator only when the root is the
+    empty word.  Seeded keys are uint64 arrays (`_mix_keys`), and numpy
+    rounds a uint64 to float64 as Python's int / float does, so a key's
+    label is key_label's own test on u = key / 2**64: the first level whose
+    cumulative weight is above u, else the last level.  Other labelings go
+    key by key.
     """
+    key = spec.validate_word(root)
     if spec.labeling["type"] != "seeded":
 
         def labels(keys):
@@ -375,7 +380,7 @@ def _key_ops(spec: GasketSpec) -> tuple:
         def children(keys, l, n, at_root):
             return np.array([spec.child_key(key, (i, l)) for key in keys for i in range(1, n + 1)], dtype=object)
 
-        return np.array([None], dtype=object), labels, children
+        return np.array([key], dtype=object), labels, children
 
     cum = spec.labeling["_cum"]
     levels = np.array([l for l, _ in cum])
@@ -385,11 +390,11 @@ def _key_ops(spec: GasketSpec) -> tuple:
         return levels[np.minimum(np.searchsorted(accs, keys / 2.0**64, side="right"), len(levels) - 1)]
 
     def children(keys, l, n, at_root):
-        keys = _mix_keys(keys, "" if at_root else ".")
+        keys = _mix_keys(keys, "" if at_root and not root else ".")
         return np.stack([_mix_keys(keys, f"{i}^{l}") for i in range(1, n + 1)], axis=1).reshape(-1)
 
     # a 1-element array, not a scalar: numpy warns when a uint64 scalar overflows
-    return np.array([spec.labeling["_root"]], dtype=np.uint64), labels, children
+    return np.array([spec.labeling["_root"] if key is None else key], dtype=np.uint64), labels, children
 
 
 # --- the word-tree walk ---------------------------------------------------------

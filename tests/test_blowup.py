@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gasketlab.blowup import BlowupCloud, blowup_cloud, density_grid
 from gasketlab.capacity import inner_set_pins
 from gasketlab.energy import default_basis
-from gasketlab.errors import DegenerateBasisError, InadmissibleWordError, InvalidParameterError
+from gasketlab.errors import BudgetExceededError, DegenerateBasisError, InadmissibleWordError, InvalidParameterError
 from gasketlab.exactla import identity, mat_mul, mat_vec
 from gasketlab.gasket import GasketSpec, chain_matrix, dirichlet_solve, iter_words, level_network
 from gasketlab.harmonic import base_form, extension_matrices
@@ -156,18 +156,27 @@ def test_equilibrium_potential_is_the_inner_set_solve(case):
     assert all(0 <= x <= 1 for x in pots.values())
 
 
+SEEDED_CASE = (GasketSpec(2, [2, 3], {"type": "seeded", "seed": 1, "weights": {2: 1.0, 3: 1.0}}), ((1, 3),), 2, 3)
+
+
 @settings(max_examples=25, deadline=None)
-@given(cloud_cases(max_cells=150))
-@example((GasketSpec(2, [2, 3], {"type": "seeded", "seed": 1, "weights": {2: 1.0, 3: 1.0}}), ((1, 3),), 2, 3))
-def test_cloud_is_the_fraction_chain_product(case):
-    # the pair is A_word c for the default basis c, so every leaf carries
-    # chain_matrix(word + w) c; the potential is 0 at a corner of the depth-N
-    # ancestor that is a corner of the word, 1 at the others, then A-extended
+@given(cloud_cases(max_cells=150), st.sampled_from([0, 40, 52, 70]))
+@example(SEEDED_CASE, 0)
+@example(SEEDED_CASE, 40)
+@example(SEEDED_CASE, 52)
+@example(SEEDED_CASE, 70)
+def test_cloud_is_the_fraction_chain_product(case, k):
+    # the pair is 2**k A_word c for the default basis c, so every leaf carries
+    # 2**k chain_matrix(word + w) c; the potential is 0 at a corner of the
+    # depth-N ancestor that is a corner of the word, 1 at the others, then
+    # A-extended.  In the seeded example the numerators leave int64 never
+    # (k = 0), for the squares (k = 40), before the second depth (k = 52) or
+    # at the root (k = 70)
     spec, word, N, m = case
     d = spec.d
     Q = base_form(d)
     basis = default_basis(d)
-    b1, b2 = (mat_vec(chain_matrix(spec, word), c) for c in basis.raw[:2])
+    b1, b2 = ([2**k * x for x in mat_vec(chain_matrix(spec, word), c)] for c in basis.raw[:2])
     cloud = blowup_cloud(spec, word, b1, b2, m=m, N=N)
 
     def product(letters):
@@ -176,7 +185,7 @@ def test_cloud_is_the_fraction_chain_product(case):
 
     pairs, e_means, masses = [], [], []
     for w, r_w, _ in iter_words(spec, m, root=word):
-        v1, v2 = (mat_vec(chain_matrix(spec, word + w), c) for c in basis.raw[:2])
+        v1, v2 = ([2**k * x for x in mat_vec(chain_matrix(spec, word + w), c)] for c in basis.raw[:2])
         top = w[:N]
         e_top = [Fraction(0 if all(i == c + 1 for i, _ in top) else 1) for c in range(d + 1)]
         e = mat_vec(product(w[N:]), e_top)
@@ -193,3 +202,23 @@ def test_cloud_is_the_fraction_chain_product(case):
     assert cloud.total_mass == sum(weights)
     assert cloud.alpha == alpha
     assert np.array_equal(cloud.points, points)
+
+
+def test_cloud_refuses_a_depth_over_the_budget_before_building_it(sg):
+    basis = default_basis(2)
+    with pytest.raises(BudgetExceededError, match=r"^more than 26 words at depth 3$"):
+        blowup_cloud(sg, (), basis.raw[0], basis.raw[1], m=3, budget=26)
+    assert blowup_cloud(sg, (), basis.raw[0], basis.raw[1], m=3, budget=27).n_points == 27
+    # depth 40 would hold 3**40 cells; its third depth is already over the budget
+    with pytest.raises(BudgetExceededError, match=r"^more than 26 words at depth 40$"):
+        blowup_cloud(sg, (), basis.raw[0], basis.raw[1], m=40, budget=26)
+    with pytest.raises(InvalidParameterError):
+        blowup_cloud(sg, (), basis.raw[0], basis.raw[1], m=3, budget=0)
+
+
+def test_cloud_at_depth_0_is_the_one_cell(sg):
+    basis = default_basis(2)
+    cloud = blowup_cloud(sg, (), basis.raw[0], basis.raw[1], m=0, budget=1)
+    assert cloud.n_points == 1 and cloud.points.shape == (1, 2)
+    # depth 0 is above the inner-set depth, so the word's corners are all 0
+    assert cloud.e_means == [0] and cloud.weights == [0] and cloud.total_mass == 0

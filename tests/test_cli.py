@@ -218,6 +218,29 @@ def test_dim_estimate_reports_are_the_golden_bytes(golden, spec_text, depth, tmp
     assert (captured.out, captured.err) == ((GOLDEN / golden).read_text(), "")
 
 
+@pytest.mark.parametrize(
+    "golden, spec_text, argv, files",
+    [
+        ("blowup_sg_m5", SG, ["--depth", "5", "--res", "64"], True),
+        ("blowup_seeded_1-3.2-3_m5", SEEDED_T23, ["--word", "1^3.2^3", "--depth", "5", "--res", "32"], True),
+        ("blowup_seeded_m4_b1b2", SEEDED_T23, ["--depth", "4", "--b1", "1/3,5,-7", "--b2", "2,0,1/9"], False),
+    ],
+    ids=["sg", "seeded-d2-T23-word", "seeded-d2-T23-pair"],
+)
+def test_blowup_reports_grids_and_clouds_are_the_golden_bytes(golden, spec_text, argv, files, tmp_path, capsys):
+    # the bytes blowup wrote when it transported the pair one cell at a time
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    grid, cloud = tmp_path / "grid.csv", tmp_path / "cloud.csv"
+    outs = ["--out-grid", str(grid), "--out-cloud", str(cloud)] if files else []
+    assert main(["blowup", "--spec", str(spec), *argv, *outs]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ((GOLDEN / f"{golden}.json").read_text(), "")
+    if files:
+        assert grid.read_bytes() == (GOLDEN / f"{golden}_grid.csv").read_bytes()
+        assert cloud.read_bytes() == (GOLDEN / f"{golden}_cloud.csv").read_bytes()
+
+
 def test_a_capacity_past_the_int_string_limit_prints_in_full(tmp_path, capsys):
     # the depth-10,000 corner chains give a denominator of more than 4,300
     # digits, Python's default limit for turning an int into a string

@@ -384,6 +384,28 @@ def test_array_child_keys_are_child_key(spec, keys, l, n):
 
 
 @PROPERTY
+@given(specs(), st.data())
+def test_whole_depth_keys_below_a_root_are_the_folded_keys(spec, data):
+    # two depths below a non-empty root, parent by parent, against child_key
+    # and key_label folded from the root's own key
+    root = data.draw(st.sampled_from([w for w in reference_words(spec, data.draw(st.integers(1, 2))) if w]))
+    keys, labels, children = _key_ops(spec, root)
+    expect = [spec.validate_word(root)]
+    for depth in (1, 2):
+        assert keys.tolist() == expect
+        assert labels(keys).tolist() == [spec.key_label(key) for key in expect]
+        next_keys, next_expect = [], []
+        for p, key in enumerate(expect):
+            l = spec.key_label(key)
+            n = cell_count(spec.d, l)
+            next_keys.append(children(keys[p : p + 1], l, n, depth == 1))
+            next_expect += [spec.child_key(key, (i, l)) for i in range(1, n + 1)]
+        keys, expect = np.concatenate(next_keys), next_expect
+    assert keys.tolist() == expect
+    assert labels(keys).tolist() == [spec.key_label(key) for key in expect]
+
+
+@PROPERTY
 @given(seeded_specs, st.lists(st.integers(0, 2**64 - 1), max_size=8))
 def test_array_labels_are_key_label_at_every_threshold(spec, keys):
     # the weights drawn by specs() include zeros, so thresholds repeat
