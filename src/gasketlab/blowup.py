@@ -32,7 +32,7 @@ from .errors import BudgetExceededError, DegenerateBasisError, InvalidParameterE
 from .capacity import default_inner_depth
 from .energy import basis_from_vectors
 from .exactla import integer_form
-from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _exact_sum, _key_ops
+from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _check_depth, _exact_sum, _key_ops
 from .harmonic import extension_matrices
 from .subdivision import cell_count
 
@@ -96,10 +96,7 @@ def blowup_cloud(
         N = default_inner_depth(spec)
     if N < 1:
         raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
-    if m < 0:
-        raise InvalidParameterError(f"depth must be >= 0, got {m}")
-    if budget < 1:
-        raise InvalidParameterError(f"budget must be >= 1, got {budget}")
+    _check_depth(m, budget)
     keys, labels_of, children_of = _key_ops(spec, word)
 
     d = spec.d

@@ -10,8 +10,10 @@ Usage:
     gasketlab blowup --spec sg.json --depth 6 --res 64 --out-grid grid.csv
     gasketlab hausdorff --spec sg.json
 
-Exit codes: 0 success, 2 invalid input, 3 numerical failure.  Reports embed
-the resolved configuration and are byte-identical for identical inputs.
+Exit codes: 0 success, 2 invalid input, 3 numerical failure.  The error's
+type sets the code: an `InputError` exits 2 and a `NumericalError` exits 3
+(see `gasketlab.errors`).  Reports embed the resolved configuration and are
+byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -28,41 +30,10 @@ from fractions import Fraction
 from . import blowup as blowup_mod
 from . import capacity as capacity_mod
 from . import energy as energy_mod
-from .errors import (
-    BudgetExceededError,
-    DegenerateBasisError,
-    DisconnectedNetworkError,
-    EigenRelationError,
-    EmptyBoundaryError,
-    GasketLabError,
-    InadmissibleWordError,
-    InvalidParameterError,
-    InvalidVertexError,
-    NotFoundError,
-    ProportionalityError,
-    SpecParseError,
-    SpecSemanticError,
-)
-from .gasket import GasketSpec, encode_word, iter_words, parse_word
+from .errors import GasketLabError, InvalidParameterError, SpecParseError
+from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, _check_depth, encode_word, iter_words, parse_word, walk
 from .harmonic import extension_matrices, renormalization_factor, theta
 from .subdivision import cell_count
-
-_INPUT_ERRORS = (
-    SpecParseError,
-    SpecSemanticError,
-    InvalidParameterError,
-    InadmissibleWordError,
-    InvalidVertexError,
-    EmptyBoundaryError,
-    DegenerateBasisError,
-    BudgetExceededError,
-)
-_NUMERIC_ERRORS = (
-    ProportionalityError,
-    EigenRelationError,
-    DisconnectedNetworkError,
-    NotFoundError,
-)
 
 
 def frac_str(x: Fraction) -> str:
@@ -159,8 +130,7 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_words(args) -> int:
-    if args.depth < 0:  # the walk checks only once the first row is asked for
-        raise InvalidParameterError(f"depth must be >= 0, got {args.depth}")
+    _check_depth(args.depth)  # the walk checks only once the first row is asked for
     spec = load_spec(args.spec)
     rows = (
         [encode_word(w), r.numerator, r.denominator, mu.numerator, mu.denominator]
@@ -263,9 +233,11 @@ def cmd_blowup(args) -> int:
     # the grid is built before any file is written, so a refused grid leaves none
     grid = blowup_mod.density_grid(cloud, args.res) if args.out_grid else None
     if args.out_cloud:
+        # the cloud's points come in the walk's order, so each row gets its cell's word
+        cells = walk(spec, args.depth, None, lambda state, letter: None, root=word, budget=args.budget)
         rows = (
-            [encode_word(cloud.word), float(x), float(y), float(w), float(e)]
-            for (x, y), w, e in zip(cloud.points, cloud.weights, cloud.e_means)
+            [encode_word(word + rel), float(x), float(y), float(w), float(e)]
+            for (rel, _), (x, y), w, e in zip(cells, cloud.points, cloud.weights, cloud.e_means)
         )
         _emit_csv(["word", "x", "y", "weight", "e_value"], rows, args.out_cloud)
     if args.out_grid:
@@ -354,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("words", help="emit the admissible words of one depth as CSV")
     p.add_argument("--spec", required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--budget", type=_positive_int, default=10_000_000)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_WORD_BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_words)
 
@@ -363,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--eps", type=float, default=1e-8)
     p.add_argument("--delta", type=float, default=1e-3)
-    p.add_argument("--budget", type=_positive_int, default=10_000_000)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_WORD_BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dim_estimate)
 
@@ -376,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-words", type=int, default=8)
     p.add_argument("--point-samples", type=int, default=3)
-    p.add_argument("--budget", type=_positive_int, default=10_000_000)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_WORD_BUDGET)
     p.add_argument("--out", default=None)
     p.add_argument("--rows-out", default=None)
     p.set_defaults(func=cmd_verify_a3)
@@ -388,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", type=int, default=None)
     p.add_argument("--base-depth", type=int, default=1)
     p.add_argument("--refine", type=int, default=1)
-    p.add_argument("--budget", type=_positive_int, default=10_000_000)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_WORD_BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_capacity)
 
@@ -399,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", type=int, default=64)
     p.add_argument("--b1", default=None, help="comma-separated rationals")
     p.add_argument("--b2", default=None)
-    p.add_argument("--budget", type=_positive_int, default=10_000_000)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_WORD_BUDGET)
     p.add_argument("--out", default=None)
     p.add_argument("--out-cloud", default=None)
     p.add_argument("--out-grid", default=None)
@@ -422,15 +394,9 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # so a closed stdout fails here, not at exit
         return code
-    except _INPUT_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return 3
     except GasketLabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+        sys.stderr.write(f"{exc.prefix}: {exc}\n")
+        return exc.exit_code
     except BrokenPipeError:
         # The reader closed stdout early (`| head`): stop quietly, and point
         # stdout at devnull so the interpreter's final flush cannot fail too.

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DegenerateBasisError, InvalidParameterError
 from .exactla import det, integer_form, mat_mul, mat_t, mat_vec
-from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _key_ops, walk
+from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _check_depth, _key_ops, walk
 from .harmonic import base_form, dual_vector, extension_matrices, principal_vector, theta
 
 
@@ -448,10 +448,7 @@ def index_estimate(
         raise InvalidParameterError(f"eps must be in (0,1), got {eps}")
     if not 0 < delta < 1:
         raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
-    if m < 0:
-        raise InvalidParameterError(f"depth must be >= 0, got {m}")
-    if budget < 1:
-        raise InvalidParameterError(f"budget must be >= 1, got {budget}")
+    _check_depth(m, budget)
     basis, _ = _resolve_basis(spec.d, basis)
 
     mean_trend, max_trend, rank2_trend = [], [], []

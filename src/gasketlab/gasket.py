@@ -400,6 +400,14 @@ def _key_ops(spec: GasketSpec, root: Word = ()) -> tuple:
 # --- the word-tree walk ---------------------------------------------------------
 
 
+def _check_depth(m: int, budget: int = 1) -> None:
+    """Refuse a negative depth m and a budget below 1."""
+    if m < 0:
+        raise InvalidParameterError(f"depth must be >= 0, got {m}")
+    if budget < 1:
+        raise InvalidParameterError(f"budget must be >= 1, got {budget}")
+
+
 def walk(
     spec: GasketSpec, m: int, start, step, root: Word = (), budget: int = DEFAULT_WORD_BUDGET, stop=None
 ):
@@ -412,10 +420,7 @@ def walk(
     yielded as a leaf and not walked below, so the leaves have mixed depths.
     More than `budget` leaves raise BudgetExceededError.
     """
-    if m < 0:
-        raise InvalidParameterError(f"depth must be >= 0, got {m}")
-    if budget < 1:
-        raise InvalidParameterError(f"budget must be >= 1, got {budget}")
+    _check_depth(m, budget)
     key = spec.validate_word(root)
     if m == 0:
         yield (), start

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasketlab import cli, errors
 from gasketlab.capacity import corner_chain_capacity
 from gasketlab.cli import load_spec, main
-from gasketlab.errors import SpecParseError, SpecSemanticError
+from gasketlab.errors import GasketLabError, SpecParseError, SpecSemanticError
+from gasketlab.gasket import encode_word, iter_words, parse_word
 from gasketlab.subdivision import cell_count
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -356,6 +358,44 @@ def test_exit_codes(sg_spec, tmp_path):
     assert main(["capacity", "--spec", sg_spec, "--word", "9^2"]) == 2
 
 
+# every error type with the exit code and stderr prefix the command line gives it
+ERROR_EXITS = {
+    "GasketLabError": (3, "error"),
+    "InputError": (2, "error"),
+    "SpecParseError": (2, "error"),
+    "SpecSemanticError": (2, "error"),
+    "InvalidParameterError": (2, "error"),
+    "InadmissibleWordError": (2, "error"),
+    "InvalidVertexError": (2, "error"),
+    "EmptyBoundaryError": (2, "error"),
+    "DegenerateBasisError": (2, "error"),
+    "BudgetExceededError": (2, "error"),
+    "NumericalError": (3, "numerical failure"),
+    "ProportionalityError": (3, "numerical failure"),
+    "EigenRelationError": (3, "numerical failure"),
+    "DisconnectedNetworkError": (3, "numerical failure"),
+    "NotFoundError": (3, "numerical failure"),
+}
+
+
+def test_every_error_type_is_classified():
+    defined = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, GasketLabError)}
+    assert defined == set(ERROR_EXITS)
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_EXITS))
+def test_every_error_type_exits_with_its_code(name, monkeypatch, capsys):
+    code, prefix = ERROR_EXITS[name]
+
+    def fail(path):
+        raise getattr(errors, name)("boom")
+
+    monkeypatch.setattr(cli, "load_spec", fail)
+    assert main(["hausdorff", "--spec", "x"]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{prefix}: boom\n")
+
+
 def test_dim_estimate_json(sg_spec, tmp_path):
     # the delta sliver of slow cells only drops below threshold from depth 9 on
     out = tmp_path / "rank.json"
@@ -409,6 +449,19 @@ def test_blowup_subcommand(sg_spec, tmp_path, capsys):
     total = payload["report"]["total_mass"]
     num, den = map(int, total.split("/"))
     assert abs(mass - num / den) < 1e-9 * (num / den)
+
+
+@pytest.mark.parametrize("word", ["2^3", "1^3.2^3"])
+def test_blowup_cloud_rows_carry_their_cells_words(word, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(SEEDED_T23)
+    cloudf = tmp_path / "cloud.csv"
+    assert main(["blowup", "--spec", str(spec), "--word", word, "--depth", "3", "--out-cloud", str(cloudf)]) == 0
+    capsys.readouterr()
+    column = [line.split(",")[0] for line in cloudf.read_text().splitlines()[1:]]
+    root = parse_word(word)
+    assert column == [encode_word(root + w) for w, _, _ in iter_words(load_spec(str(spec)), 3, root=root)]
+    assert len(set(column)) == len(column) > 1
 
 
 def test_blowup_config_records_the_harmonic_pair(sg_spec, capsys):

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gasketlab
+import gasketlab.cli
 from gasketlab.energy import (
     _cell_energies,
     _child_chains,
@@ -22,7 +23,7 @@ from gasketlab.energy import (
     basis_from_vectors,
     default_basis,
 )
-from gasketlab.errors import BudgetExceededError, DegenerateBasisError, InvalidParameterError
+from gasketlab.errors import BudgetExceededError, DegenerateBasisError, GasketLabError, InvalidParameterError
 from gasketlab.gasket import (
     ConductanceNetwork,
     GasketSpec,
@@ -164,6 +165,23 @@ def test_gasket_is_the_one_owner_of_the_label_hash():
     names = [node.module or "" for node in imports if isinstance(node, ast.ImportFrom)]
     names += [alias.name for node in imports for alias in node.names]
     assert not [name for name in names if name.rsplit(".", 1)[-1] == "energy"]
+
+
+def test_the_input_boundary_rules_are_written_once():
+    # cli catches library errors only as GasketLabError, whose type sets the
+    # exit code, and gasket alone spells the default budget and the depth and
+    # budget checks
+    package = Path(gasketlab.__file__).parent
+    sources = {path.name: path.read_text() for path in package.glob("*.py")}
+    namespace = vars(gasketlab.cli)
+    for node in ast.walk(ast.parse(sources["cli.py"])):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = eval(ast.unparse(node.type), namespace)
+            caught = caught if isinstance(caught, tuple) else (caught,)
+            assert [c for c in caught if issubclass(c, GasketLabError)] in ([], [GasketLabError])
+    assert [name for name, text in sources.items() if "10_000_000" in text] == ["gasket.py"]
+    for message in ("depth must be >= 0", "budget must be >= 1"):
+        assert sum(text.count(message) for text in sources.values()) == 1
 
 
 @PROPERTY
