@@ -17,7 +17,9 @@ So every capacity is one exact value, and nothing takes a refinement count.
 in the tests as its oracle.  A point capacity pins only vertices of its base
 depth, so it is the base depth's value: `_point_capacity` solves it once, on
 a trace-reduced network refined only in the cells whose closure holds the
-target vertex, numbered by `vertex_keys`, a walk that builds no network.
+target vertex.  `vertex_numbering` finds that vertex from its id without
+numbering the others: it counts each subtree's vertices from the labels of
+its internal cells and unranks the id along one path of the word tree.
 
 The corner masses of the A3 report are read off the corner-chain
 eigenstructure: on u = a 1 + (u_i, u) v_i + y, the chain form
@@ -57,13 +59,14 @@ from .gasket import (
     _coord,
     _corner_keys,
     _denominator,
+    _misses,
     _mix_keys,
     _root_cell,
     _seed_state,
     dirichlet_solve,
     encode_word,
     level_network,
-    vertex_keys,
+    vertex_numbering,
     walk,
     word_hash_unit,
 )
@@ -167,19 +170,10 @@ def _point_pins(coord, net: ConductanceNetwork) -> dict:
     return pins
 
 
-def _misses(point, state) -> bool:
-    """The `level_network` stop predicate, bound with partial to `point`, the
-    integer key of a vertex over the network's denominator, that keeps whole
-    every cell whose closure does not hold the vertex: the closed cell with
-    map z -> (q z + offset) / P holds it iff point[k] >= offset[k] for every
-    k."""
-    offset = state[1]
-    return any(x < o for x, o in zip(point, offset))
-
-
 def _point_capacity(spec: GasketSpec, word: Word, base_depth: int, point, budget: int) -> Fraction:
     """The capacity between the vertex with integer key `point` in the
-    depth-base_depth network below the word (`vertex_keys`) and its corners.
+    depth-base_depth network below the word (`vertex_numbering`) and its
+    corners.
 
     The networks are exact traces and the problem pins only depth-base_depth
     vertices, so every refinement has the same value: it is solved once, on
@@ -198,16 +192,17 @@ def point_capacity(
     word's corners; divide by r_w for the absolute scale.
 
     The vertex id refers to the depth-base_depth network below the word.  The
-    network is not built: `vertex_keys` walks its cells and numbers their
-    corners, which checks the id and gives the vertex's integer key.
+    network is not built, and its vertices are not numbered either:
+    `vertex_numbering` counts them from the labels of its internal cells,
+    refuses more than `budget` leaves as the network's walk would, and gives
+    the one vertex's integer key from one path down the word tree.
     `_point_capacity` solves it once; every deeper network has the same value.
     """
-    keys, boundary = vertex_keys(spec, base_depth, word, budget)
-    if not 0 <= vertex < len(keys):
-        raise InvalidVertexError(f"vertex {vertex} not in depth-{base_depth} network")
-    if vertex in boundary:
+    numbering = vertex_numbering(spec, base_depth, word, budget)
+    point = numbering.key_of(vertex)
+    if vertex in numbering.boundary():
         raise InvalidVertexError("point capacity target must not be a corner of the word")
-    return _point_capacity(spec, word, base_depth, keys[vertex], budget)
+    return _point_capacity(spec, word, base_depth, point, budget)
 
 
 # --- the balance report ---------------------------------------------------------
@@ -369,10 +364,10 @@ def a3_report(
     C_b uses the relative capacity of each subsampled word from the
     corner-chain identity, exact at every refinement.  C_c uses point
     capacities at vertices of the depth-N network below the word, which
-    `vertex_keys` numbers once per word without building that network; each
-    is solved once by `_point_capacity`, which `capacity --point` uses too,
-    on that network refined only in the cells that hold the vertex, which
-    gives the same exact value.  All three
+    `vertex_numbering` counts and finds once per word without numbering
+    that network; each is solved once by `_point_capacity`, which
+    `capacity --point` uses too, on that network refined only in the cells
+    that hold the vertex, which gives the same exact value.  All three
     constants are scale invariant, so root normalization cancels.
     """
     if samples < 1:
@@ -453,13 +448,19 @@ def a3_report(
     for idx in picks:
         word, _ = words[idx]
         cap_rel = float(corner_chain_capacity(spec, word, N))
-        # the point samples are vertices of the depth-N network below the word
-        keys, boundary = vertex_keys(spec, N, word, budget)
-        inner = [v for v in range(len(keys)) if v not in boundary]
-        pcount = min(point_samples, len(inner))
+        # the point samples are equispaced among the ids of the depth-N
+        # network below the word that are not its corners
+        numbering = vertex_numbering(spec, N, word, budget)
+        boundary = sorted(numbering.boundary())
+        n_inner = numbering.n_vertices - len(boundary)
+        pcount = min(point_samples, n_inner)
         pt_caps = []
         for j in range(pcount):
-            point = keys[inner[(j * len(inner)) // pcount]]
+            v = (j * n_inner) // pcount
+            for b in boundary:  # the v-th id that is not a corner
+                if b <= v:
+                    v += 1
+            point = numbering.key_of(v)
             pt_caps.append(float(_point_capacity(spec, word, N, point, budget)))
         cap_pt = min(pt_caps)
         inv_r = 1.0 / float(spec.r_of_word(word))

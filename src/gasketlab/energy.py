@@ -471,8 +471,12 @@ def index_estimate(
     ncells = len(lam1)
 
     def histogram_for(threshold: float) -> dict:
-        counts = (ev > threshold * lam1[:, None]).sum(axis=1)
-        counts = np.where(lam1 > 0, counts, 0)
+        # the ranks column by column: a 2-wide reduction over every cell is slower
+        bound = threshold * lam1
+        counts = np.zeros(ncells, dtype=np.int64)
+        for col in ev.T:
+            counts += col > bound
+        counts = np.where(lam1 > 0, counts, 0)  # a NaN lam1 counts 0 too
         hist = {}
         for k in range(0, basis.size + 1):
             mass = float(w[counts == k].sum())

@@ -655,6 +655,165 @@ def vertex_keys(spec: GasketSpec, m: int, root: Word = (), budget: int = DEFAULT
     return list(index), [index[key] for key in _corner_keys(_root_cell(spec, root, P))]
 
 
+# --- one vertex without the numbering walk --------------------------------------
+#
+# `_numbered_cells` gives out ids at the leaves, in depth-lexicographic
+# order, so the ids first reached inside one cell's subtree form one
+# contiguous range.  Cells meet only at corners, so the depth-m network
+# below a cell has its d+1 corners plus V(d, l) - (d+1) more vertices for
+# each internal cell of level l in its subtree, and the range is that count
+# less the cell's corners numbered before it is entered.  `VertexNumbering`
+# finds one id or one key along one path from those counts; `vertex_keys`
+# stays as its oracle.
+
+
+def _misses(point, state) -> bool:
+    """The `level_network` stop predicate, bound with partial to `point`, the
+    integer key of a vertex over the network's denominator, that keeps whole
+    every cell whose closure does not hold the vertex: the closed cell with
+    map z -> (q z + offset) / P holds it iff point[k] >= offset[k] for every
+    k.  A cell (q, offset) is such a state too."""
+    offset = state[1]
+    return any(x < o for x, o in zip(point, offset))
+
+
+@dataclass
+class VertexNumbering:
+    """The vertex ids of `level_network(spec, m, root)`, from label counts.
+
+    Depth k < m lists its cells in depth-lexicographic order: `labels[k]`
+    their labels, `first[k]` the index at depth k+1 of each one's first
+    child, and `extra[k]` the vertices each one's subtree adds to its own
+    d+1 corners.  Child c of cell i at depth k is cell
+    first[k][i] + stride * c at depth k+1; a one-level spec keeps one cell
+    per depth, which stands for all of them, with stride 0.
+    """
+
+    spec: GasketSpec
+    m: int
+    root: Word
+    labels: list = field(repr=False)
+    first: list = field(repr=False)
+    extra: list = field(repr=False)
+    stride: int
+    n_leaves: int
+
+    @property
+    def n_vertices(self) -> int:
+        return self.spec.d + 1 + (int(self.extra[0][0]) if self.m else 0)
+
+    def _descend(self, enter) -> tuple:
+        """Go down from the root to one depth-m cell, taking at each depth the
+        first child for which enter(child cell, ids given out before it, ids
+        it gives out) holds.  Returns (that cell, which of its corners were
+        numbered before it, ids given out before it).  A child's corner was
+        numbered on entry if it is a numbered corner of its parent or a
+        vertex of an earlier sibling."""
+        d = self.spec.d
+        cell = _root_cell(self.spec, self.root, _denominator(self.spec, self.m, self.root))
+        seen = (False,) * (d + 1)
+        base = i = 0
+        for k in range(self.m):
+            l = int(self.labels[k][i])
+            cell_vertices = subdivide(d, l).cell_vertices
+            # corner cell c fixes corner c, so corner c is its own vertex c
+            done = {cell_vertices[c][c] for c, s in enumerate(seen) if s}
+            first = int(self.first[k][i])
+            for c, vertices in enumerate(cell_vertices):
+                child = _cell_step(cell, (c + 1, l))
+                child_seen = tuple(p in done for p in vertices)
+                j = first + self.stride * c
+                new = d + 1 - sum(child_seen) + (int(self.extra[k + 1][j]) if k + 1 < self.m else 0)
+                if enter(child, base, new):
+                    break
+                base += new
+                done.update(vertices)
+            cell, seen, i = child, child_seen, j
+        return cell, seen, base
+
+    def key_of(self, v: int) -> tuple:
+        """The integer key over `_denominator(spec, m, root)` of vertex v."""
+        if not 0 <= v < self.n_vertices:
+            raise InvalidVertexError(f"vertex {v} not in depth-{self.m} network")
+        cell, seen, base = self._descend(lambda child, before, new: v < before + new)
+        return [key for key, s in zip(_corner_keys(cell), seen) if not s][v - base]
+
+    def id_of(self, key) -> int:
+        """The id of the vertex with integer key `key`: the descent enters the
+        first child whose closed cell holds it, where the walk first reaches
+        it."""
+        cell, seen, base = self._descend(lambda child, before, new: not _misses(key, child))
+        return base + [k for k, s in zip(_corner_keys(cell), seen) if not s].index(key)
+
+    def boundary(self) -> list:
+        """The ids of the root word's corners, in corner order."""
+        P = _denominator(self.spec, self.m, self.root)
+        return [self.id_of(key) for key in _corner_keys(_root_cell(self.spec, self.root, P))]
+
+
+def _one_level_numbering(spec: GasketSpec, m: int, root: Word, budget: int) -> VertexNumbering:
+    """A one-level spec's counts in closed form: a subtree of height h has
+    (n**h - 1) / (n - 1) internal cells and n**h leaves, n = N(l)."""
+    spec.validate_word(root)
+    d, l = spec.d, spec.levels[0]
+    n = cell_count(d, l)
+    if n**m > budget:
+        raise BudgetExceededError(f"more than {budget} words at depth {m}")
+    extra = subdivide(d, l).n_vertices - (d + 1)
+    return VertexNumbering(
+        spec, m, root, [[l]] * m, [[0]] * m, [[extra * (n ** (m - k) - 1) // (n - 1)] for k in range(m)], 0, n**m
+    )
+
+
+def _label_pass_numbering(spec: GasketSpec, m: int, root: Word, budget: int) -> VertexNumbering:
+    """The counts from the internal cells' labels, a depth at a time through
+    `_key_ops`, and summed bottom-up over each cell's contiguous children.
+    A depth with more than `budget` cells below it is refused before its
+    children's keys are built."""
+    d = spec.d
+    top = max(spec.levels) + 1
+    n_of = np.array([cell_count(d, l) if l in spec.levels else 0 for l in range(top)])
+    extra_of = np.array([subdivide(d, l).n_vertices - (d + 1) if l in spec.levels else 0 for l in range(top)])
+    keys, labels_of, children_of = _key_ops(spec, root)
+    labels, first, n_leaves = [], [], 1
+    for k in range(m):
+        level = labels_of(keys)
+        counts = n_of[level]
+        n_leaves = int(counts.sum())
+        if n_leaves > budget:
+            raise BudgetExceededError(f"more than {budget} words at depth {m}")
+        starts = np.cumsum(counts) - counts
+        labels.append(level)
+        first.append(starts)
+        if k + 1 < m:
+            # child c of cell i goes to slot starts[i] + c, in depth-lexicographic order
+            below = np.empty(n_leaves, dtype=keys.dtype)
+            for l in spec.levels:
+                idx = np.flatnonzero(level == l)
+                if len(idx):
+                    slots = (starts[idx, None] + np.arange(n_of[l])).reshape(-1)
+                    below[slots] = children_of(keys[idx], l, n_of[l], k == 0)
+            keys = below
+    extra = [None] * m
+    for k in reversed(range(m)):
+        extra[k] = extra_of[labels[k]]
+        if k + 1 < m:
+            extra[k] = extra[k] + np.add.reduceat(extra[k + 1], first[k])
+    return VertexNumbering(spec, m, root, labels, first, extra, 1, n_leaves)
+
+
+def vertex_numbering(
+    spec: GasketSpec, m: int, root: Word = (), budget: int = DEFAULT_WORD_BUDGET
+) -> VertexNumbering:
+    """The vertex numbering of `level_network(spec, m, root, budget)`, with no
+    corner keyed: its inputs are refused as that network's walk refuses them,
+    more than `budget` depth-m leaves included."""
+    _check_depth(m, budget)
+    if len(spec.levels) == 1:
+        return _one_level_numbering(spec, m, root, budget)
+    return _label_pass_numbering(spec, m, root, budget)
+
+
 def level_network(
     spec: GasketSpec, m: int, root: Word = (), budget: int = DEFAULT_WORD_BUDGET, stop=None
 ) -> ConductanceNetwork:

@@ -412,7 +412,7 @@ def _record_networks_and_solves(monkeypatch):
 
 
 def test_point_capacity_solves_only_reduced_networks(sg, monkeypatch):
-    # the vertex walk numbers the depth-6 vertices without building a network,
+    # the label counts find the depth-6 vertex without building a network,
     # and one solve at depth 6 gives the value of every refinement
     built, solved = _record_networks_and_solves(monkeypatch)
     for vertex in (5, 100):

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasketlab import cli, errors
-from gasketlab.capacity import corner_chain_capacity
+from gasketlab import capacity, cli, errors, gasket
+from gasketlab.capacity import _point_capacity, corner_chain_capacity, point_capacity
 from gasketlab.cli import load_spec, main
 from gasketlab.errors import GasketLabError, SpecParseError, SpecSemanticError
-from gasketlab.gasket import encode_word, iter_words, parse_word
+from gasketlab.gasket import DEFAULT_WORD_BUDGET, GasketSpec, encode_word, iter_words, parse_word, vertex_keys
 from gasketlab.subdivision import cell_count
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -199,6 +199,50 @@ def test_verify_a3_reports_and_rows_are_the_golden_bytes(golden, spec_text, argv
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ((GOLDEN / f"{golden}.json").read_text(), "")
     assert rows.read_bytes() == (GOLDEN / f"{golden}_rows.csv").read_bytes()
+
+
+def test_the_point_paths_number_no_whole_network(tmp_path, capsys, monkeypatch):
+    # point capacities find their vertices from label counts; only
+    # level_network's stopped walk still numbers corners
+    sg = GasketSpec(2, [2])
+    want = _point_capacity(sg, (), 8, vertex_keys(sg, 8)[0][5], DEFAULT_WORD_BUDGET)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the whole network was numbered")
+
+    monkeypatch.setattr(gasket, "vertex_keys", refuse)
+    monkeypatch.setattr(capacity, "vertex_keys", refuse, raising=False)  # a copy imported by name
+    assert point_capacity(sg, (), 5, base_depth=8) == want
+    for golden, spec_text, argv in [
+        ("verify_a3_seeded_d2_c2", SEEDED_T23, ["--depth", "2", "--cap-words", "2"]),
+        ("verify_a3_d3_T2_m2", '{"dimension": 3, "levels": [2]}', ["--depth", "2"]),
+    ]:
+        spec = tmp_path / "spec.json"
+        spec.write_text(spec_text)
+        rows = tmp_path / "rows.csv"
+        assert main(["verify-a3", "--spec", str(spec), *argv, "--rows-out", str(rows)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ((GOLDEN / f"{golden}.json").read_text(), "")
+        assert rows.read_bytes() == (GOLDEN / f"{golden}_rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "spec_text, word, base_depth",
+    [(SEEDED_T23, "", 4), (SEEDED_T23, "1^3", 3), (SG, "", 4)],
+    ids=["seeded-root", "seeded-below-1^3", "sg-closed-form"],
+)
+def test_a_point_capacity_takes_a_budget_of_its_leaf_count(spec_text, word, base_depth, tmp_path, capsys):
+    # the label counts and the one-level closed form refuse exactly what the
+    # numbering walk refused: more depth-base_depth leaves than the budget
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    leaves = len(list(iter_words(load_spec(str(spec)), base_depth, root=parse_word(word))))
+    argv = ["capacity", "--spec", str(spec), "--word", word, "--point", "7", "--base-depth", str(base_depth)]
+    assert main([*argv, "--budget", str(leaves)]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["kind"] == "point"
+    assert main([*argv, "--budget", str(leaves - 1)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: more than {leaves - 1} words at depth {base_depth}\n")
 
 
 @pytest.mark.parametrize(

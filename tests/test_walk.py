@@ -25,19 +25,23 @@ from gasketlab.energy import (
 )
 from gasketlab.errors import BudgetExceededError, DegenerateBasisError, GasketLabError, InvalidParameterError
 from gasketlab.gasket import (
+    DEFAULT_WORD_BUDGET,
     ConductanceNetwork,
     GasketSpec,
     _coord,
     _denominator,
     _key_ops,
+    _label_pass_numbering,
     _mix64,
     _mix_text,
+    _one_level_numbering,
     _root_cell,
     encode_word,
     iter_words,
     level_network,
     measure_totals,
     vertex_keys,
+    vertex_numbering,
     walk,
     word_hash_unit,
 )
@@ -382,6 +386,39 @@ def test_explicit_entries_are_matched_by_canonical_text():
 def test_walk_rejects_a_negative_depth():
     with pytest.raises(ValueError):
         list(walk(GasketSpec(2, [2]), -1, None, lambda state, letter: None))
+
+
+# --- one vertex from label counts, against the numbering walk ------------------
+
+
+@PROPERTY
+@given(specs(), st.data())
+def test_vertex_numbering_is_the_numbering_walk(spec, data):
+    # below a root word of depth 0..2, at depths 0..4
+    root = data.draw(st.sampled_from(walked_words(spec, data.draw(st.integers(0, 2)))))
+    m = data.draw(st.integers(0, min(4, max_depth(spec))))
+    keys, boundary = vertex_keys(spec, m, root)
+    numbering = vertex_numbering(spec, m, root)
+    assert numbering.n_vertices == len(keys)
+    assert [numbering.key_of(v) for v in range(len(keys))] == keys
+    assert [numbering.id_of(key) for key in keys] == list(range(len(keys)))
+    assert numbering.boundary() == boundary
+    assert numbering.n_leaves == len(walked_words(spec, m, root))
+
+
+@PROPERTY
+@given(specs().filter(lambda spec: len(spec.levels) == 1), st.data())
+def test_the_one_level_closed_form_is_the_label_pass(spec, data):
+    root = data.draw(st.sampled_from(walked_words(spec, data.draw(st.integers(0, 1)))))
+    m = data.draw(st.integers(0, max_depth(spec)))
+    closed = _one_level_numbering(spec, m, root, DEFAULT_WORD_BUDGET)
+    passed = _label_pass_numbering(spec, m, root, DEFAULT_WORD_BUDGET)
+    assert (closed.n_leaves, closed.n_vertices) == (passed.n_leaves, passed.n_vertices)
+    for k in range(m):
+        assert list(passed.labels[k]) == [spec.levels[0]] * len(passed.labels[k])
+        assert list(passed.extra[k]) == [closed.extra[k][0]] * len(passed.extra[k])
+    for v in data.draw(st.lists(st.integers(0, closed.n_vertices - 1), max_size=5)):
+        assert closed.key_of(v) == passed.key_of(v)
 
 
 # --- the depth scan's whole-depth label keys, against the per-key oracle -------
