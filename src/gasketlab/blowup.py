@@ -17,47 +17,119 @@ are one array, each level's children are one matmul with the integer
 extension matrices M = D A, and the children are scattered into the walk's
 depth-lexicographic order.  The arrays are int64 while an exact bound keeps
 every entry, sum and square below 2**62 and Python ints after that, so every
-value is exact, and each float is read from exact integers as int / int.
+value is exact.
+
+The depth-m cells are reduced a block at a time in whole arrays of Python
+ints (dtype=object).  A cell's e-value, mass and weight stay an integer
+numerator over an integer denominator (`Quotients`), and their Fractions are
+built only when a caller reads them.  Every float, a point, a weight or an
+e-value, is read from exact integers as int / int, which Python rounds
+correctly, so it has the bits of float() of the same Fraction; float64
+division would round twice once an operand reaches 2**53.  Only the total
+mass and the largest vertex norm are reduced exactly, over runs of cells
+with one denominator.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetExceededError, DegenerateBasisError, InvalidParameterError
+from .errors import DegenerateBasisError, InvalidParameterError
 from .capacity import default_inner_depth
 from .energy import basis_from_vectors
 from .exactla import integer_form
-from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _check_depth, _exact_sum, _key_ops
+from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _check_budget, _check_depth, _exact_sum, _key_ops
 from .harmonic import extension_matrices
 from .subdivision import cell_count
 
 
+class Quotients(Sequence):
+    """The exact values num[i] / den[i] of two arrays of Python ints
+    (dtype=object).  As a sequence it holds their Fractions, built when it is
+    first read, and it equals a list of the same rationals.  `floats` reads
+    each value as int / int, which Python rounds correctly, so each float has
+    the bits of float(Fraction(num[i], den[i]))."""
+
+    def __init__(self, num: np.ndarray, den: np.ndarray):
+        self.num, self.den = num, den
+
+    @cached_property
+    def floats(self) -> np.ndarray:
+        return (self.num / self.den).astype(float)
+
+    @cached_property
+    def _fractions(self) -> list:
+        return [Fraction(a, b) for a, b in zip(self.num.tolist(), self.den.tolist())]
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def __getitem__(self, i):
+        return self._fractions[i]
+
+    def __iter__(self):
+        return iter(self._fractions)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._fractions == list(other)
+
+
 @dataclass
 class BlowupCloud:
-    """Weighted planar points pushed forward from the depth-m subcells."""
+    """Weighted planar points pushed forward from the depth-m subcells, in
+    the walk's depth-lexicographic order.
+
+    `weights`, `masses` and `e_means` keep each cell's exact value as an
+    integer numerator over an integer denominator (`Quotients`): their
+    Fractions are built only when read, and their floats, which the density
+    grid and the cloud CSV read, are int / int.  `labels[k]` holds the level
+    of each depth-k cell, k < depth, and `letters[l]` the letters of a level-l
+    cell's children, so `words()` can name the cells.
+    """
 
     word: Word
     depth: int
     inner_depth: int
     alpha: float
     points: np.ndarray = field(repr=False)       # (n, 2) floats in the unit disk
-    weights: list = field(repr=False)            # e^2 * mass, exact
-    masses: list = field(repr=False)
-    e_means: list = field(repr=False)
+    weights: Quotients = field(repr=False)       # e^2 * mass, exact
+    masses: Quotients = field(repr=False)
+    e_means: Quotients = field(repr=False)
     total_mass: Fraction = Fraction(0)
+    labels: list = field(default_factory=list, repr=False)
+    letters: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_points(self) -> int:
         return len(self.weights)
 
+    def words(self):
+        """Iterate over the cells' words relative to `word`, in the order of
+        `points`: a depth repeats each parent's word once per child and
+        appends the child's letter.  Only the deepest cells' parents are held
+        at once."""
+        words = iter([()])
+        for labels in self.labels:
+            words = list(words)
+            words = (w + (letter,) for w, l in zip(words, labels.tolist()) for letter in self.letters[l])
+        return words
+
 
 _LIMIT = 1 << 62  # every int64 entry, sum and square stays below this
 _TOO_LARGE = "the harmonic pair is too large for floating point"
+
+
+def _runs(keys: np.ndarray) -> np.ndarray:
+    """The index of the first entry of each run of equal entries of keys."""
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
 
 
 def _as_exact(S: np.ndarray, bound) -> np.ndarray:
@@ -144,48 +216,47 @@ def blowup_cloud(
                 keys_next[slots] = children_of(keys[idx], l, nc, depth == 1)
         return S_next, scal_next, keys_next
 
-    e_means, masses, weights = [], [], []
+    blocks = []  # per block of depth-m cells: its points and exact parts
     by_den: dict = {}  # the weights' numerators tallied by their denominators
     max_num, max_den = 0, 1  # the largest squared vertex norm of the pair
 
     def record(S, scal):
-        """Reduce a block of depth-m cells into `points` and the output lists."""
+        """Reduce a block of depth-m cells into `blocks`, `by_den` and the
+        largest vertex norm."""
         nonlocal max_num, max_den
-        at, means = len(weights), []
         S = _as_exact(S, lambda peak: 2 * n * n * peak * peak)
         V = S[:, :2]
         s = V.sum(2)
         sq = V * V
         qs = (n * sq.sum(2) - s * s).sum(1)  # Q(v1, v1) + Q(v2, v2), Q = (d+1) I - J
         tops = sq.sum(1).max(1)
-        e_sums = S[:, 2].sum(1)
-        for (s1, s2), q, top, e_sum, (den, ir_num, ir_den, e_den) in zip(
-            s.tolist(), qs.tolist(), tops.tolist(), e_sums.tolist(), scal.tolist()
-        ):
-            den_sq = den * den
-            if top * max_den > max_num * den_sq:
-                max_num, max_den = top, den_sq
-            # mass is (1/2) sum of the 2/r_w energy masses; weight is e_mean^2 mass
-            mass_num, mass_den = ir_num * q, ir_den * den_sq
-            mean_den = n * e_den
-            w_num, w_den = e_sum * e_sum * mass_num, mean_den * mean_den * mass_den
-            by_den[w_den] = by_den.get(w_den, 0) + w_num
-            try:  # int / int is correctly rounded, so these are the floats of the reduced fractions
-                means.append((s1 / (n * den), s2 / (n * den)))
-            except OverflowError:  # then so does the largest vertex norm
-                raise InvalidParameterError(_TOO_LARGE) from None
-            e_means.append(Fraction(e_sum, mean_den))
-            masses.append(Fraction(mass_num, mass_den))
-            weights.append(Fraction(w_num, w_den))
-        points[at : at + len(means)] = means
+        den, ir_num, ir_den, e_den = scal.T
+        try:  # int / int is correctly rounded, so these are the floats of the reduced fractions
+            means = (s.astype(object) / (n * den)[:, None]).astype(float)
+        except OverflowError:  # then so does the largest vertex norm
+            raise InvalidParameterError(_TOO_LARGE) from None
+        den_sq = den * den
+        # a parent's children share its denominators, so the runs are long
+        at = _runs(den)
+        for top, den_top in zip(np.maximum.reduceat(tops, at).tolist(), den_sq[at].tolist()):
+            if top * max_den > max_num * den_top:
+                max_num, max_den = top, den_top
+        # mass is (1/2) sum of the 2/r_w energy masses; weight is e_mean^2 mass
+        e_num, mean_den = S[:, 2].sum(1).astype(object), n * e_den
+        mass_num, mass_den = ir_num * qs.astype(object), ir_den * den_sq
+        w_num, w_den = e_num * e_num * mass_num, mean_den * mean_den * mass_den
+        at = _runs(w_den)
+        for key, part in zip(w_den[at].tolist(), np.add.reduceat(w_num, at).tolist()):
+            by_den[key] = by_den.get(key, 0) + part
+        blocks.append((means, e_num, mean_den, mass_num, mass_den, w_num, w_den))
 
     pair, den0 = integer_form(basis.raw[0] + basis.raw[1])
     S = np.array([[pair[:n], pair[n:], [0] * n]], dtype=object)
     if max(abs(x) for x in pair) < _LIMIT:
         S = S.astype(np.int64)
     scal = np.array([[den0, 1, 1, 1]], dtype=object)  # den, ir_num, ir_den, e_den
+    tree_labels = []
     if m == 0:
-        points = np.empty((1, 2))
         record(S, scal)
     for depth in range(1, m + 1):
         labels = labels_of(keys)
@@ -193,15 +264,14 @@ def blowup_cloud(
         counts = np.empty(len(labels), dtype=np.int64)
         for l, idx in present:
             counts[idx] = cell_count(d, l)
-        if counts.sum() > budget:
-            raise BudgetExceededError(f"more than {budget} words at depth {m}")
+        _check_budget(int(counts.sum()), budget, m)
+        tree_labels.append(labels)
         rows = max(stack(l)[3] for l, _ in present)
         S = _as_exact(S, lambda peak: peak * rows)
         if depth < m:
             S, scal, keys = expand(S, scal, keys, present, counts, depth)
             continue
         # the deepest cells are built and reduced a block of parents at a time
-        points = np.empty((int(counts.sum()), 2))
         per = max(1, 1024 // int(counts.max()))
         for lo in range(0, len(labels), per):
             block = slice(lo, lo + per)
@@ -218,6 +288,7 @@ def blowup_cloud(
     if norm == 0.0:
         raise InvalidParameterError("the harmonic pair is too small for floating point")
     alpha = 1.0 / norm
+    points, e_num, mean_den, mass_num, mass_den, w_num, w_den = (np.concatenate(part) for part in zip(*blocks))
     points *= alpha
     return BlowupCloud(
         word=word,
@@ -225,10 +296,12 @@ def blowup_cloud(
         inner_depth=N,
         alpha=alpha,
         points=points,
-        weights=weights,
-        masses=masses,
-        e_means=e_means,
+        weights=Quotients(w_num, w_den),
+        masses=Quotients(mass_num, mass_den),
+        e_means=Quotients(e_num, mean_den),
         total_mass=total,
+        labels=tree_labels,
+        letters={l: [(i, l) for i in range(1, cell_count(d, l) + 1)] for l in spec.levels},
     )
 
 
@@ -249,6 +322,5 @@ def density_grid(cloud: BlowupCloud, resolution: int) -> np.ndarray:
     pts = cloud.points
     ix = np.clip(((pts[:, 0] + 1.0) / 2.0 * resolution).astype(int), 0, resolution - 1)
     iy = np.clip(((pts[:, 1] + 1.0) / 2.0 * resolution).astype(int), 0, resolution - 1)
-    w = np.array([float(x) for x in cloud.weights])
-    np.add.at(grid, (ix, iy), w)
+    np.add.at(grid, (ix, iy), cloud.weights.floats)
     return grid

@@ -31,7 +31,7 @@ from . import blowup as blowup_mod
 from . import capacity as capacity_mod
 from . import energy as energy_mod
 from .errors import GasketLabError, InvalidParameterError, SpecParseError
-from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, _check_depth, encode_word, iter_words, parse_word, walk
+from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, _check_depth, encode_word, iter_words, parse_word
 from .harmonic import extension_matrices, renormalization_factor, theta
 from .subdivision import cell_count
 
@@ -233,11 +233,9 @@ def cmd_blowup(args) -> int:
     # the grid is built before any file is written, so a refused grid leaves none
     grid = blowup_mod.density_grid(cloud, args.res) if args.out_grid else None
     if args.out_cloud:
-        # the cloud's points come in the walk's order, so each row gets its cell's word
-        cells = walk(spec, args.depth, None, lambda state, letter: None, root=word, budget=args.budget)
         rows = (
             [encode_word(word + rel), float(x), float(y), float(w), float(e)]
-            for (rel, _), (x, y), w, e in zip(cells, cloud.points, cloud.weights, cloud.e_means)
+            for rel, (x, y), w, e in zip(cloud.words(), cloud.points, cloud.weights.floats, cloud.e_means.floats)
         )
         _emit_csv(["word", "x", "y", "weight", "e_value"], rows, args.out_cloud)
     if args.out_grid:

@@ -408,6 +408,12 @@ def _check_depth(m: int, budget: int = 1) -> None:
         raise InvalidParameterError(f"budget must be >= 1, got {budget}")
 
 
+def _check_budget(count: int, budget: int, m: int) -> None:
+    """Refuse `count` words at depth m when that is more than `budget`."""
+    if count > budget:
+        raise BudgetExceededError(f"more than {budget} words at depth {m}")
+
+
 def walk(
     spec: GasketSpec, m: int, start, step, root: Word = (), budget: int = DEFAULT_WORD_BUDGET, stop=None
 ):
@@ -432,8 +438,7 @@ def walk(
         word, state, key = stack.pop()
         if stop is not None and stop(state):
             count += 1
-            if count > budget:
-                raise BudgetExceededError(f"more than {budget} words at depth {m}")
+            _check_budget(count, budget, m)
             yield word, state
             continue
         letters = children[spec.key_label(key)]
@@ -443,8 +448,7 @@ def walk(
                 stack.append((word + (letter,), step(state, letter), spec.child_key(key, letter)))
             continue
         count += len(letters)
-        if count > budget:
-            raise BudgetExceededError(f"more than {budget} words at depth {m}")
+        _check_budget(count, budget, m)
         for letter in letters:
             yield word + (letter,), step(state, letter)
 
@@ -757,8 +761,7 @@ def _one_level_numbering(spec: GasketSpec, m: int, root: Word, budget: int) -> V
     spec.validate_word(root)
     d, l = spec.d, spec.levels[0]
     n = cell_count(d, l)
-    if n**m > budget:
-        raise BudgetExceededError(f"more than {budget} words at depth {m}")
+    _check_budget(n**m, budget, m)
     extra = subdivide(d, l).n_vertices - (d + 1)
     return VertexNumbering(
         spec, m, root, [[l]] * m, [[0]] * m, [[extra * (n ** (m - k) - 1) // (n - 1)] for k in range(m)], 0, n**m
@@ -780,8 +783,7 @@ def _label_pass_numbering(spec: GasketSpec, m: int, root: Word, budget: int) -> 
         level = labels_of(keys)
         counts = n_of[level]
         n_leaves = int(counts.sum())
-        if n_leaves > budget:
-            raise BudgetExceededError(f"more than {budget} words at depth {m}")
+        _check_budget(n_leaves, budget, m)
         starts = np.cumsum(counts) - counts
         labels.append(level)
         first.append(starts)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gasketlab import blowup
 from gasketlab.blowup import BlowupCloud, blowup_cloud, density_grid
 from gasketlab.capacity import inner_set_pins
 from gasketlab.energy import default_basis
@@ -62,6 +63,18 @@ def test_cloud_alpha_normalizes_vertex_values(sg):
 def test_cloud_rejects_degenerate_pair(sg):
     with pytest.raises(DegenerateBasisError):
         blowup_cloud(sg, (), [1, 0, 0], [2, 1, 1], m=2)  # second = first + const
+
+
+@pytest.mark.parametrize(
+    "x, size",
+    # at 2**600 only the weights leave the float range, at 2**1100 the points
+    # too, and at 2**-600 the squared vertex norm falls below it
+    [(2**600, "large"), (2**1100, "large"), (Fraction(1, 2**600), "small")],
+    ids=["weights-overflow", "points-overflow", "norm-underflows"],
+)
+def test_cloud_refuses_a_pair_out_of_float_range(sg, x, size):
+    with pytest.raises(InvalidParameterError, match=rf"^the harmonic pair is too {size} for floating point$"):
+        blowup_cloud(sg, (), [x, -x, 0], [0, x, -x], m=2)
 
 
 def test_cloud_rejects_bad_depths_and_words(sg):
@@ -156,6 +169,11 @@ def test_equilibrium_potential_is_the_inner_set_solve(case):
     assert all(0 <= x <= 1 for x in pots.values())
 
 
+def bits(values) -> list:
+    """The float64 bit patterns of values, so that == tells every bit."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
 SEEDED_CASE = (GasketSpec(2, [2, 3], {"type": "seeded", "seed": 1, "weights": {2: 1.0, 3: 1.0}}), ((1, 3),), 2, 3)
 
 
@@ -166,17 +184,27 @@ SEEDED_CASE = (GasketSpec(2, [2, 3], {"type": "seeded", "seed": 1, "weights": {2
 @example(SEEDED_CASE, 52)
 @example(SEEDED_CASE, 70)
 def test_cloud_is_the_fraction_chain_product(case, k):
-    # the pair is 2**k A_word c for the default basis c, so every leaf carries
-    # 2**k chain_matrix(word + w) c; the potential is 0 at a corner of the
-    # depth-N ancestor that is a corner of the word, 1 at the others, then
-    # A-extended.  In the seeded example the numerators leave int64 never
-    # (k = 0), for the squares (k = 40), before the second depth (k = 52) or
-    # at the root (k = 70)
-    spec, word, N, m = case
+    # in the seeded example the numerators leave int64 never (k = 0), for the
+    # squares (k = 40), before the second depth (k = 52) or at the root (k = 70)
+    assert_cloud_is_the_chain_product(*case, 2**k)
+
+
+@pytest.mark.parametrize("case", [(GasketSpec(2, [2]), (), 2, 4), SEEDED_CASE], ids=["sg", "seeded"])
+def test_cloud_floats_are_rounded_once(case):
+    # 3**45 has 72 significant bits, so the points' and weights' numerators
+    # are no float64s, and dividing their float64s would round twice
+    assert_cloud_is_the_chain_product(*case, 3**45)
+
+
+def assert_cloud_is_the_chain_product(spec, word, N, m, scale):
+    """The pair is scale A_word c for the default basis c, so every leaf
+    carries scale chain_matrix(word + w) c; the potential is 0 at a corner of
+    the depth-N ancestor that is a corner of the word, 1 at the others, then
+    A-extended."""
     d = spec.d
     Q = base_form(d)
     basis = default_basis(d)
-    b1, b2 = ([2**k * x for x in mat_vec(chain_matrix(spec, word), c)] for c in basis.raw[:2])
+    b1, b2 = ([scale * x for x in mat_vec(chain_matrix(spec, word), c)] for c in basis.raw[:2])
     cloud = blowup_cloud(spec, word, b1, b2, m=m, N=N)
 
     def product(letters):
@@ -185,7 +213,7 @@ def test_cloud_is_the_fraction_chain_product(case, k):
 
     pairs, e_means, masses = [], [], []
     for w, r_w, _ in iter_words(spec, m, root=word):
-        v1, v2 = ([2**k * x for x in mat_vec(chain_matrix(spec, word + w), c)] for c in basis.raw[:2])
+        v1, v2 = ([scale * x for x in mat_vec(chain_matrix(spec, word + w), c)] for c in basis.raw[:2])
         top = w[:N]
         e_top = [Fraction(0 if all(i == c + 1 for i, _ in top) else 1) for c in range(d + 1)]
         e = mat_vec(product(w[N:]), e_top)
@@ -199,9 +227,30 @@ def test_cloud_is_the_fraction_chain_product(case, k):
     assert cloud.e_means == e_means
     assert cloud.masses == masses
     assert cloud.weights == weights
+    assert bits(cloud.weights.floats) == bits([float(x) for x in weights])
+    assert bits(cloud.e_means.floats) == bits([float(x) for x in e_means])
     assert cloud.total_mass == sum(weights)
     assert cloud.alpha == alpha
     assert np.array_equal(cloud.points, points)
+
+
+def test_cloud_builds_no_fraction_per_cell(sg, monkeypatch):
+    # the exact values stay integer numerators and denominators until read
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(blowup, "Fraction", counted)
+    basis = default_basis(2)
+    built = []
+    for m in (2, 5):
+        calls.clear()
+        cloud = blowup_cloud(sg, (), basis.raw[0], basis.raw[1], m=m)
+        built.append(len(calls))
+    assert cloud.n_points == 3**5 and built[1] == built[0]
+    assert sum(cloud.weights) == cloud.total_mass and len(calls) == built[1] + 3**5
 
 
 def test_cloud_refuses_a_depth_over_the_budget_before_building_it(sg):

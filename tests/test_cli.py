@@ -621,6 +621,21 @@ def test_malformed_argument_exits_2_with_one_line(argv, sg_spec, capsys):
 
 
 @pytest.mark.parametrize(
+    "x, size",
+    # at 2**600 the points are floats but the weights, of the order of the
+    # pair's square, are not; at 2**1100 the points are not either
+    [(str(2**600), "large"), (str(2**1100), "large"), (f"1/{2**600}", "small")],
+    ids=["weights-overflow", "points-overflow", "norm-underflows"],
+)
+def test_blowup_pair_out_of_float_range_exits_2_and_writes_nothing(x, size, sg_spec, tmp_path, capsys):
+    outs = [tmp_path / "grid.csv", tmp_path / "cloud.csv"]
+    argv = ["blowup", "--spec", sg_spec, "--depth", "2", "--b1", f"{x},-{x},0", "--b2", f"0,{x},-{x}"]
+    assert main(argv + ["--out-grid", str(outs[0]), "--out-cloud", str(outs[1])]) == 2
+    assert capsys.readouterr() == ("", f"error: the harmonic pair is too {size} for floating point\n")
+    assert not any(path.exists() for path in outs)
+
+
+@pytest.mark.parametrize(
     "argv, mode",
     [
         (["capacity", "--refine", "0"], "exact"),

@@ -173,8 +173,8 @@ def test_gasket_is_the_one_owner_of_the_label_hash():
 
 def test_the_input_boundary_rules_are_written_once():
     # cli catches library errors only as GasketLabError, whose type sets the
-    # exit code, and gasket alone spells the default budget and the depth and
-    # budget checks
+    # exit code, and gasket alone spells the default budget, the depth and
+    # budget checks and the refusal of too many words
     package = Path(gasketlab.__file__).parent
     sources = {path.name: path.read_text() for path in package.glob("*.py")}
     namespace = vars(gasketlab.cli)
@@ -184,7 +184,7 @@ def test_the_input_boundary_rules_are_written_once():
             caught = caught if isinstance(caught, tuple) else (caught,)
             assert [c for c in caught if issubclass(c, GasketLabError)] in ([], [GasketLabError])
     assert [name for name, text in sources.items() if "10_000_000" in text] == ["gasket.py"]
-    for message in ("depth must be >= 0", "budget must be >= 1"):
+    for message in ("depth must be >= 0", "budget must be >= 1", "more than {budget} words at depth {m}"):
         assert sum(text.count(message) for text in sources.values()) == 1
 
 
