@@ -14,10 +14,10 @@ limiting-measure argument consumes.
 
 The transport moves a whole depth at a time: the cells' integer numerators
 are one array, each level's children are one matmul with the integer
-extension matrices M = D A, and the children are scattered into the walk's
-depth-lexicographic order.  The arrays are int64 while an exact bound keeps
-every entry, sum and square below 2**62 and Python ints after that, so every
-value is exact.
+extension matrices M = D A, and `gasket.frontier` places the children in
+the walk's depth-lexicographic order.  The arrays are int64 while an exact
+bound keeps every entry, sum and square below 2**62 and Python ints after
+that, so every value is exact.
 
 The depth-m cells are reduced a block at a time in whole arrays of Python
 ints (dtype=object).  A cell's e-value, mass and weight stay an integer
@@ -44,7 +44,7 @@ from .errors import DegenerateBasisError, InvalidParameterError
 from .capacity import default_inner_depth
 from .energy import basis_from_vectors
 from .exactla import integer_form
-from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _check_budget, _check_depth, _exact_sum, _key_ops
+from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _exact_sum, encode_word, frontier
 from .harmonic import extension_matrices
 from .subdivision import cell_count
 
@@ -91,8 +91,8 @@ class BlowupCloud:
     integer numerator over an integer denominator (`Quotients`): their
     Fractions are built only when read, and their floats, which the density
     grid and the cloud CSV read, are int / int.  `labels[k]` holds the level
-    of each depth-k cell, k < depth, and `letters[l]` the letters of a level-l
-    cell's children, so `words()` can name the cells.
+    of each depth-k cell, k < depth, and `letters[l]` the texts "i^l" of a
+    level-l cell's children's letters, so `words()` can name the cells.
     """
 
     word: Word
@@ -112,15 +112,15 @@ class BlowupCloud:
         return len(self.weights)
 
     def words(self):
-        """Iterate over the cells' words relative to `word`, in the order of
-        `points`: a depth repeats each parent's word once per child and
-        appends the child's letter.  Only the deepest cells' parents are held
-        at once."""
-        words = iter([()])
+        """Iterate over the texts of the cells' whole words, `word` included,
+        in the order of `points`: a depth repeats each parent's text once per
+        child and appends ".i^l" ("i^l" below the empty word).  Only the
+        deepest cells' parents are held at once."""
+        texts = iter([encode_word(self.word)])
         for labels in self.labels:
-            words = list(words)
-            words = (w + (letter,) for w, l in zip(words, labels.tolist()) for letter in self.letters[l])
-        return words
+            prefixes = [text + "." if text else "" for text in texts]
+            texts = (p + letter for p, l in zip(prefixes, labels.tolist()) for letter in self.letters[l])
+        return texts
 
 
 _LIMIT = 1 << 62  # every int64 entry, sum and square stays below this
@@ -152,14 +152,14 @@ def blowup_cloud(
     """Build the weighted cloud for the harmonic pair (b1, b2) below `word`.
 
     The cells of a depth are carried together, in the walk's
-    depth-lexicographic order.  Each holds an integer (3, d+1) block, the
-    numerators of the pair's two vertex vectors over its denominator `den`
-    and of the potential at its corners over `e_den`, with `den`, `e_den`
-    and 1/r_w = ir_num / ir_den as Python ints.  Down to depth N the corner
-    cell i keeps its parent's potential at corner i and every other corner
-    value is 1; deeper the values follow the extension matrices.  Masses are
-    root normalized.  More than `budget` depth-m cells are refused before
-    any depth is built.
+    depth-lexicographic order as `gasket.frontier` places them.  Each holds
+    an integer (3, d+1) block, the numerators of the pair's two vertex
+    vectors over its denominator `den` and of the potential at its corners
+    over `e_den`, with `den`, `e_den` and 1/r_w = ir_num / ir_den as Python
+    ints.  Down to depth N the corner cell i keeps its parent's potential at
+    corner i and every other corner value is 1; deeper the values follow the
+    extension matrices.  Masses are root normalized.  The first depth with
+    more than `budget` cells is refused before it is built.
     """
     basis = basis_from_vectors(spec.d, [b1, b2])
     if basis.size != 2:
@@ -168,8 +168,6 @@ def blowup_cloud(
         N = default_inner_depth(spec)
     if N < 1:
         raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
-    _check_depth(m, budget)
-    keys, labels_of, children_of = _key_ops(spec, word)
 
     d = spec.d
     n = d + 1
@@ -182,17 +180,12 @@ def blowup_cloud(
             stacks[l] = np.array(data.M, dtype=np.int64).transpose(0, 2, 1), data.D, data.r, rows
         return stacks[l]
 
-    def groups(labels):  # (l, the indices of the cells of level l) for each level present
-        return [(l, idx) for l in spec.levels if len(idx := np.flatnonzero(labels == l))]
-
-    def expand(S, scal, keys, present, counts, depth):
-        """The children of the cells (S, scal, keys) whose levels are grouped
-        in `present`, in depth-lexicographic order: child c of parent p goes
-        to slot starts[p] + c.  Without keys the children get none."""
-        starts = np.cumsum(counts) - counts
-        total = int(starts[-1] + counts[-1])
+    def expand(S, scal, present, first, depth):
+        """The children of the cells (S, scal) whose levels are grouped in
+        `present`, in depth-lexicographic order: child c of parent p goes to
+        slot first[p] + c."""
+        total = sum(len(idx) * cell_count(d, l) for l, idx in present)
         S_next, scal_next = np.empty((total, 3, n), dtype=S.dtype), np.empty((total, 4), dtype=object)
-        keys_next = None if keys is None else np.empty(total, dtype=keys.dtype)
         for l, idx in present:
             MT, D, r, _ = stack(l)
             nc = MT.shape[0]
@@ -209,12 +202,10 @@ def blowup_cloud(
                 flat = P[:, 2].max(1) == P[:, 2].min(1)
                 C[flat, :, 2] = P[flat, None, 2]
                 sc[~flat, 3] *= D
-            slots = (starts[idx, None] + np.arange(nc)).reshape(-1)
+            slots = (first[idx, None] + np.arange(nc)).reshape(-1)
             S_next[slots] = C.reshape(-1, 3, n)
             scal_next[slots] = np.repeat(sc, nc, axis=0)
-            if keys is not None:
-                keys_next[slots] = children_of(keys[idx], l, nc, depth == 1)
-        return S_next, scal_next, keys_next
+        return S_next, scal_next
 
     blocks = []  # per block of depth-m cells: its points and exact parts
     by_den: dict = {}  # the weights' numerators tallied by their denominators
@@ -256,27 +247,22 @@ def blowup_cloud(
         S = S.astype(np.int64)
     scal = np.array([[den0, 1, 1, 1]], dtype=object)  # den, ir_num, ir_den, e_den
     tree_labels = []
-    if m == 0:
-        record(S, scal)
-    for depth in range(1, m + 1):
-        labels = labels_of(keys)
-        present = groups(labels)
-        counts = np.empty(len(labels), dtype=np.int64)
-        for l, idx in present:
-            counts[idx] = cell_count(d, l)
-        _check_budget(int(counts.sum()), budget, m)
+    for depth, (labels, first, present) in enumerate(frontier(spec, m, word, budget), start=1):
         tree_labels.append(labels)
         rows = max(stack(l)[3] for l, _ in present)
         S = _as_exact(S, lambda peak: peak * rows)
         if depth < m:
-            S, scal, keys = expand(S, scal, keys, present, counts, depth)
+            S, scal = expand(S, scal, present, first, depth)
             continue
         # the deepest cells are built and reduced a block of parents at a time
-        per = max(1, 1024 // int(counts.max()))
+        per = max(1, 1024 // max(cell_count(d, l) for l, _ in present))
         for lo in range(0, len(labels), per):
-            block = slice(lo, lo + per)
-            S_block, scal_block, _ = expand(S[block], scal[block], None, groups(labels[block]), counts[block], depth)
-            record(S_block, scal_block)
+            hi = lo + per
+            cuts = [np.searchsorted(idx, (lo, hi)) for _, idx in present]
+            block = [(l, idx[a:b] - lo) for (l, idx), (a, b) in zip(present, cuts)]
+            record(*expand(S[lo:hi], scal[lo:hi], block, first[lo:hi] - first[lo], depth))
+    if m == 0:
+        record(S, scal)
     if max_num == 0:
         raise DegenerateBasisError("the harmonic pair vanishes on the cell")
     total = _exact_sum(by_den)
@@ -301,7 +287,7 @@ def blowup_cloud(
         e_means=Quotients(e_num, mean_den),
         total_mass=total,
         labels=tree_labels,
-        letters={l: [(i, l) for i in range(1, cell_count(d, l) + 1)] for l in spec.levels},
+        letters={l: [f"{i}^{l}" for i in range(1, cell_count(d, l) + 1)] for l in spec.levels},
     )
 
 

@@ -234,8 +234,8 @@ def cmd_blowup(args) -> int:
     grid = blowup_mod.density_grid(cloud, args.res) if args.out_grid else None
     if args.out_cloud:
         rows = (
-            [encode_word(word + rel), float(x), float(y), float(w), float(e)]
-            for rel, (x, y), w, e in zip(cloud.words(), cloud.points, cloud.weights.floats, cloud.e_means.floats)
+            [text, float(x), float(y), float(w), float(e)]
+            for text, (x, y), w, e in zip(cloud.words(), cloud.points, cloud.weights.floats, cloud.e_means.floats)
         )
         _emit_csv(["word", "x", "y", "weight", "e_value"], rows, args.out_cloud)
     if args.out_grid:

@@ -7,7 +7,7 @@ the empirical index estimate.
 
 Exact rational arithmetic is used for masses, traces and every decision that
 the tests assert exactly; eigenvalues of the small symmetric matrices are
-always floating point.  Label keys are hashed in `gasket` (`_key_ops`).
+always floating point.  Label keys are hashed in `gasket` (`frontier`).
 
 The corner-chain quantities are read off the eigenstructure that
 `extension_matrices` verifies, not solved for: each corner matrix fixes 1,
@@ -25,9 +25,9 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import BudgetExceededError, DegenerateBasisError, InvalidParameterError
+from .errors import DegenerateBasisError, InvalidParameterError
 from .exactla import det, integer_form, mat_mul, mat_t, mat_vec
-from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _check_depth, _key_ops, walk
+from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _check_depth, frontier, walk
 from .harmonic import base_form, dual_vector, extension_matrices, principal_vector, theta
 
 
@@ -270,11 +270,10 @@ def _depth_scan(spec: GasketSpec, m: int, basis: EnergyBasis, budget: int):
     """Yield (depth, B_stack, mass_weights) for depths 1..m in float mode.
 
     B_stack is (ncells, k, k); the masses are normalized to sum to 1 at each
-    depth.  Expansion batches the cells by their label, which keeps the order
-    deterministic (grouped by level, then parent order, then cell index).
-    The label keys and labels of a whole depth come at once from gasket's
-    `_key_ops`, and a depth whose cells would exceed the budget is refused
-    before any of them is built.
+    depth.  The cells come a depth at a time from gasket's `frontier` in its
+    level-grouped order (by level, then parent, then cell index), which fixes
+    the order of the float sums; it refuses a depth whose cells would exceed
+    the budget before any of them is built.
 
     The transported columns A_w G are held as (d+1, k, ncells): one
     contiguous vector of cells per matrix entry.  The children are (d+1)^2
@@ -290,29 +289,19 @@ def _depth_scan(spec: GasketSpec, m: int, basis: EnergyBasis, budget: int):
     stacks = _float_letter_stacks(spec)
     chains = basis.float_columns()[:, :, None]
     inv_r = np.array([1.0])
-    keys, labels_of, children_of = _key_ops(spec)  # keys of the previous depth's cells
-    for depth in range(1, m + 1):
-        labels = labels_of(keys)
-        groups = [(l, idx) for l in spec.levels if len(idx := np.flatnonzero(labels == l))]
+    for depth, (_, first, groups) in enumerate(frontier(spec, m, (), budget, grouped=True), start=1):
         total = sum(len(idx) * stacks[l][0].shape[0] for l, idx in groups)
-        if total > budget:
-            raise BudgetExceededError(f"more than {budget} cells at depth {depth}")
-        next_chains, next_inv_r, new_keys = np.zeros((d1, k, total)), np.empty(total), []
-        start = 0
+        next_chains, next_inv_r = np.zeros((d1, k, total)), np.empty(total)
         for l, idx in groups:
             A_stack, rl = stacks[l]
             n_children = A_stack.shape[0]
-            stop = start + len(idx) * n_children
             # child c of the group's parent p is cell start + p * n_children + c
+            start = int(first[idx[0]])
+            stop = start + len(idx) * n_children
             out = next_chains[:, :, start:stop].reshape(d1, k, len(idx), n_children)
             _child_chains(A_stack, chains[:, :, idx], out)
             next_inv_r[start:stop].reshape(len(idx), n_children)[:] = (inv_r[idx] / rl)[:, None]
-            if depth < m:  # the deepest cells are never expanded
-                new_keys.append(children_of(keys[idx], l, n_children, depth == 1))
-            start = stop
         chains, inv_r = next_chains, next_inv_r
-        if new_keys:
-            keys = np.concatenate(new_keys)
         E = _cell_energies(chains, QM)
         E *= 2.0 * inv_r
         B = E.transpose(2, 0, 1)

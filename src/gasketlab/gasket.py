@@ -239,8 +239,8 @@ class GasketSpec:
     # parent's in O(1), so a tree walk never re-reads a whole word.  The root's
     # key is None.  Seeded: the splitmix64 state over the word's encoding, so
     # a child continues it over ".i^l" ("i^l" below the root).  Explicit: the
-    # canonical encoding.  Homogeneous: always None.  `_key_ops` takes the
-    # same keys and labels a whole depth at a time.
+    # canonical encoding.  Homogeneous: always None.  `frontier` takes the
+    # same keys a whole depth at a time, through `_key_ops`.
 
     def child_key(self, key, letter: Letter):
         """The label key of the word `key` belongs to, extended by `letter`."""
@@ -451,6 +451,42 @@ def walk(
         _check_budget(count, budget, m)
         for letter in letters:
             yield word + (letter,), step(state, letter)
+
+
+def frontier(spec: GasketSpec, m: int, root: Word, budget: int, grouped: bool = False):
+    """Yield (labels, first, groups) for each depth k = 0..m-1 below `root`:
+    the cells' labels, first[p] the slot at depth k+1 of cell p's first child
+    (child c goes to first[p] + c), and (l, the level-l cells' indices) for
+    each level present.  first is the running sum of the child counts in
+    depth-lexicographic order, `walk`'s, or, `grouped`, over a stable argsort
+    of the labels, so the children go by level, then parent, then cell.  A
+    depth with more than `budget` children is refused before it is yielded,
+    and depth k+1's keys are hashed only when the caller asks for it."""
+    _check_depth(m, budget)
+    keys, labels_of, children_of = _key_ops(spec, root)
+    n_of = np.zeros(max(spec.levels) + 1, dtype=np.int64)
+    n_of[list(spec.levels)] = [cell_count(spec.d, l) for l in spec.levels]
+    for k in range(m):
+        labels = labels_of(keys)
+        groups = [(l, idx) for l in spec.levels if len(idx := np.flatnonzero(labels == l))]
+        sizes = [len(idx) * int(n_of[l]) for l, idx in groups]  # each group's children
+        total = sum(sizes)
+        if grouped and total > budget:
+            raise BudgetExceededError(f"more than {budget} cells at depth {k + 1}")
+        _check_budget(total, budget, m)
+        if grouped:  # the stable argsort of the labels lists the groups in turn
+            first = np.empty(len(labels), dtype=np.int64)
+            for (l, idx), start in zip(groups, np.cumsum([0] + sizes)):
+                first[idx] = start + n_of[l] * np.arange(len(idx))
+        else:
+            first = np.cumsum(counts := n_of[labels]) - counts
+        yield labels, first, groups
+        if k + 1 < m:
+            below = np.empty(total, dtype=keys.dtype)
+            for l, idx in groups:
+                slots = (first[idx, None] + np.arange(n_of[l])).reshape(-1)
+                below[slots] = children_of(keys[idx], l, n_of[l], k == 0)
+            keys = below
 
 
 def _letter_pairs(spec: GasketSpec, weight) -> dict:
@@ -769,33 +805,17 @@ def _one_level_numbering(spec: GasketSpec, m: int, root: Word, budget: int) -> V
 
 
 def _label_pass_numbering(spec: GasketSpec, m: int, root: Word, budget: int) -> VertexNumbering:
-    """The counts from the internal cells' labels, a depth at a time through
-    `_key_ops`, and summed bottom-up over each cell's contiguous children.
-    A depth with more than `budget` cells below it is refused before its
-    children's keys are built."""
+    """The counts from the internal cells' labels and first children, a depth
+    at a time from `frontier`, summed bottom-up over each cell's contiguous
+    children."""
     d = spec.d
-    top = max(spec.levels) + 1
-    n_of = np.array([cell_count(d, l) if l in spec.levels else 0 for l in range(top)])
-    extra_of = np.array([subdivide(d, l).n_vertices - (d + 1) if l in spec.levels else 0 for l in range(top)])
-    keys, labels_of, children_of = _key_ops(spec, root)
-    labels, first, n_leaves = [], [], 1
-    for k in range(m):
-        level = labels_of(keys)
-        counts = n_of[level]
-        n_leaves = int(counts.sum())
-        _check_budget(n_leaves, budget, m)
-        starts = np.cumsum(counts) - counts
+    labels, first = [], []
+    for level, starts, _ in frontier(spec, m, root, budget):
         labels.append(level)
         first.append(starts)
-        if k + 1 < m:
-            # child c of cell i goes to slot starts[i] + c, in depth-lexicographic order
-            below = np.empty(n_leaves, dtype=keys.dtype)
-            for l in spec.levels:
-                idx = np.flatnonzero(level == l)
-                if len(idx):
-                    slots = (starts[idx, None] + np.arange(n_of[l])).reshape(-1)
-                    below[slots] = children_of(keys[idx], l, n_of[l], k == 0)
-            keys = below
+    n_leaves = int(first[-1][-1]) + cell_count(d, int(labels[-1][-1])) if m else 1
+    extra_of = np.zeros(max(spec.levels) + 1, dtype=np.int64)
+    extra_of[list(spec.levels)] = [subdivide(d, l).n_vertices - (d + 1) for l in spec.levels]
     extra = [None] * m
     for k in reversed(range(m)):
         extra[k] = extra_of[labels[k]]

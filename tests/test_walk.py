@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import gasketlab
 import gasketlab.cli
+import gasketlab.gasket as gasket
 from gasketlab.energy import (
     _cell_energies,
     _child_chains,
@@ -37,6 +38,7 @@ from gasketlab.gasket import (
     _one_level_numbering,
     _root_cell,
     encode_word,
+    frontier,
     iter_words,
     level_network,
     measure_totals,
@@ -171,10 +173,23 @@ def test_gasket_is_the_one_owner_of_the_label_hash():
     assert not [name for name in names if name.rsplit(".", 1)[-1] == "energy"]
 
 
+def test_the_frontier_is_the_one_caller_of_the_whole_depth_keys():
+    # a depth at a time, the label keys are hashed in gasket.frontier alone
+    package = Path(gasketlab.__file__).parent
+    callers = set()
+    for path in package.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                name = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and "_key_ops" in (getattr(name, "id", None), getattr(name, "attr", None)):
+                    callers.add((path.name, getattr(top, "name", None)))
+    assert callers == {("gasket.py", "frontier")}
+
+
 def test_the_input_boundary_rules_are_written_once():
     # cli catches library errors only as GasketLabError, whose type sets the
     # exit code, and gasket alone spells the default budget, the depth and
-    # budget checks and the refusal of too many words
+    # budget checks and the refusals of too many words and too many cells
     package = Path(gasketlab.__file__).parent
     sources = {path.name: path.read_text() for path in package.glob("*.py")}
     namespace = vars(gasketlab.cli)
@@ -186,6 +201,8 @@ def test_the_input_boundary_rules_are_written_once():
     assert [name for name, text in sources.items() if "10_000_000" in text] == ["gasket.py"]
     for message in ("depth must be >= 0", "budget must be >= 1", "more than {budget} words at depth {m}"):
         assert sum(text.count(message) for text in sources.values()) == 1
+    cells = "more than {budget} cells at depth"
+    assert sources["gasket.py"].count(cells) == sum(text.count(cells) for text in sources.values()) == 1
 
 
 @PROPERTY
@@ -419,6 +436,117 @@ def test_the_one_level_closed_form_is_the_label_pass(spec, data):
         assert list(passed.extra[k]) == [closed.extra[k][0]] * len(passed.extra[k])
     for v in data.draw(st.lists(st.integers(0, closed.n_vertices - 1), max_size=5)):
         assert closed.key_of(v) == passed.key_of(v)
+
+
+# --- the array frontier, against the walk ---------------------------------------
+
+
+def placed_words(spec, m, root, grouped):
+    """(words, labels, first) of each depth k < m that frontier yields, and
+    the words of depth m, each depth's words placed by the frontier's own
+    slots: child c of cell p at depth k is cell first[p] + c at depth k+1."""
+    words, depths = [()], []
+    for labels, first, groups in frontier(spec, m, root, DEFAULT_WORD_BUDGET, grouped):
+        labels, first = labels.tolist(), first.tolist()
+        present = [l for l in spec.levels if l in labels]
+        assert [(l, idx.tolist()) for l, idx in groups] == [
+            (l, [p for p, q in enumerate(labels) if q == l]) for l in present
+        ]
+        depths.append((words, labels, first))
+        below = {
+            first[p] + i - 1: w + ((i, l),) for p, (w, l) in enumerate(zip(words, labels))
+            for i in range(1, cell_count(spec.d, l) + 1)
+        }
+        assert sorted(below) == list(range(len(below)))  # every slot filled once
+        words = [below[slot] for slot in range(len(below))]
+    return depths, words
+
+
+def frontier_roots(spec, data) -> list:
+    """The empty root and a drawn non-empty one, each with a depth below it."""
+    m = max_depth(spec)
+    j = data.draw(st.integers(1, min(2, m - 1)))
+    return [((), m), (data.draw(st.sampled_from(walked_words(spec, j))), m - j)]
+
+
+@PROPERTY
+@given(specs(), st.data())
+def test_frontier_in_depth_lex_order_is_the_walk(spec, data):
+    for root, m in frontier_roots(spec, data):
+        depths, deepest = placed_words(spec, m, root, grouped=False)
+        assert len(depths) == m and deepest == walked_words(spec, m, root)
+        for k, (words, labels, first) in enumerate(depths):
+            assert words == walked_words(spec, k, root)
+            assert labels == [spec.label_of(root + w) for w in words]
+            counts = [cell_count(spec.d, l) for l in labels]
+            assert first == [sum(counts[:p]) for p in range(len(counts))]
+
+
+def reference_grouped_words(spec, m, root) -> list:
+    """The words of depths 0..m below root, each depth by level, then
+    parent, then cell, as reference_depth_scan places its cells."""
+    words = [()]
+    out = [words]
+    for _ in range(m):
+        labels = [spec.label_of(root + w) for w in words]
+        words = [
+            w + ((i, l),) for l in spec.levels for w, q in zip(words, labels) if q == l
+            for i in range(1, cell_count(spec.d, l) + 1)
+        ]
+        out.append(words)
+    return out
+
+
+@PROPERTY
+@given(specs(), st.data())
+def test_frontier_in_grouped_order_places_by_level_then_parent_then_cell(spec, data):
+    for root, m in frontier_roots(spec, data):
+        depths, deepest = placed_words(spec, m, root, grouped=True)
+        want = reference_grouped_words(spec, m, root)
+        assert [words for words, _, _ in depths] + [deepest] == want
+        for k, (words, labels, _) in enumerate(depths):
+            assert sorted(words) == walked_words(spec, k, root)  # the same multiset
+            assert labels == [spec.label_of(root + w) for w in words]
+        assert sorted(deepest) == walked_words(spec, m, root)
+
+
+@PROPERTY
+@given(specs(), st.data(), st.booleans())
+def test_frontier_refuses_a_depth_over_budget_before_hashing_its_children(spec, data, grouped):
+    # children_of is counted through a patched _key_ops: depth k has its own
+    # keys hashed, to label it, and those of depth k+1 wait until the caller
+    # asks for that depth, so a refused depth k hashes none of them
+    real = gasket._key_ops
+    hashed = []
+
+    def counted_key_ops(spec, root=()):
+        keys, labels_of, children_of = real(spec, root)
+
+        def counted(keys, l, n, at_root):
+            out = children_of(keys, l, n, at_root)
+            hashed.append(len(out))
+            return out
+
+        return keys, labels_of, counted
+
+    for root, m in frontier_roots(spec, data):
+        k = data.draw(st.integers(0, m - 1))
+        counts = [len(walked_words(spec, j, root)) for j in range(k + 2)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gasket, "_key_ops", counted_key_ops)
+            hashed.clear()
+            depths = frontier(spec, m, root, counts[k + 1], grouped)
+            for _ in range(k + 1):  # a budget of exactly depth k+1's cells
+                next(depths)
+            assert sum(hashed) == sum(counts[1 : k + 1])
+            hashed.clear()
+            depths = frontier(spec, m, root, counts[k + 1] - 1, grouped)
+            for _ in range(k):
+                next(depths)
+            text = f"cells at depth {k + 1}" if grouped else f"words at depth {m}"
+            with pytest.raises(BudgetExceededError, match=f"^more than {counts[k + 1] - 1} {text}$"):
+                next(depths)
+            assert sum(hashed) == sum(counts[1 : k + 1])
 
 
 # --- the depth scan's whole-depth label keys, against the per-key oracle -------
