@@ -42,7 +42,7 @@ is an exact rational.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm
@@ -301,12 +301,14 @@ class A3SampleRow:
 
 @dataclass
 class A3Report:
-    """Empirical balance constants over sampled words and harmonic directions."""
+    """Empirical balance constants over sampled words and harmonic directions.
+    Each field but `rows` is a key of `to_dict`, which adds the
+    `arithmetic_mode`; the rows go to their own CSV."""
 
-    spec_digest: str
+    spec: str
     depth: int
-    N: int
-    samples: int
+    inner_depth: int
+    samples_per_word: int
     seed: int
     words_total: int
     words_with_capacity: int
@@ -319,22 +321,8 @@ class A3Report:
     rows: list = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "spec": self.spec_digest,
-            "depth": self.depth,
-            "inner_depth": self.N,
-            "samples_per_word": self.samples,
-            "seed": self.seed,
-            "words_total": self.words_total,
-            "words_with_capacity": self.words_with_capacity,
-            "point_samples": self.point_samples,
-            "inequality_violations": self.inequality_violations,
-            "worst_mass_ratio": self.worst_mass_ratio,
-            "C_a": self.C_a,
-            "C_b": self.C_b,
-            "C_c": self.C_c,
-            "arithmetic_mode": "exact",
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
+        return {**out, "arithmetic_mode": "exact"}
 
 
 def a3_report(
@@ -488,10 +476,10 @@ def a3_report(
             )
 
     return A3Report(
-        spec_digest=spec.describe(),
+        spec=spec.describe(),
         depth=m,
-        N=N,
-        samples=samples,
+        inner_depth=N,
+        samples_per_word=samples,
         seed=seed,
         words_total=n_words,
         words_with_capacity=len(picks),

@@ -12,7 +12,9 @@ Usage:
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure.  The error's
 type sets the code: an `InputError` exits 2 and a `NumericalError` exits 3
-(see `gasketlab.errors`).  Reports embed the resolved configuration and are
+(see `gasketlab.errors`); either is one line, never a traceback, also for a
+spec that is not UTF-8 or is nested too deeply and for an output path
+through a regular file.  Reports embed the resolved configuration and are
 byte-identical for identical inputs.
 """
 
@@ -25,6 +27,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager, suppress
+from dataclasses import fields
 from fractions import Fraction
 
 from . import blowup as blowup_mod
@@ -47,7 +50,8 @@ def load_spec(path: str) -> GasketSpec:
             data = json.load(fh)
     except OSError as exc:
         raise SpecParseError(f"cannot read spec {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # not UTF-8, or nested past the decoder's recursion limit
         raise SpecParseError(f"spec {path!r} is not valid JSON: {exc}") from exc
     return GasketSpec.from_dict(data)
 
@@ -72,8 +76,8 @@ def _output(out: str | None, **open_args):
     except OSError as exc:
         raise InvalidParameterError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
     finally:
-        if not in_place:
-            with suppress(FileNotFoundError):
+        if not in_place:  # the temporary file may never have been made
+            with suppress(OSError):
                 os.unlink(tmp)
 
 
@@ -167,11 +171,11 @@ def cmd_verify_a3(args) -> int:
         point_samples=args.point_samples,
         budget=args.budget,
     )
-    payload = {"config": _config(args, spec, inner_n=report.N), "report": {**report.to_dict(), "refinement": args.refine}}
+    payload = {"config": _config(args, spec, inner_n=report.inner_depth), "report": {**report.to_dict(), "refinement": args.refine}}
     _emit_json(payload, args.out)
     if args.rows_out:
         _emit_csv(
-            ["word", "sample_id", "nu_U", "nu_V", "osc", "cap_rel", "cap_pt", "ratio_a", "ratio_b", "ratio_c"],
+            [f.name for f in fields(capacity_mod.A3SampleRow)],
             (row.as_list() for row in report.rows),
             args.rows_out,
         )
@@ -309,6 +313,11 @@ def _positive_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="gasketlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="subcommand", required=True)
+    spec_out = argparse.ArgumentParser(add_help=False)
+    spec_out.add_argument("--spec", required=True)
+    spec_out.add_argument("--out", default=None)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=_positive_int, default=DEFAULT_WORD_BUDGET)
 
     p = sub.add_parser("renorm", help="print the renormalization factor r for one level")
     p.add_argument("--dim", type=int, required=True)
@@ -321,24 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=_int_list, required=True)
     p.set_defaults(func=cmd_spectra)
 
-    p = sub.add_parser("words", help="emit the admissible words of one depth as CSV")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("words", help="emit the admissible words of one depth as CSV", parents=[spec_out, budget])
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_WORD_BUDGET)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_words)
 
-    p = sub.add_parser("dim-estimate", help="rank-decay scan and index estimate")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("dim-estimate", help="rank-decay scan and index estimate", parents=[spec_out, budget])
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--eps", type=float, default=1e-8)
     p.add_argument("--delta", type=float, default=1e-3)
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_WORD_BUDGET)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dim_estimate)
 
-    p = sub.add_parser("verify-a3", help="energy/capacity balance report")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("verify-a3", help="energy/capacity balance report", parents=[spec_out, budget])
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--inner-n", type=int, default=None)
     p.add_argument("--samples", type=int, default=64)
@@ -346,38 +348,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-words", type=int, default=8)
     p.add_argument("--point-samples", type=int, default=3)
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_WORD_BUDGET)
-    p.add_argument("--out", default=None)
     p.add_argument("--rows-out", default=None)
     p.set_defaults(func=cmd_verify_a3)
 
-    p = sub.add_parser("capacity", help="relative or point capacity below a word")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("capacity", help="relative or point capacity below a word", parents=[spec_out, budget])
     p.add_argument("--word", default="")
     p.add_argument("--inner-n", type=int, default=None)
     p.add_argument("--point", type=int, default=None)
     p.add_argument("--base-depth", type=int, default=1)
     p.add_argument("--refine", type=int, default=1)
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_WORD_BUDGET)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("blowup", help="push-forward cloud and density grid")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("blowup", help="push-forward cloud and density grid", parents=[spec_out, budget])
     p.add_argument("--word", default="")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--res", type=int, default=64)
     p.add_argument("--b1", default=None, help="comma-separated rationals")
     p.add_argument("--b2", default=None)
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_WORD_BUDGET)
-    p.add_argument("--out", default=None)
     p.add_argument("--out-cloud", default=None)
     p.add_argument("--out-grid", default=None)
     p.set_defaults(func=cmd_blowup)
 
-    p = sub.add_parser("hausdorff", help="report the dimension lower-bound expressions")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("hausdorff", help="report the dimension lower-bound expressions", parents=[spec_out])
     p.set_defaults(func=cmd_hausdorff)
     return ap
 

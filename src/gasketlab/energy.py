@@ -19,7 +19,7 @@ So u - (u_i, u) v_i is u's secondary component up to a constant
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import reduce
 
@@ -314,7 +314,9 @@ def _depth_scan(spec: GasketSpec, m: int, basis: EnergyBasis, budget: int):
 
 @dataclass
 class RankReport:
-    """Empirical index estimate and the decay diagnostics behind it."""
+    """Empirical index estimate and the decay diagnostics behind it.  Each
+    field is a key of `to_dict`, which adds the `arithmetic_mode` and keys
+    the histogram by rank text in rank order."""
 
     depth: int
     eps: float
@@ -326,23 +328,12 @@ class RankReport:
     rank2_fraction_trend: list
     sensitivity: dict
     cells_at_depth: int
-    basis_label: str
+    basis: str
 
     def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "eps": self.eps,
-            "delta": self.delta,
-            "estimated_index": self.estimated_index,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "mean_ratio_trend": self.mean_ratio_trend,
-            "max_ratio_trend": self.max_ratio_trend,
-            "rank2_fraction_trend": self.rank2_fraction_trend,
-            "sensitivity": self.sensitivity,
-            "cells_at_depth": self.cells_at_depth,
-            "basis": self.basis_label,
-            "arithmetic_mode": "float",
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["histogram"] = {str(k): v for k, v in sorted(self.histogram.items())}
+        return {**out, "arithmetic_mode": "float"}
 
 
 def _index_from_fractions(rank_mass: dict, delta: float) -> int:
@@ -490,7 +481,7 @@ def index_estimate(
         rank2_fraction_trend=rank2_trend,
         sensitivity=sens,
         cells_at_depth=ncells,
-        basis_label=basis.label,
+        basis=basis.label,
     )
 
 

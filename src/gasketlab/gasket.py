@@ -368,11 +368,22 @@ def _key_ops(spec: GasketSpec, root: Word = ()) -> tuple:
     empty word.  Seeded keys are uint64 arrays (`_mix_keys`), and numpy
     rounds a uint64 to float64 as Python's int / float does, so a key's
     label is key_label's own test on u = key / 2**64: the first level whose
-    cumulative weight is above u, else the last level.  Other labelings go
-    key by key.
+    cumulative weight is above u, else the last level.  A homogeneous spec
+    has one label and only None keys; an explicit labeling goes key by key.
     """
     key = spec.validate_word(root)
-    if spec.labeling["type"] != "seeded":
+    kind = spec.labeling["type"]
+    if kind == "homogeneous":
+
+        def labels(keys):
+            return np.full(len(keys), spec.levels[0])
+
+        def children(keys, l, n, at_root):
+            return np.empty(len(keys) * n, dtype=object)  # all None, as child_key gives
+
+        return np.array([key], dtype=object), labels, children
+
+    if kind == "explicit":
 
         def labels(keys):
             return np.array([spec.key_label(key) for key in keys])
@@ -905,6 +916,8 @@ def dirichlet_solve(net: ConductanceNetwork, boundary: dict):
     if len(boundary) == n:
         values = {v: boundary[v] for v in range(n)}
         return values, edge_energy(adj, values), "direct"
-    _, steps = eliminate(adj, set(boundary))
-    values = back_substitute(steps, {v: Fraction(x) for v, x in boundary.items()})
-    return values, edge_energy(adj, values), "exact"
+    # the minimum energy is the energy of the Schur complement on the pinned
+    # vertices, a network of len(boundary) vertices, not n
+    reduced, steps = eliminate(adj, set(boundary))
+    pinned = {v: Fraction(x) for v, x in boundary.items()}
+    return back_substitute(steps, pinned), edge_energy(reduced, pinned), "exact"

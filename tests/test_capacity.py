@@ -233,7 +233,7 @@ def test_a3_report_standard_sg(sg):
     assert Fraction(num, den) <= 2
     assert rep.C_b > 0 and rep.C_c > 0
     assert rep.words_total == 9
-    assert len(rep.rows) == rep.words_with_capacity * rep.samples
+    assert len(rep.rows) == rep.words_with_capacity * rep.samples_per_word
 
 
 def test_a3_report_is_deterministic(sg):

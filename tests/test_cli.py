@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasketlab import capacity, cli, errors, gasket
+from gasketlab import capacity, cli, energy, errors, gasket
 from gasketlab.capacity import _point_capacity, corner_chain_capacity, point_capacity
 from gasketlab.cli import load_spec, main
 from gasketlab.errors import GasketLabError, SpecParseError, SpecSemanticError
@@ -19,6 +20,19 @@ from gasketlab.gasket import DEFAULT_WORD_BUDGET, GasketSpec, encode_word, iter_
 from gasketlab.subdivision import cell_count
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+# spec files the JSON decoder refuses with something other than a JSONDecodeError
+UNDECODABLE_SPECS = {
+    "not-utf8.json": b"\xff\xfe",
+    "nested-2000.json": b"[" * 2000 + b"]" * 2000,
+}
+
+
+def write_undecodable_spec(tmp_path, name) -> Path:
+    path = tmp_path / name
+    path.write_bytes(UNDECODABLE_SPECS[name])
+    return path
 
 
 @pytest.fixture()
@@ -51,6 +65,9 @@ def test_load_spec_errors(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(SpecParseError):
         load_spec(str(bad))
+    for name in UNDECODABLE_SPECS:
+        with pytest.raises(SpecParseError, match="is not valid JSON"):
+            load_spec(str(write_undecodable_spec(tmp_path, name)))
     sem = tmp_path / "sem.json"
     sem.write_text('{"dimension": 2, "levels": [2, 3], "labeling": '
                    '{"type": "explicit", "entries": [{"word": "", "label": 5}], "default": 2}}')
@@ -179,6 +196,18 @@ def test_verify_a3_report_and_rows_are_the_golden_bytes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ((GOLDEN / "verify_a3_seeded_d2_c2.json").read_text(), "")
     assert rows.read_bytes() == (GOLDEN / "verify_a3_seeded_d2_c2_rows.csv").read_bytes()
+
+
+def test_report_keys_are_the_dataclass_fields(sg_spec, tmp_path):
+    spec = load_spec(sg_spec)
+    reports = (energy.index_estimate(spec, 3), capacity.a3_report(spec, 1, samples=2, cap_words=1, point_samples=1))
+    for report in reports:
+        assert list(report.to_dict()) == [f.name for f in fields(report) if f.name != "rows"] + ["arithmetic_mode"]
+    rows = tmp_path / "rows.csv"
+    argv = ["verify-a3", "--spec", sg_spec, "--depth", "1", "--samples", "2", "--cap-words", "1",
+            "--out", str(tmp_path / "a3.json"), "--rows-out", str(rows)]
+    assert main(argv) == 0
+    assert rows.read_text().splitlines()[0].split(",") == [f.name for f in fields(capacity.A3SampleRow)]
 
 
 @pytest.mark.parametrize(
@@ -574,12 +603,27 @@ def test_malformed_spec_exits_2_with_one_line(spec_text, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", sorted(UNDECODABLE_SPECS))
+def test_undecodable_spec_exits_2_with_one_line(name, tmp_path, capsys):
+    path = write_undecodable_spec(tmp_path, name)
+    out = tmp_path / "out.json"
+    assert main(["hausdorff", "--spec", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: spec {str(path)!r} is not valid JSON: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["words", "--depth", "1"], ["hausdorff"]])
 def test_unwritable_output_exits_2_with_one_line(argv, sg_spec, tmp_path, capsys):
-    out = tmp_path / "missing" / "out.json"
-    assert main(argv + ["--spec", sg_spec, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    regular = tmp_path / "file"
+    regular.write_text("")
+    # through a missing directory, and through a regular file
+    for out in (tmp_path / "missing" / "out.json", regular / "out.json"):
+        assert main(argv + ["--spec", sg_spec, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert err == f"error: cannot write {str(regular / 'out.json')!r}: Not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "sg.json"] and regular.read_text() == ""
 
 
 def test_explicit_entry_words_are_normalized(tmp_path):

@@ -11,7 +11,7 @@ from gasketlab.errors import (
     InvalidParameterError,
     SpecSemanticError,
 )
-from gasketlab.exactla import connected_components, identity, mat_mul
+from gasketlab.exactla import connected_components, edge_energy, identity, mat_mul
 from gasketlab.gasket import (
     ConductanceNetwork,
     GasketSpec,
@@ -277,9 +277,11 @@ def test_dirichlet_maximum_principle_random_boundary(sg):
     for _ in range(5):
         picks = rng.choice(net.n_vertices, size=4, replace=False)
         bmap = {int(v): Fraction(int(rng.randint(-5, 6))) for v in picks}
-        vals, _, _ = dirichlet_solve(net, bmap)
+        vals, energy, _ = dirichlet_solve(net, bmap)
         lo, hi = min(bmap.values()), max(bmap.values())
         assert all(lo <= v <= hi for v in vals.values())
+        # the Schur complement's energy is the potentials' energy on the whole network
+        assert energy == edge_energy(net.adjacency(), vals)
 
 
 def test_dirichlet_errors(sg):

@@ -54,10 +54,10 @@ PROPERTY = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def specs(draw, dims=(2, 3)):
+def specs(draw, dims=(2, 3), homogeneous=False):
     d = draw(st.sampled_from(dims))
-    levels = sorted(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4, unique=True)))
-    kinds = ["seeded", "explicit"] + (["homogeneous"] if len(levels) == 1 else [])
+    levels = sorted(draw(st.lists(st.integers(2, 5), min_size=1, max_size=1 if homogeneous else 4, unique=True)))
+    kinds = ["homogeneous"] if homogeneous else ["seeded", "explicit"] + (["homogeneous"] if len(levels) == 1 else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "homogeneous":
         labeling = None
@@ -203,6 +203,9 @@ def test_the_input_boundary_rules_are_written_once():
         assert sum(text.count(message) for text in sources.values()) == 1
     cells = "more than {budget} cells at depth"
     assert sources["gasket.py"].count(cells) == sum(text.count(cells) for text in sources.values()) == 1
+    # and cli declares each shared argument once, in a parent parser
+    for flag in ('"--spec"', '"--out"', '"--budget"'):
+        assert sources["cli.py"].count(flag) == 1, flag
 
 
 @PROPERTY
@@ -469,8 +472,13 @@ def frontier_roots(spec, data) -> list:
     return [((), m), (data.draw(st.sampled_from(walked_words(spec, j))), m - j)]
 
 
+# every labeling kind, half of the draws homogeneous, which _key_ops labels
+# as whole arrays with no per-key call
+FRONTIER_SPECS = specs() | specs(homogeneous=True)
+
+
 @PROPERTY
-@given(specs(), st.data())
+@given(FRONTIER_SPECS, st.data())
 def test_frontier_in_depth_lex_order_is_the_walk(spec, data):
     for root, m in frontier_roots(spec, data):
         depths, deepest = placed_words(spec, m, root, grouped=False)
@@ -498,7 +506,7 @@ def reference_grouped_words(spec, m, root) -> list:
 
 
 @PROPERTY
-@given(specs(), st.data())
+@given(FRONTIER_SPECS, st.data())
 def test_frontier_in_grouped_order_places_by_level_then_parent_then_cell(spec, data):
     for root, m in frontier_roots(spec, data):
         depths, deepest = placed_words(spec, m, root, grouped=True)
@@ -511,7 +519,7 @@ def test_frontier_in_grouped_order_places_by_level_then_parent_then_cell(spec, d
 
 
 @PROPERTY
-@given(specs(), st.data(), st.booleans())
+@given(FRONTIER_SPECS, st.data(), st.booleans())
 def test_frontier_refuses_a_depth_over_budget_before_hashing_its_children(spec, data, grouped):
     # children_of is counted through a patched _key_ops: depth k has its own
     # keys hashed, to label it, and those of depth k+1 wait until the caller
