@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateBasisError, InvalidParameterError
-from .capacity import default_inner_depth
+from .capacity import inner_depth
 from .energy import basis_from_vectors
 from .exactla import integer_form
 from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _exact_sum, encode_word, frontier
@@ -164,10 +164,7 @@ def blowup_cloud(
     basis = basis_from_vectors(spec.d, [b1, b2])
     if basis.size != 2:
         raise DegenerateBasisError("exactly two harmonic directions are required")
-    if N is None:
-        N = default_inner_depth(spec)
-    if N < 1:
-        raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
+    N = inner_depth(spec, N)
 
     d = spec.d
     n = d + 1

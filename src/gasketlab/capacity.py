@@ -13,13 +13,14 @@ d * sum over the corners of 1/r_chain, and the networks are exact traces, so
 every refinement reproduces that value.
 
 So every capacity is one exact value, and nothing takes a refinement count.
-`corner_chain_capacity` reads it off that identity; the network solve stays
-in the tests as its oracle.  A point capacity pins only vertices of its base
-depth, so it is the base depth's value: `_point_capacity` solves it once, on
-a trace-reduced network refined only in the cells whose closure holds the
-target vertex.  `vertex_numbering` finds that vertex from its id without
-numbering the others: it counts each subtree's vertices from the labels of
-its internal cells and unranks the id along one path of the word tree.
+`_chain_record` reads it off that identity for `corner_chain_capacity` and
+the balance report alike; the network solve stays in the tests as its
+oracle.  A point capacity pins only vertices of its base depth, so it is the
+base depth's value: `_point_capacity` solves it once, on a trace-reduced
+network refined only in the cells whose closure holds the target vertex.
+`vertex_numbering` finds that vertex from its id without numbering the
+others: it counts each subtree's vertices from the labels of its internal
+cells and unranks the id along one path of the word tree.
 
 The corner masses of the A3 report are read off the corner-chain
 eigenstructure: on u = a 1 + (u_i, u) v_i + y, the chain form
@@ -32,7 +33,7 @@ as the retry path and oracle), and it takes every form on the quotient by
 constants: Q and each chain form are symmetric with zero row sums, so
 u^T M u = x^T M[1:, 1:] x with x = u[1:] - u[0], d (d + 1) / 2 monomials
 instead of (d + 1)^2 products.  Q is applied in int64; the summed chain
-forms, one per distinct tuple of chain labels, keep Python ints.
+forms, one `_chain_record` per distinct tuple of labels, keep Python ints.
 
 Capacity values are computed on root-normalized networks (the root cell
 carries conductance weight 1).  The balance constants are scale invariant,
@@ -70,7 +71,7 @@ from .gasket import (
     walk,
     word_hash_unit,
 )
-from .harmonic import base_form, dual_vector, extension_matrices
+from .harmonic import base_form, check_corner, dual_vector, extension_matrices
 
 
 def corner_decay_N(spec_or_dims, c, max_N: int = 64) -> int:
@@ -106,11 +107,20 @@ def default_inner_depth(spec: GasketSpec) -> int:
     return corner_decay_N(spec, Fraction(1, 2 * (spec.d + 1)))
 
 
-def corner_chain_labels(spec: GasketSpec, word: Word, corner: int, N: int) -> tuple:
-    """Labels l_1..l_N of the admissible corner chain i^l1 ... i^lN below word,
-    which must be admissible."""
+def inner_depth(spec: GasketSpec, N: int | None) -> int:
+    """The inner-set depth N, `default_inner_depth(spec)` for None; refused below 1."""
+    if N is None:
+        return default_inner_depth(spec)
     if N < 1:
         raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
+    return N
+
+
+def corner_chain_labels(spec: GasketSpec, word: Word, corner: int, N: int) -> tuple:
+    """Labels l_1..l_N of the admissible corner chain i^l1 ... i^lN below word,
+    which must be admissible; the corner i must be in 1..d+1."""
+    N = inner_depth(spec, N)
+    check_corner(spec.d, corner)
     return _chain_labels(spec, spec.validate_word(word), corner, N)
 
 
@@ -128,16 +138,8 @@ def corner_chain_capacity(spec: GasketSpec, word: Word, N: int) -> Fraction:
     """The root-normalized relative capacity below `word` from the corner-chain
     identity: d * sum over the corners of 1/r_chain, where r_chain is the
     product of r over the labels of the corner's N-deep chain."""
-    if N < 1:
-        raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
-    key = spec.validate_word(word)
-    total = Fraction(0)
-    for corner in range(1, spec.d + 2):
-        r_chain = Fraction(1)
-        for l in _chain_labels(spec, key, corner, N):
-            r_chain *= extension_matrices(spec.d, l).r
-        total += 1 / r_chain
-    return spec.d * total
+    N, key = inner_depth(spec, N), spec.validate_word(word)
+    return _chain_record(spec.d, tuple(_chain_labels(spec, key, c, N) for c in range(1, spec.d + 2)))[2]
 
 
 def inner_set_pins(spec: GasketSpec, word: Word, N: int, net: ConductanceNetwork) -> dict:
@@ -172,8 +174,7 @@ def _point_pins(coord, net: ConductanceNetwork) -> dict:
 
 def _point_capacity(spec: GasketSpec, word: Word, base_depth: int, point, budget: int) -> Fraction:
     """The capacity between the vertex with integer key `point` in the
-    depth-base_depth network below the word (`vertex_numbering`) and its
-    corners.
+    depth-base_depth network below the word (`_point_key`) and its corners.
 
     The networks are exact traces and the problem pins only depth-base_depth
     vertices, so every refinement has the same value: it is solved once, on
@@ -185,24 +186,26 @@ def _point_capacity(spec: GasketSpec, word: Word, base_depth: int, point, budget
     return dirichlet_solve(net, _point_pins(coord, net))[1]
 
 
-def point_capacity(
-    spec: GasketSpec, word: Word, vertex: int, base_depth: int = 1, budget: int = DEFAULT_WORD_BUDGET
-) -> Fraction:
-    """Root-normalized capacity between one finite-level vertex and the
-    word's corners; divide by r_w for the absolute scale.
-
-    The vertex id refers to the depth-base_depth network below the word.  The
-    network is not built, and its vertices are not numbered either:
-    `vertex_numbering` counts them from the labels of its internal cells,
-    refuses more than `budget` leaves as the network's walk would, and gives
-    the one vertex's integer key from one path down the word tree.
-    `_point_capacity` solves it once; every deeper network has the same value.
-    """
+def _point_key(spec: GasketSpec, word: Word, vertex: int, base_depth: int, budget: int) -> tuple:
+    """The integer key of vertex id `vertex`, not a corner of the word, of the
+    depth-base_depth network below the word, which is neither built nor
+    numbered: `vertex_numbering` counts its vertices from the labels of its
+    internal cells, refuses more than `budget` leaves as its walk would, and
+    unranks the one id along one path down the word tree."""
     numbering = vertex_numbering(spec, base_depth, word, budget)
     point = numbering.key_of(vertex)
     if vertex in numbering.boundary():
         raise InvalidVertexError("point capacity target must not be a corner of the word")
-    return _point_capacity(spec, word, base_depth, point, budget)
+    return point
+
+
+def point_capacity(
+    spec: GasketSpec, word: Word, vertex: int, base_depth: int = 1, budget: int = DEFAULT_WORD_BUDGET
+) -> Fraction:
+    """Root-normalized capacity between vertex id `vertex` of the
+    depth-base_depth network below the word (`_point_key`) and the word's
+    corners, solved once by `_point_capacity`; divide by r_w for the absolute scale."""
+    return _point_capacity(spec, word, base_depth, _point_key(spec, word, vertex, base_depth, budget), budget)
 
 
 # --- the balance report ---------------------------------------------------------
@@ -257,6 +260,12 @@ def _draws(d: int, seed: int, texts: list, start: int, stop: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _monomials(d: int) -> tuple:
+    """(iu, ju): the monomials x_i x_j, i <= j, of x = u[1:] - u[0]."""
+    return np.triu_indices(d)
+
+
 def _quotient_coefficients(M, iu, ju) -> list:
     """The coefficients of u^T M u over the monomials x_i x_j, (i, j) in
     zip(iu, ju), of x = u[1:] - u[0].  M is symmetric and vanishes on
@@ -280,6 +289,21 @@ def _corner_chain_form(d: int, corner: int, labels) -> tuple:
     ints, den = integer_form(entries)
     n = d + 1
     return tuple(tuple(ints[k : k + n]) for k in range(0, n * n, n)), den
+
+
+@lru_cache(maxsize=None)
+def _chain_record(d: int, chains: tuple) -> tuple:
+    """(G, L, cap_rel) of one word's corner chains, `chains` their label tuples
+    in corner order: G the summed chain forms as integer coefficients on the
+    quotient monomials over their common denominator L, and the word's
+    root-normalized relative capacity cap_rel = d * sum of 1/r_chain."""
+    corner_forms = [_corner_chain_form(d, corner, labels) for corner, labels in enumerate(chains, 1)]
+    L = lcm(*(den for _, den in corner_forms))
+    form = [[sum(fm[i][j] * (L // den) for fm, den in corner_forms) for j in range(d + 1)] for i in range(d + 1)]
+    # corner i's form is r_chain d at (i, i), as P_ii = Q_ii = d, so d / r_chain = d^2 den / fm[i][i]
+    B = lcm(*(fm[i][i] for i, (fm, _) in enumerate(corner_forms)))
+    cap_rel = Fraction(d * d * sum(den * (B // fm[i][i]) for i, (fm, den) in enumerate(corner_forms)), B)
+    return tuple(_quotient_coefficients(form, *_monomials(d))), L, cap_rel
 
 
 @dataclass
@@ -341,22 +365,22 @@ def a3_report(
     The inequality nu_h(U) <= 2 nu_h(V) is decided in plain integers for
     `samples` seeded directions per word, drawn by `_draws` for up to
     `_BLOCK` word x sample cells at a time.  The d+1 corner-chain forms are
-    summed into one integer form G over their common denominator L, built
-    once per distinct tuple of chain labels, so nu_U = u^T Q u and
+    summed into one integer form G over their common denominator L, the
+    `_chain_record` of the word's chains, walked once, so nu_U = u^T Q u and
     nu_V = (nu_U L - u^T G u) / L.  Both are taken on the monomials of
     x = u[1:] - u[0]: u^T Q u in int64, exact since |x_i| <= 2 _SPAN + 1,
     and u^T G u against G's Python-int coefficients, exact for any L.  The
     worst nu_U / nu_V is kept as an integer pair compared by
     cross-multiplication, and only the rows of the capacity words are kept.
 
-    C_b uses the relative capacity of each subsampled word from the
-    corner-chain identity, exact at every refinement.  C_c uses point
-    capacities at vertices of the depth-N network below the word, which
-    `vertex_numbering` counts and finds once per word without numbering
-    that network; each is solved once by `_point_capacity`, which
-    `capacity --point` uses too, on that network refined only in the cells
-    that hold the vertex, which gives the same exact value.  All three
-    constants are scale invariant, so root normalization cancels.
+    C_b uses the relative capacity of each subsampled word from the same
+    record, exact at every refinement.  C_c uses point capacities at
+    vertices of the depth-N network below the word, which `vertex_numbering`
+    counts and finds once per word without numbering that network; each is
+    solved once by `_point_capacity`, which `capacity --point` uses too, on
+    that network refined only in the cells that hold the vertex, which gives
+    the same exact value.  All three constants are scale invariant, so root
+    normalization cancels.
     """
     if samples < 1:
         raise InvalidParameterError("need at least one sample per word")
@@ -364,10 +388,7 @@ def a3_report(
         raise InvalidParameterError("need at least one capacity word")
     if point_samples < 1:
         raise InvalidParameterError("need at least one point sample per word")
-    if N is None:
-        N = default_inner_depth(spec)
-    if N < 1:
-        raise InvalidParameterError(f"inner-set depth must be >= 1, got {N}")
+    N = inner_depth(spec, N)
     d = spec.d
     words = list(walk(spec, m, None, spec.child_key, budget=budget))  # (word, label key)
 
@@ -376,24 +397,13 @@ def a3_report(
     picks = sorted({(j * n_words) // count for j in range(count)})
 
     # every form below vanishes on constants, so each is taken on x = u[1:] - u[0]
-    iu, ju = np.triu_indices(d)
+    iu, ju = _monomials(d)
     Q = np.array(_quotient_coefficients([[int(x) for x in row] for row in base_form(d).M], iu, ju))
-    texts, forms, summed = [], [], {}
-    for word, key in words:
-        texts.append(encode_word(word))
-        chains = tuple(_chain_labels(spec, key, corner, N) for corner in range(1, d + 2))
-        if chains not in summed:
-            # the summed corner masses as one integer form over the common denominator
-            corner_forms = [_corner_chain_form(d, corner, labels) for corner, labels in enumerate(chains, 1)]
-            common = lcm(*(den for _, den in corner_forms))
-            form = [
-                [sum(fm[i][j] * (common // den) for fm, den in corner_forms) for j in range(d + 1)] for i in range(d + 1)
-            ]
-            summed[chains] = (_quotient_coefficients(form, iu, ju), common)
-        forms.append(summed[chains])
+    texts = [encode_word(word) for word, _ in words]
+    records = [_chain_record(d, tuple(_chain_labels(spec, key, c, N) for c in range(1, d + 2))) for _, key in words]
     # word by word: the summed form G over its denominator L, in Python ints, exact for any L
-    G = np.array([g for g, _ in forms], dtype=object)
-    L = np.array([den for _, den in forms], dtype=object)
+    G = np.array([g for g, _, _ in records], dtype=object)
+    L = np.array([den for _, den, _ in records], dtype=object)
 
     violations = 0
     wp, wq = 0, 1  # the worst nu_U / nu_V so far, as the integer pair wp / wq
@@ -435,7 +445,7 @@ def a3_report(
 
     for idx in picks:
         word, _ = words[idx]
-        cap_rel = float(corner_chain_capacity(spec, word, N))
+        cap_rel = float(records[idx][2])
         # the point samples are equispaced among the ids of the depth-N
         # network below the word that are not its corners
         numbering = vertex_numbering(spec, N, word, budget)

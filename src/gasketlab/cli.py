@@ -34,7 +34,7 @@ from . import blowup as blowup_mod
 from . import capacity as capacity_mod
 from . import energy as energy_mod
 from .errors import GasketLabError, InvalidParameterError, SpecParseError
-from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, _check_depth, encode_word, iter_words, parse_word
+from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, _check_depth, _rational, encode_word, iter_words, parse_word
 from .harmonic import extension_matrices, renormalization_factor, theta
 from .subdivision import cell_count
 
@@ -83,7 +83,7 @@ def _output(out: str | None, **open_args):
 
 def _rationals(text: str, flag: str) -> list:
     try:
-        return [Fraction(x) for x in text.split(",")]
+        return [_rational(x) for x in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise InvalidParameterError(f"{flag} must be comma-separated rationals, got {text!r}") from None
 
@@ -197,14 +197,15 @@ def cmd_capacity(args) -> int:
     word = parse_word(args.word)
     spec.validate_word(word)
     resolved = {}
-    if args.point is not None:
-        value = capacity_mod.point_capacity(spec, word, args.point, base_depth=args.base_depth, budget=args.budget)
-        refinements = _refinements(args)
+    point = args.point
+    if point is not None:  # a bad target vertex is refused before --refine, and solved only after it
+        point = capacity_mod._point_key(spec, word, point, args.base_depth, args.budget)
+    refinements = _refinements(args)
+    if point is None:
+        resolved["inner_n"] = capacity_mod.inner_depth(spec, args.inner_n)
+        value = capacity_mod.corner_chain_capacity(spec, word, resolved["inner_n"])
     else:
-        n = capacity_mod.default_inner_depth(spec) if args.inner_n is None else args.inner_n
-        refinements = _refinements(args)
-        value = capacity_mod.corner_chain_capacity(spec, word, n)
-        resolved["inner_n"] = n
+        value = capacity_mod._point_capacity(spec, word, args.base_depth, point, args.budget)
     payload = {
         "config": _config(args, spec, **resolved),
         "report": {

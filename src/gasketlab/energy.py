@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegenerateBasisError, InvalidParameterError
 from .exactla import det, integer_form, mat_mul, mat_t, mat_vec
 from .gasket import DEFAULT_WORD_BUDGET, GasketSpec, Word, _check_depth, frontier, walk
-from .harmonic import base_form, dual_vector, extension_matrices, principal_vector, theta
+from .harmonic import base_form, check_corner, dual_vector, extension_matrices, principal_vector, theta
 
 
 # --- harmonic bases -----------------------------------------------------------
@@ -508,8 +508,7 @@ def contraction_check(d: int, corner: int, tau, u) -> ContractionCurve:
     chain with label sequence tau; the residual is exactly the transported
     secondary component, so it is bounded by K theta^n with K the secondary
     component's norm."""
-    if not 1 <= corner <= d + 1:
-        raise InvalidParameterError(f"corner must be in 1..{d + 1}")
+    check_corner(d, corner)
     tau = list(tau)
     if not tau:
         raise InvalidParameterError("the corner chain needs at least one label")

@@ -10,6 +10,7 @@ letter's level equals the label the spec assigns to its prefix.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -119,10 +120,22 @@ def word_hash_unit(seed: int, text: str) -> float:
     return _seed_state(seed, text) / 2.0**64
 
 
+def _rational(value) -> Fraction:
+    """Fraction(value), but a ValueError for a decimal exponent beyond 4,300,
+    Python's default limit on an int's digits (which `cli.main` lifts), which
+    Fraction would expand to that many digits; the exponent's length is
+    checked before it is converted."""
+    if isinstance(value, str) and (match := re.search(r"e[-+]?([\d_]*)", value, re.IGNORECASE)):
+        digits = match[1].replace("_", "").lstrip("0")
+        if len(digits) > 4 or int(digits or 0) > 4300:
+            raise ValueError(value)
+    return Fraction(value)
+
+
 def _spec_value(convert, value, what: str):
-    """convert(value), or a SpecSemanticError naming what was malformed."""
+    """convert(value) (`_rational` for a Fraction), or a SpecSemanticError naming what was malformed."""
     try:
-        out = convert(value)
+        out = _rational(value) if convert is Fraction else convert(value)
         if isinstance(value, float) and out != value:  # int() truncates 2.5
             raise ValueError(value)
         return out
@@ -670,52 +683,16 @@ class ConductanceNetwork:
         return adj
 
 
-def _numbered_cells(spec: GasketSpec, m: int, root: Word, budget: int, stop, index: dict):
-    """Walk the cells of the depth-m network below `root` and number their
-    corners.  Yields (relative word, corner ids, r_num, r_den) for each leaf
-    cell, with r_num / r_den its r_w relative to the root as an unreduced
-    integer pair; `index` is filled with each corner's integer key over
-    P = `_denominator(spec, m, root)`, mapped to its id, in the order in which
-    the walk first reaches it.
-
-    The walk state, which `stop` is given, is (q, offset, r_num, r_den):
-    the cell's map z -> (q z + offset) / P and the pair r_num / r_den."""
-    spec.validate_word(root)
-    r_pairs = _letter_pairs(spec, spec.r_of_letter)
-
-    def step(state, letter):
-        q, offset, r_num, r_den = state
-        a, b = r_pairs[letter[1]][letter[0] - 1]
-        return (*_cell_step((q, offset), letter), r_num * a, r_den * b)
-
-    start = (*_root_cell(spec, root, _denominator(spec, m, root)), 1, 1)
-    for word, (q, offset, r_num, r_den) in walk(spec, m, start, step, root, budget, stop):
-        ids = tuple(index.setdefault(key, len(index)) for key in _corner_keys((q, offset)))
-        yield word, ids, r_num, r_den
-
-
-def vertex_keys(spec: GasketSpec, m: int, root: Word = (), budget: int = DEFAULT_WORD_BUDGET) -> tuple:
-    """(keys, boundary) of `level_network(spec, m, root, budget)`: its
-    vertices' integer keys over `_denominator(spec, m, root)` in id order, and
-    its boundary ids, from the same walk, with no edge, cell or Fraction
-    built."""
-    index: dict = {}
-    for _ in _numbered_cells(spec, m, root, budget, None, index):
-        pass
-    P = _denominator(spec, m, root)
-    return list(index), [index[key] for key in _corner_keys(_root_cell(spec, root, P))]
-
-
 # --- one vertex without the numbering walk --------------------------------------
 #
-# `_numbered_cells` gives out ids at the leaves, in depth-lexicographic
+# `level_network`'s walk gives out ids at the leaves, in depth-lexicographic
 # order, so the ids first reached inside one cell's subtree form one
 # contiguous range.  Cells meet only at corners, so the depth-m network
 # below a cell has its d+1 corners plus V(d, l) - (d+1) more vertices for
 # each internal cell of level l in its subtree, and the range is that count
 # less the cell's corners numbered before it is entered.  `VertexNumbering`
-# finds one id or one key along one path from those counts; `vertex_keys`
-# stays as its oracle.
+# finds one id or one key along one path from those counts; the whole
+# network, `level_network` unstopped, stays as its oracle in the tests.
 
 
 def _misses(point, state) -> bool:
@@ -852,21 +829,31 @@ def level_network(
 ) -> ConductanceNetwork:
     """The depth-m cell network below `root`: vertices are the distinct
     images of the simplex corners, each cell contributes complete-graph edges
-    with conductance 1/r_w (relative to the root).  Vertex ids follow the
-    order in which the walk of `_numbered_cells` first reaches each corner,
-    and each vertex's exact coordinates are built once from its integer key.
+    with conductance 1/r_w (relative to the root).  The walk keys each corner
+    over P = `_denominator(spec, m, root)` and numbers it where it first
+    reaches it; its exact coordinates are built once from that integer key.
 
     `stop` is passed to that walk, on the state (q, offset, r_num, r_den) of
-    a cell: a cell above depth m that it stops is kept whole, as its complete
-    graph with conductance 1/r_w, exactly as a depth-m cell is.  That graph
-    is the exact trace of every cell below it, so the network is the trace
-    of the depth-m network onto its own vertices, and a Dirichlet problem
-    that pins only vertices of it has the same energy on both."""
+    a cell: its map z -> (q z + offset) / P and r_w = r_num / r_den.  A cell
+    above depth m that it stops is kept whole, as its complete graph with
+    conductance 1/r_w, exactly as a depth-m cell is.  That graph is the
+    exact trace of every cell below it, so the network is the trace of the
+    depth-m network onto its own vertices, and a Dirichlet problem that pins
+    only vertices of it has the same energy on both."""
+    spec.validate_word(root)
     d = spec.d
-    index: dict = {}
-    edges: dict = {}
-    cells: list = []
-    for word, ids, r_num, r_den in _numbered_cells(spec, m, root, budget, stop, index):
+    r_pairs = _letter_pairs(spec, spec.r_of_letter)
+
+    def step(state, letter):
+        q, offset, r_num, r_den = state
+        a, b = r_pairs[letter[1]][letter[0] - 1]
+        return (*_cell_step((q, offset), letter), r_num * a, r_den * b)
+
+    P = _denominator(spec, m, root)
+    index, edges, cells = {}, {}, []
+    start = (*_root_cell(spec, root, P), 1, 1)
+    for word, (q, offset, r_num, r_den) in walk(spec, m, start, step, root, budget, stop):
+        ids = tuple(index.setdefault(key, len(index)) for key in _corner_keys((q, offset)))
         w = Fraction(r_den, r_num)
         # distinct cells share at most one vertex, so no edge is set twice
         for a in range(d + 1):
@@ -875,7 +862,6 @@ def level_network(
                 key = (i, j) if i < j else (j, i)
                 edges[key] = w
         cells.append((word, ids, w))
-    P = _denominator(spec, m, root)
     coords = [_coord(key, P) for key in index]
     return ConductanceNetwork(
         d=d,

@@ -66,6 +66,12 @@ def ones_vector(d: int) -> list:
     return [Fraction(1)] * (d + 1)
 
 
+def check_corner(d: int, corner: int) -> None:
+    """Refuse a corner index outside 1..d+1."""
+    if not 1 <= corner <= d + 1:
+        raise InvalidParameterError(f"corner must be in 1..{d + 1}")
+
+
 def dual_vector(d: int, i: int) -> list:
     """Left r-eigenvector of the i-th corner matrix (1-based i)."""
     return [Fraction(-d) if k == i - 1 else Fraction(1) for k in range(d + 1)]

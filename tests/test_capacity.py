@@ -439,6 +439,37 @@ def test_a3_point_samples_solve_only_reduced_networks(mixed, monkeypatch):
     assert [(m, stopped) for m, stopped, _ in built] == [(N, True)] * 3
 
 
+@pytest.mark.parametrize("cap_words", [1, 10**6], ids=["one-word", "every-word"])
+def test_a3_report_walks_each_words_corner_chains_once(cap_words, mixed, monkeypatch):
+    # the mass inequality and a picked word's cap_rel read the same chain
+    # record, so no picked word walks its chains again
+    walked = []
+
+    def chain_labels(*args):
+        walked.append(args)
+        return real(*args)
+
+    real = capacity._chain_labels
+    monkeypatch.setattr(capacity, "_chain_labels", chain_labels)
+    rep = a3_report(mixed, 3, samples=2, cap_words=cap_words, point_samples=1)
+    assert rep.words_with_capacity == min(cap_words, rep.words_total)
+    assert len(walked) == (mixed.d + 1) * rep.words_total == 369
+
+
+@pytest.mark.parametrize("corner", [-1, 0, 4, 9])
+def test_corner_chain_labels_refuse_a_corner_outside_1_to_d_plus_1(corner, mixed):
+    with pytest.raises(InvalidParameterError, match=r"^corner must be in 1\.\.3$"):
+        corner_chain_labels(mixed, (), corner, 3)
+
+
+@pytest.mark.parametrize("corner", [1, 2, 3])
+def test_corner_chain_labels_follow_the_chain_words_labels(corner, mixed):
+    word, labels = ((2, mixed.label_of(())),), []
+    for _ in range(5):
+        labels.append(mixed.label_of(word + tuple((corner, l) for l in labels)))
+    assert corner_chain_labels(mixed, word, corner, 5) == tuple(labels)
+
+
 # --- the exact sampling loop --------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from gasketlab import capacity, cli, energy, errors, gasket
 from gasketlab.capacity import _point_capacity, corner_chain_capacity, point_capacity
 from gasketlab.cli import load_spec, main
 from gasketlab.errors import GasketLabError, SpecParseError, SpecSemanticError
-from gasketlab.gasket import DEFAULT_WORD_BUDGET, GasketSpec, encode_word, iter_words, parse_word, vertex_keys
+from gasketlab.gasket import DEFAULT_WORD_BUDGET, GasketSpec, _rational, encode_word, iter_words, level_network, parse_word
 from gasketlab.subdivision import cell_count
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -234,13 +235,15 @@ def test_the_point_paths_number_no_whole_network(tmp_path, capsys, monkeypatch):
     # point capacities find their vertices from label counts; only
     # level_network's stopped walk still numbers corners
     sg = GasketSpec(2, [2])
-    want = _point_capacity(sg, (), 8, vertex_keys(sg, 8)[0][5], DEFAULT_WORD_BUDGET)
+    P = gasket._denominator(sg, 8, ())
+    want = _point_capacity(sg, (), 8, tuple(int(x * P) for x in level_network(sg, 8).coords[5]), DEFAULT_WORD_BUDGET)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the whole network was numbered")
+    def stopped_only(*args, stop=None, **kwargs):
+        if stop is None:
+            raise AssertionError("the whole network was numbered")
+        return level_network(*args, stop=stop, **kwargs)
 
-    monkeypatch.setattr(gasket, "vertex_keys", refuse)
-    monkeypatch.setattr(capacity, "vertex_keys", refuse, raising=False)  # a copy imported by name
+    monkeypatch.setattr(capacity, "level_network", stopped_only)
     assert point_capacity(sg, (), 5, base_depth=8) == want
     for golden, spec_text, argv in [
         ("verify_a3_seeded_d2_c2", SEEDED_T23, ["--depth", "2", "--cap-words", "2"]),
@@ -370,6 +373,26 @@ def test_the_first_of_two_bad_inputs_is_the_one_reported(spec_text, argv, messag
     spec = tmp_path / "spec.json"
     spec.write_text(spec_text)
     assert main([*argv, "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--point", "5", "--base-depth", "6", "--refine", "-1"], "refinement must be >= 0, got -1"),
+        (["--point", "4", "--budget", "3", "--refine", "3"], "more than 3 refinements"),
+    ],
+    ids=["negative", "over-the-budget"],
+)
+def test_a_point_run_refuses_a_bad_refine_before_it_solves(argv, message, sg_spec, capsys, monkeypatch):
+    # the target vertex is numbered first, but no network is built or solved
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before --refine was checked")
+
+    for name in ("point_capacity", "_point_capacity", "level_network"):
+        monkeypatch.setattr(capacity, name, refuse)
+    assert main(["capacity", "--spec", sg_spec, *argv]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
@@ -611,6 +634,39 @@ def test_undecodable_spec_exits_2_with_one_line(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: spec {str(path)!r} is not valid JSON: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+HUGE_WEIGHT = '{"dimension": 2, "levels": [2], "measure": {"per_letter": {"2": ["1e999999999", "0", "0"]}}}'
+
+
+@pytest.mark.parametrize(
+    "spec_text, argv, message",
+    [
+        (HUGE_WEIGHT, ["hausdorff"], "measure weight for level 2 is not a valid Fraction: '1e999999999'"),
+        (SG, ["blowup", "--depth", "1", "--b1", "1e999999999,0,0", "--b2", "0,1,0"],
+         "--b1 must be comma-separated rationals, got '1e999999999,0,0'"),
+        (SG, ["blowup", "--depth", "1", "--b1", "1e-999999999,0,0", "--b2", "0,1,0"],
+         "--b1 must be comma-separated rationals, got '1e-999999999,0,0'"),
+    ],
+    ids=["spec-weight", "b1", "negative-exponent"],
+)
+def test_a_huge_decimal_exponent_exits_2_with_one_line(spec_text, argv, message, tmp_path, capsys):
+    # Fraction alone would expand 1e999999999 to an integer of a billion digits
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    assert main([*argv, "--spec", str(spec), "--out", str(tmp_path / "out.json")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+def test_rational_refuses_only_a_decimal_exponent_past_4300():
+    assert _rational("1e4300") == 10**4300
+    assert _rational("-1E-0_4300") == Fraction(-1, 10**4300)
+    assert (_rational("2/3"), _rational(" 0.25 "), _rational(7)) == (Fraction(2, 3), Fraction(1, 4), 7)
+    for text in ("1e4301", "1e-4301", "1.5e" + "9" * 5000):
+        with pytest.raises(ValueError):
+            _rational(text)
 
 
 @pytest.mark.parametrize("argv", [["words", "--depth", "1"], ["hausdorff"]])

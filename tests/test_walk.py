@@ -29,7 +29,6 @@ from gasketlab.gasket import (
     DEFAULT_WORD_BUDGET,
     ConductanceNetwork,
     GasketSpec,
-    _coord,
     _denominator,
     _key_ops,
     _label_pass_numbering,
@@ -42,7 +41,6 @@ from gasketlab.gasket import (
     iter_words,
     level_network,
     measure_totals,
-    vertex_keys,
     vertex_numbering,
     walk,
     word_hash_unit,
@@ -206,6 +204,9 @@ def test_the_input_boundary_rules_are_written_once():
     # and cli declares each shared argument once, in a parent parser
     for flag in ('"--spec"', '"--out"', '"--budget"'):
         assert sources["cli.py"].count(flag) == 1, flag
+    # capacity alone spells the inner-set depth rule, and harmonic the corner rule
+    for name, message in (("capacity.py", "inner-set depth must be >= 1"), ("harmonic.py", "corner must be in 1..")):
+        assert sources[name].count(message) == sum(text.count(message) for text in sources.values()) == 1, message
 
 
 @PROPERTY
@@ -388,11 +389,11 @@ def test_level_network_is_the_fraction_keyed_reference(spec, data):
     assert got.edges == want.edges
     assert got.cells == want.cells
     assert (got.boundary, got.root_r, got.root, got.depth) == (want.boundary, want.root_r, root, m)
-    # the vertex walk numbers the unstopped network's vertices as it does
-    keys, boundary = vertex_keys(spec, m, root)
+    # the unstopped walk numbers the whole network's vertices as it does
+    unstopped = level_network(spec, m, root) if stopped else got
     whole = reference_network(spec, m, root) if stopped else want
-    assert [_coord(key, P) for key in keys] == whole.coords
-    assert boundary == whole.boundary
+    assert unstopped.coords == whole.coords
+    assert unstopped.boundary == whole.boundary
 
 
 def test_explicit_entries_are_matched_by_canonical_text():
@@ -417,7 +418,8 @@ def test_vertex_numbering_is_the_numbering_walk(spec, data):
     # below a root word of depth 0..2, at depths 0..4
     root = data.draw(st.sampled_from(walked_words(spec, data.draw(st.integers(0, 2)))))
     m = data.draw(st.integers(0, min(4, max_depth(spec))))
-    keys, boundary = vertex_keys(spec, m, root)
+    net, P = level_network(spec, m, root), _denominator(spec, m, root)
+    keys, boundary = [tuple(int(x * P) for x in coord) for coord in net.coords], net.boundary
     numbering = vertex_numbering(spec, m, root)
     assert numbering.n_vertices == len(keys)
     assert [numbering.key_of(v) for v in range(len(keys))] == keys
