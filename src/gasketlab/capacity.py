@@ -16,8 +16,8 @@ So every capacity is one exact value, and nothing takes a refinement count.
 `_chain_record` reads it off that identity for `corner_chain_capacity` and
 the balance report alike; the network solve stays in the tests as its
 oracle.  A point capacity pins only vertices of its base depth, so it is the
-base depth's value: `_point_capacity` solves it once, on a trace-reduced
-network refined only in the cells whose closure holds the target vertex.
+base depth's value: `_point_capacity` takes it in one descent of exterior
+traces along the cells that hold the target vertex, and builds no network.
 `vertex_numbering` finds that vertex from its id without numbering the
 others: it counts each subtree's vertices from the labels of its internal
 cells and unranks the id along one path of the word tree.
@@ -45,18 +45,20 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import combinations
 from math import lcm
 
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidVertexError, NotFoundError
-from .exactla import integer_form
+from .exactla import adjacency_from_edges, eliminate, integer_form
 from .gasket import (
     DEFAULT_WORD_BUDGET,
     ConductanceNetwork,
     GasketSpec,
     Word,
+    _cell_step,
     _coord,
     _corner_keys,
     _denominator,
@@ -64,14 +66,13 @@ from .gasket import (
     _mix_keys,
     _root_cell,
     _seed_state,
-    dirichlet_solve,
     encode_word,
-    level_network,
     vertex_numbering,
     walk,
     word_hash_unit,
 )
 from .harmonic import base_form, check_corner, dual_vector, extension_matrices
+from .subdivision import cell_count
 
 
 def corner_decay_N(spec_or_dims, c, max_N: int = 64) -> int:
@@ -165,25 +166,38 @@ def inner_set_pins(spec: GasketSpec, word: Word, N: int, net: ConductanceNetwork
     return pins
 
 
-def _point_pins(coord, net: ConductanceNetwork) -> dict:
-    """0 on the word's corners and 1 on the vertex at `coord`."""
-    pins = dict.fromkeys(net.boundary, Fraction(0))
-    pins[net.coord_index[coord]] = Fraction(1)
-    return pins
-
-
-def _point_capacity(spec: GasketSpec, word: Word, base_depth: int, point, budget: int) -> Fraction:
+def _point_capacity(spec: GasketSpec, word: Word, base_depth: int, point) -> Fraction:
     """The capacity between the vertex with integer key `point` in the
-    depth-base_depth network below the word (`_point_key`) and its corners.
+    depth-base_depth network below the word (`_point_key`) and its corners,
+    merged into one ground node, by one descent along the cells that hold it.
 
-    The networks are exact traces and the problem pins only depth-base_depth
-    vertices, so every refinement has the same value: it is solved once, on
-    the depth-base_depth network refined only in the cells whose closure
-    holds the vertex.  Every other cell stays whole as its complete graph
-    with conductance 1/r_w, the exact trace of the cells below it."""
-    net = level_network(spec, base_depth, root=word, budget=budget, stop=partial(_misses, point))
-    coord = _coord(point, _denominator(spec, base_depth, word))
-    return dirichlet_solve(net, _point_pins(coord, net))[1]
+    At each cell the local network is `exterior`, the trace of everything
+    outside the cell onto its corners and ground, plus each child's complete
+    graph with conductance 1/r_child, the exact trace of its subtree.  Once
+    the vertex is a child's corner, the value is the local network's
+    effective conductance to ground; else the holding child's exterior is
+    the local network without that child's graph, traced onto its corners
+    and ground."""
+    P = _denominator(spec, base_depth, word)
+    cell, key, r = _root_cell(spec, word, P), spec.validate_word(word), Fraction(1)
+    ground, *others = _corner_keys(cell)
+    merged = dict.fromkeys(others, ground)
+    exterior = []
+    while True:
+        l = spec.key_label(key)
+        letters = [(i, l) for i in range(1, cell_count(spec.d, l) + 1)]
+        r *= spec.r_of_letter(letters[0])  # every child's r relative to the word
+        cells = [_cell_step(cell, letter) for letter in letters]
+        nodes = [[merged.get(k, k) for k in _corner_keys(child)] for child in cells]
+        graphs = [[(a, b, 1 / r) for a, b in combinations(ns, 2)] for ns in nodes]
+        if any(point in ns for ns in nodes):
+            local = adjacency_from_edges(exterior + [e for graph in graphs for e in graph])
+            return eliminate(local, {point, ground})[0][point][ground]
+        h = next(j for j, child in enumerate(cells) if not _misses(point, child))
+        outside = adjacency_from_edges(exterior + [e for j, graph in enumerate(graphs) if j != h for e in graph])
+        trace, _ = eliminate(outside, {*nodes[h], ground})
+        exterior = [(a, b, c) for a, nbrs in trace.items() for b, c in nbrs.items() if a < b]
+        cell, key = cells[h], spec.child_key(key, letters[h])
 
 
 def _point_key(spec: GasketSpec, word: Word, vertex: int, base_depth: int, budget: int) -> tuple:
@@ -204,8 +218,8 @@ def point_capacity(
 ) -> Fraction:
     """Root-normalized capacity between vertex id `vertex` of the
     depth-base_depth network below the word (`_point_key`) and the word's
-    corners, solved once by `_point_capacity`; divide by r_w for the absolute scale."""
-    return _point_capacity(spec, word, base_depth, _point_key(spec, word, vertex, base_depth, budget), budget)
+    corners, by the `_point_capacity` descent; divide by r_w for the absolute scale."""
+    return _point_capacity(spec, word, base_depth, _point_key(spec, word, vertex, base_depth, budget))
 
 
 # --- the balance report ---------------------------------------------------------
@@ -377,9 +391,8 @@ def a3_report(
     record, exact at every refinement.  C_c uses point capacities at
     vertices of the depth-N network below the word, which `vertex_numbering`
     counts and finds once per word without numbering that network; each is
-    solved once by `_point_capacity`, which `capacity --point` uses too, on
-    that network refined only in the cells that hold the vertex, which gives
-    the same exact value.  All three constants are scale invariant, so root
+    the exact value of one `_point_capacity` descent, which `capacity
+    --point` uses too.  All three constants are scale invariant, so root
     normalization cancels.
     """
     if samples < 1:
@@ -445,10 +458,11 @@ def a3_report(
 
     for idx in picks:
         word, _ = words[idx]
-        cap_rel = float(records[idx][2])
-        # the point samples are equispaced among the ids of the depth-N
-        # network below the word that are not its corners
+        # numbered first, so a depth-N network over the budget is refused
+        # before cap_rel is taken to a float; the point samples are
+        # equispaced among the ids of that network that are not its corners
         numbering = vertex_numbering(spec, N, word, budget)
+        cap_rel = float(records[idx][2])
         boundary = sorted(numbering.boundary())
         n_inner = numbering.n_vertices - len(boundary)
         pcount = min(point_samples, n_inner)
@@ -459,7 +473,7 @@ def a3_report(
                 if b <= v:
                     v += 1
             point = numbering.key_of(v)
-            pt_caps.append(float(_point_capacity(spec, word, N, point, budget)))
+            pt_caps.append(float(_point_capacity(spec, word, N, point)))
         cap_pt = min(pt_caps)
         inv_r = 1.0 / float(spec.r_of_word(word))
         for s_idx, q0, nu_V, osc in picked_samples[idx]:

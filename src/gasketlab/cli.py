@@ -43,17 +43,35 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def load_spec(path: str) -> GasketSpec:
-    """Read and validate a gasket spec file."""
+@contextmanager
+def _default_int_digits():
+    """Python's default limit on an int's digits, which `main` lifts, for the
+    duration: past it a conversion is a ValueError, not a quadratic parse."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    lifted = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SpecParseError(f"cannot read spec {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # not UTF-8, or nested past the decoder's recursion limit
-        raise SpecParseError(f"spec {path!r} is not valid JSON: {exc}") from exc
-    return GasketSpec.from_dict(data)
+        yield
+    finally:
+        sys.set_int_max_str_digits(lifted)
+
+
+def load_spec(path: str) -> GasketSpec:
+    """Read and validate a gasket spec file, its numbers under the default
+    limit on an int's digits."""
+    with _default_int_digits():
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise SpecParseError(f"cannot read spec {path!r}: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # not UTF-8, nested past the decoder's recursion limit, or a
+            # number past the digit limit
+            raise SpecParseError(f"spec {path!r} is not valid JSON: {exc}") from exc
+        return GasketSpec.from_dict(data)
 
 
 @contextmanager
@@ -205,7 +223,7 @@ def cmd_capacity(args) -> int:
         resolved["inner_n"] = capacity_mod.inner_depth(spec, args.inner_n)
         value = capacity_mod.corner_chain_capacity(spec, word, resolved["inner_n"])
     else:
-        value = capacity_mod._point_capacity(spec, word, args.base_depth, point, args.budget)
+        value = capacity_mod._point_capacity(spec, word, args.base_depth, point)
     payload = {
         "config": _config(args, spec, **resolved),
         "report": {

@@ -438,16 +438,12 @@ def _check_budget(count: int, budget: int, m: int) -> None:
         raise BudgetExceededError(f"more than {budget} words at depth {m}")
 
 
-def walk(
-    spec: GasketSpec, m: int, start, step, root: Word = (), budget: int = DEFAULT_WORD_BUDGET, stop=None
-):
+def walk(spec: GasketSpec, m: int, start, step, root: Word = (), budget: int = DEFAULT_WORD_BUDGET):
     """Yield (word, state) for the admissible depth-m continuations of `root`,
     in depth-lexicographic order; words are relative to the root.
 
     `start` is the state at the root and a child's state is
     step(parent_state, letter), so each caller carries only what it needs.
-    With `stop`, a node above depth m whose state satisfies stop(state) is
-    yielded as a leaf and not walked below, so the leaves have mixed depths.
     More than `budget` leaves raise BudgetExceededError.
     """
     _check_depth(m, budget)
@@ -460,11 +456,6 @@ def walk(
     count = 0
     while stack:
         word, state, key = stack.pop()
-        if stop is not None and stop(state):
-            count += 1
-            _check_budget(count, budget, m)
-            yield word, state
-            continue
         letters = children[spec.key_label(key)]
         if len(word) + 1 < m:
             # pushed last-first, so cell 1 is walked first
@@ -653,8 +644,7 @@ def _coord(key, P: int) -> tuple:
 
 @dataclass
 class ConductanceNetwork:
-    """Finite weighted graph built from the depth-m cells below a root word,
-    or, when level_network was given a stop, from cells of depth at most m.
+    """Finite weighted graph built from the depth-m cells below a root word.
 
     Coordinates are exact barycentric rationals; conductances are exact
     rationals normalized so the root cell has weight 1 (the root's own r
@@ -692,17 +682,16 @@ class ConductanceNetwork:
 # each internal cell of level l in its subtree, and the range is that count
 # less the cell's corners numbered before it is entered.  `VertexNumbering`
 # finds one id or one key along one path from those counts; the whole
-# network, `level_network` unstopped, stays as its oracle in the tests.
+# network, `level_network`, stays as its oracle in the tests.
 
 
-def _misses(point, state) -> bool:
-    """The `level_network` stop predicate, bound with partial to `point`, the
-    integer key of a vertex over the network's denominator, that keeps whole
-    every cell whose closure does not hold the vertex: the closed cell with
-    map z -> (q z + offset) / P holds it iff point[k] >= offset[k] for every
-    k.  A cell (q, offset) is such a state too."""
-    offset = state[1]
-    return any(x < o for x, o in zip(point, offset))
+def _misses(point, cell) -> bool:
+    """Whether the closed cell (q, offset), the map z -> (q z + offset) / P,
+    misses the vertex with integer key `point` over the same P.  The cell
+    holds it iff point[k] >= offset[k] for every k, since both key sums are
+    fixed.  A numbering or a point capacity descends into the cells that do
+    not miss it."""
+    return any(x < o for x, o in zip(point, cell[1]))
 
 
 @dataclass
@@ -824,22 +813,13 @@ def vertex_numbering(
     return _label_pass_numbering(spec, m, root, budget)
 
 
-def level_network(
-    spec: GasketSpec, m: int, root: Word = (), budget: int = DEFAULT_WORD_BUDGET, stop=None
-) -> ConductanceNetwork:
+def level_network(spec: GasketSpec, m: int, root: Word = (), budget: int = DEFAULT_WORD_BUDGET) -> ConductanceNetwork:
     """The depth-m cell network below `root`: vertices are the distinct
     images of the simplex corners, each cell contributes complete-graph edges
     with conductance 1/r_w (relative to the root).  The walk keys each corner
     over P = `_denominator(spec, m, root)` and numbers it where it first
     reaches it; its exact coordinates are built once from that integer key.
-
-    `stop` is passed to that walk, on the state (q, offset, r_num, r_den) of
-    a cell: its map z -> (q z + offset) / P and r_w = r_num / r_den.  A cell
-    above depth m that it stops is kept whole, as its complete graph with
-    conductance 1/r_w, exactly as a depth-m cell is.  That graph is the
-    exact trace of every cell below it, so the network is the trace of the
-    depth-m network onto its own vertices, and a Dirichlet problem that pins
-    only vertices of it has the same energy on both."""
+    A cell's complete graph is the exact trace of every cell below it."""
     spec.validate_word(root)
     d = spec.d
     r_pairs = _letter_pairs(spec, spec.r_of_letter)
@@ -852,7 +832,7 @@ def level_network(
     P = _denominator(spec, m, root)
     index, edges, cells = {}, {}, []
     start = (*_root_cell(spec, root, P), 1, 1)
-    for word, (q, offset, r_num, r_den) in walk(spec, m, start, step, root, budget, stop):
+    for word, (q, offset, r_num, r_den) in walk(spec, m, start, step, root, budget):
         ids = tuple(index.setdefault(key, len(index)) for key in _corner_keys((q, offset)))
         w = Fraction(r_den, r_num)
         # distinct cells share at most one vertex, so no edge is set twice

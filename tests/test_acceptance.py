@@ -12,7 +12,6 @@ from itertools import combinations
 import numpy as np
 
 from gasketlab.capacity import (
-    _point_pins,
     a3_report,
     corner_chain_capacity,
     default_inner_depth,
@@ -220,7 +219,8 @@ def test_criterion_9_capacity_solver_oracle_and_monotone_sequences():
                 coord = desc_net.coords[inner[0]]
                 for net in (desc_net, level_network(spec, n_inner + 1, root=word)):
                     assert dirichlet_solve(net, inner_set_pins(spec, word, n_inner, net))[1] == rel, (name, word)
-                    assert dirichlet_solve(net, _point_pins(coord, net))[1] == pt, (name, word)
+                    pins = {**dict.fromkeys(net.boundary, Fraction(0)), net.coord_index[coord]: Fraction(1)}
+                    assert dirichlet_solve(net, pins)[1] == pt, (name, word)
 
 
 def test_criterion_10_blowup_conservation():

@@ -1,6 +1,5 @@
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 from math import lcm
 
 import numpy as np
@@ -8,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasketlab import capacity
+from gasketlab import capacity, gasket
 from gasketlab.capacity import (
     _BLOCK,
     _SPAN,
     _corner_chain_form,
     _draws,
-    _misses,
-    _point_pins,
+    _point_capacity,
     _quotient_coefficients,
     a3_report,
     corner_chain_capacity,
@@ -374,69 +372,78 @@ def point_cases(draw):
 @given(point_cases())
 def test_point_capacity_is_the_full_network_solve(case):
     # the value is every full depth-(base_depth + k) solve's exact energy,
-    # and the trace-reduced network is refined to its depth in exactly the
-    # cells at the vertex
+    # the vertex pinned to 1 and the word's corners to 0
     spec, word, vertex, base_depth, K = case
     value = point_capacity(spec, word, vertex, base_depth)
     assert isinstance(value, Fraction)
     coord = level_network(spec, base_depth, root=word).coords[vertex]
     for k in range(K + 1):
         full = level_network(spec, base_depth + k, root=word)
-        _, energy, _ = dirichlet_solve(full, _point_pins(coord, full))
-        assert value == energy
-        P = _denominator(spec, base_depth + k, word)
-        point = tuple(int(x * P) for x in coord)
-        reduced = level_network(spec, base_depth + k, root=word, stop=partial(_misses, point))
-        assert set(reduced.coords) <= set(full.coords)
-        at = [{rel for rel, ids, _ in net.cells if net.coord_index[coord] in ids} for net in (reduced, full)]
-        assert at[0] == at[1]
+        pins = {**dict.fromkeys(full.boundary, Fraction(0)), full.coord_index[coord]: Fraction(1)}
+        assert value == dirichlet_solve(full, pins)[1]
 
 
-def _record_networks_and_solves(monkeypatch):
-    """Wrap the network builder and the solver that capacity calls; return the
-    lists they append (depth, stopped, vertices) and solved vertex counts to."""
-    built, solved = [], []
+@pytest.mark.parametrize(
+    "spec, word, N",
+    [
+        (GasketSpec(2, [2]), (), 4),
+        (GasketSpec(2, [2, 3], {"type": "seeded", "seed": 1, "weights": {2: 1.0, 3: 1.0}}), ((1, 3),), 3),
+        (GasketSpec(3, [2]), (), 3),
+    ],
+    ids=["sg-N4", "seeded-d2-T23-below-1^3-N3", "d3-T2-N3"],
+)
+def test_the_descent_is_the_full_network_solve_at_every_inner_vertex(spec, word, N):
+    net = level_network(spec, N, root=word)
+    P = _denominator(spec, N, word)
+    for v in set(range(net.n_vertices)) - set(net.boundary):
+        point = tuple(int(x * P) for x in net.coords[v])
+        pins = {**dict.fromkeys(net.boundary, Fraction(0)), v: Fraction(1)}
+        assert _point_capacity(spec, word, N, point) == dirichlet_solve(net, pins)[1], v
 
-    def network(spec, m, root=(), budget=capacity.DEFAULT_WORD_BUDGET, stop=None):
-        net = level_network(spec, m, root, budget, stop)
-        built.append((m, stop is not None, net.n_vertices))
-        return net
 
-    def solve(net, boundary):
-        solved.append(net.n_vertices)
-        return dirichlet_solve(net, boundary)
+def _refuse_networks(monkeypatch):
+    """Make every network build and every solve fail the test."""
 
-    monkeypatch.setattr(capacity, "level_network", network)
-    monkeypatch.setattr(capacity, "dirichlet_solve", solve)
-    return built, solved
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or solved a network")
+
+    for name in ("level_network", "dirichlet_solve"):
+        monkeypatch.setattr(gasket, name, refuse)
+        monkeypatch.setattr(capacity, name, refuse, raising=False)
 
 
 def test_point_capacity_solves_only_reduced_networks(sg, monkeypatch):
-    # the label counts find the depth-6 vertex without building a network,
-    # and one solve at depth 6 gives the value of every refinement
-    built, solved = _record_networks_and_solves(monkeypatch)
+    # the label counts find the depth-6 vertex and one descent of exterior
+    # traces gives its value: the reduced network is never built or solved
+    want = {v: point_capacity(sg, (), v, base_depth=6) for v in (5, 100)}
+    _refuse_networks(monkeypatch)
     for vertex in (5, 100):
-        built.clear()
-        solved.clear()
-        assert isinstance(point_capacity(sg, (), vertex, base_depth=6), Fraction)
-        assert [(m, stopped) for m, stopped, _ in built] == [(6, True)]
-        assert len(solved) == 1 and solved[0] < 100
+        value = point_capacity(sg, (), vertex, base_depth=6)
+        assert isinstance(value, Fraction) and value == want[vertex]
 
 
 def test_relative_capacity_builds_and_solves_nothing(sg, mixed, monkeypatch):
-    built, solved = _record_networks_and_solves(monkeypatch)
+    _refuse_networks(monkeypatch)
     corner_chain_capacity(sg, (), 4)
     corner_chain_capacity(mixed, ((2, 3), (1, 3)), 3)
-    assert built == [] and solved == []
 
 
 def test_a3_point_samples_solve_only_reduced_networks(mixed, monkeypatch):
-    # no whole depth-N network: the point samples are numbered by the vertex walk
-    built, solved = _record_networks_and_solves(monkeypatch)
+    # no depth-N network at all: the point samples are numbered by the vertex
+    # walk and each takes one descent
     N = default_inner_depth(mixed)
-    a3_report(mixed, 3, samples=2, cap_words=1, point_samples=3)
-    assert len(solved) == 3 and max(solved) < 100
-    assert [(m, stopped) for m, stopped, _ in built] == [(N, True)] * 3
+    want = a3_report(mixed, 3, samples=2, cap_words=1, point_samples=3)
+    _refuse_networks(monkeypatch)
+    descents = []
+
+    def descend(spec, word, depth, point):
+        descents.append(depth)
+        return real(spec, word, depth, point)
+
+    real = capacity._point_capacity
+    monkeypatch.setattr(capacity, "_point_capacity", descend)
+    assert a3_report(mixed, 3, samples=2, cap_words=1, point_samples=3) == want
+    assert descents == [N] * 3
 
 
 @pytest.mark.parametrize("cap_words", [1, 10**6], ids=["one-word", "every-word"])

@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasketlab import capacity, cli, energy, errors, gasket
-from gasketlab.capacity import _point_capacity, corner_chain_capacity, point_capacity
+from gasketlab.capacity import corner_chain_capacity, point_capacity
 from gasketlab.cli import load_spec, main
 from gasketlab.errors import GasketLabError, SpecParseError, SpecSemanticError
-from gasketlab.gasket import DEFAULT_WORD_BUDGET, GasketSpec, _rational, encode_word, iter_words, level_network, parse_word
+from gasketlab.gasket import DEFAULT_WORD_BUDGET, GasketSpec, _rational, encode_word, iter_words, parse_word
 from gasketlab.subdivision import cell_count
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -232,30 +232,42 @@ def test_verify_a3_reports_and_rows_are_the_golden_bytes(golden, spec_text, argv
 
 
 def test_the_point_paths_number_no_whole_network(tmp_path, capsys, monkeypatch):
-    # point capacities find their vertices from label counts; only
-    # level_network's stopped walk still numbers corners
-    sg = GasketSpec(2, [2])
-    P = gasket._denominator(sg, 8, ())
-    want = _point_capacity(sg, (), 8, tuple(int(x * P) for x in level_network(sg, 8).coords[5]), DEFAULT_WORD_BUDGET)
+    # point capacities find their vertices from label counts and take their
+    # values by one descent of exterior traces: no network is built or solved
+    def refuse(*args, **kwargs):
+        raise AssertionError("a network was built or solved")
 
-    def stopped_only(*args, stop=None, **kwargs):
-        if stop is None:
-            raise AssertionError("the whole network was numbered")
-        return level_network(*args, stop=stop, **kwargs)
-
-    monkeypatch.setattr(capacity, "level_network", stopped_only)
-    assert point_capacity(sg, (), 5, base_depth=8) == want
+    for name in ("level_network", "dirichlet_solve"):
+        monkeypatch.setattr(gasket, name, refuse)
+        monkeypatch.setattr(capacity, name, refuse, raising=False)
+    want = json.loads((GOLDEN / "capacity_point_sg_d4_v5.json").read_text())["report"]["values"][0]
+    assert point_capacity(GasketSpec(2, [2]), (), 5, base_depth=4) == Fraction(want)
+    assert isinstance(point_capacity(GasketSpec(2, [2]), (), 5, base_depth=8), Fraction)
+    spec = tmp_path / "spec.json"
     for golden, spec_text, argv in [
-        ("verify_a3_seeded_d2_c2", SEEDED_T23, ["--depth", "2", "--cap-words", "2"]),
-        ("verify_a3_d3_T2_m2", '{"dimension": 3, "levels": [2]}', ["--depth", "2"]),
+        ("capacity_point_sg_d4_v100", SG, ["capacity", "--point", "100", "--base-depth", "4", "--refine", "1"]),
+        ("verify_a3_seeded_d2_c2", SEEDED_T23, ["verify-a3", "--depth", "2", "--cap-words", "2"]),
+        ("verify_a3_d3_T2_m2", '{"dimension": 3, "levels": [2]}', ["verify-a3", "--depth", "2"]),
     ]:
-        spec = tmp_path / "spec.json"
         spec.write_text(spec_text)
         rows = tmp_path / "rows.csv"
-        assert main(["verify-a3", "--spec", str(spec), *argv, "--rows-out", str(rows)]) == 0
+        extra = ["--rows-out", str(rows)] if argv[0] == "verify-a3" else []
+        assert main([*argv, "--spec", str(spec), *extra]) == 0
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ((GOLDEN / f"{golden}.json").read_text(), "")
-        assert rows.read_bytes() == (GOLDEN / f"{golden}_rows.csv").read_bytes()
+        if extra:
+            assert rows.read_bytes() == (GOLDEN / f"{golden}_rows.csv").read_bytes()
+
+
+def test_verify_a3_refuses_a_depth_n_over_the_budget_before_its_floats(tmp_path, capsys):
+    # a depth-1200 chain capacity is past float range, so the picked word's
+    # depth-N network is numbered, and refused, before it is converted
+    spec = tmp_path / "spec.json"
+    spec.write_text(SEEDED_T23)
+    argv = ["verify-a3", "--spec", str(spec), "--depth", "1", "--inner-n", "1200", "--samples", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: more than {DEFAULT_WORD_BUDGET} words at depth 1200\n")
 
 
 @pytest.mark.parametrize(
@@ -390,7 +402,7 @@ def test_a_point_run_refuses_a_bad_refine_before_it_solves(argv, message, sg_spe
     def refuse(*args, **kwargs):
         raise AssertionError("solved before --refine was checked")
 
-    for name in ("point_capacity", "_point_capacity", "level_network"):
+    for name in ("point_capacity", "_point_capacity"):
         monkeypatch.setattr(capacity, name, refuse)
     assert main(["capacity", "--spec", sg_spec, *argv]) == 2
     captured = capsys.readouterr()
@@ -658,6 +670,35 @@ def test_a_huge_decimal_exponent_exits_2_with_one_line(spec_text, argv, message,
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+@pytest.mark.parametrize(
+    "spec_text, message",
+    [
+        ('{"dimension": 2, "levels": [2, 3], "labeling": {"type": "seeded", "seed": %s}}' % ("9" * 5000),
+         "is not valid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+        ('{"dimension": 2, "levels": [2], "measure": {"per_letter": {"2": ["1/%s", "1/3", "1/3"]}}}' % ("3" * 5000),
+         "error: measure weight for level 2 is not a valid Fraction: '1/333"),
+    ],
+    ids=["seed", "per-letter-fraction"],
+)
+def test_a_spec_number_past_the_default_digit_limit_exits_2_with_one_line(spec_text, message, tmp_path, capsys):
+    # a spec is parsed under Python's default limit on an int's digits, not
+    # the lifted one the reports print under, and the lifted one is restored
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    assert main(["hausdorff", "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err and captured.err.count("\n") == 1
+    assert sys.get_int_max_str_digits() == 0
+
+
+def test_a_spec_number_within_the_default_digit_limit_loads(tmp_path, capsys):
+    seed = int("9" * 4000)
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"dimension": 2, "levels": [2, 3], "labeling": {"type": "seeded", "seed": %d}}' % seed)
+    assert main(["hausdorff", "--spec", str(spec)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["spec"]["labeling"]["seed"] == seed
 
 
 def test_rational_refuses_only_a_decimal_exponent_past_4300():

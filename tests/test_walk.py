@@ -24,7 +24,7 @@ from gasketlab.energy import (
     basis_from_vectors,
     default_basis,
 )
-from gasketlab.errors import BudgetExceededError, DegenerateBasisError, GasketLabError, InvalidParameterError
+from gasketlab.errors import BudgetExceededError, DegenerateBasisError, GasketLabError
 from gasketlab.gasket import (
     DEFAULT_WORD_BUDGET,
     ConductanceNetwork,
@@ -35,7 +35,6 @@ from gasketlab.gasket import (
     _mix64,
     _mix_text,
     _one_level_numbering,
-    _root_cell,
     encode_word,
     frontier,
     iter_words,
@@ -251,28 +250,6 @@ def test_measure_totals_are_one_at_every_depth(spec):
     assert measure_totals(spec, m) == [1] * (m + 1)
 
 
-@PROPERTY
-@given(specs(), st.data())
-def test_a_stopped_walk_yields_the_cut_of_the_full_walk(spec, data):
-    # the state is the word itself, and the walk stops at a random set of nodes
-    m = max_depth(spec)
-    full = walked_words(spec, m)
-    above = sorted({w[:k] for w in full for k in range(m)})
-    stopped = data.draw(st.sets(st.sampled_from(above), max_size=6))
-    expect = list(dict.fromkeys(next((w[:k] for k in range(m) if w[:k] in stopped), w) for w in full))
-
-    def step(word, letter):
-        return word + (letter,)
-
-    leaves = list(walk(spec, m, (), step, stop=stopped.__contains__))
-    assert [w for w, _ in leaves] == expect
-    assert all(state == w for w, state in leaves)
-    # a stopped root leaves one leaf, and a budget of 0 is refused up front
-    budget = len(expect) - 1
-    with pytest.raises(BudgetExceededError if budget >= 1 else InvalidParameterError):
-        list(walk(spec, m, (), step, budget=budget, stop=stopped.__contains__))
-
-
 def test_iter_words_is_the_fraction_fold_below_a_root_with_a_per_letter_measure():
     measure = {"per_letter": {2: ["1/2", "1/4", "1/4"], 3: ["1/3", "1/6", "1/6", "1/12", "1/12", "1/6"]}}
     spec = GasketSpec(2, [2, 3], {"type": "seeded", "seed": 4, "weights": {2: 1.0, 3: 2.0}}, measure)
@@ -298,17 +275,10 @@ def network_depth(spec: GasketSpec) -> int:
 
 
 @PROPERTY
-@given(specs(), st.data())
-def test_every_network_sets_each_cell_edge_once(spec, data):
-    # distinct cells share at most one vertex, so no two cells share an edge;
-    # the stop set is keyed on the cell (q, offset) of the walk state
-    m = network_depth(spec)
-    P = _denominator(spec, m, ())
-    stopped = set()
-    for k in range(1, m):
-        for word in data.draw(st.lists(st.sampled_from(walked_words(spec, k)), max_size=3)):
-            stopped.add(_root_cell(spec, word, P))
-    net = level_network(spec, m, stop=lambda state: state[:2] in stopped)
+@given(specs())
+def test_every_network_sets_each_cell_edge_once(spec):
+    # distinct cells share at most one vertex, so no two cells share an edge
+    net = level_network(spec, network_depth(spec))
     d = spec.d
     assert len(net.edges) == len(net.cells) * d * (d + 1) // 2
     for _, ids, w in net.cells:
@@ -336,10 +306,10 @@ def reference_corners(affine):
     return [tuple(offset[t] + (scale if t == k else 0) for t in range(n)) for k in range(n)]
 
 
-def reference_network(spec, m, root=(), stop=None):
+def reference_network(spec, m, root=()):
     """level_network with Fraction coordinates all the way: the walk carries
-    each cell's map (scale, offset) and r_w as Fractions, `stop` is given
-    ((scale, offset), r_w), and a vertex is numbered by its coordinate tuple."""
+    each cell's map (scale, offset) and r_w as Fractions, and a vertex is
+    numbered by its coordinate tuple."""
     d = spec.d
     root_affine = reference_root_affine(spec, root)
     coords, coord_index, edges, cells = [], {}, {}, []
@@ -354,7 +324,7 @@ def reference_network(spec, m, root=(), stop=None):
         affine, r = state
         return reference_affine_step(affine, letter), r * spec.r_of_letter(letter)
 
-    for word, (affine, r) in walk(spec, m, (root_affine, Fraction(1)), step, root, stop=stop):
+    for word, (affine, r) in walk(spec, m, (root_affine, Fraction(1)), step, root):
         ids = tuple(vid_of(coord) for coord in reference_corners(affine))
         for a in range(d + 1):
             for b in range(a + 1, d + 1):
@@ -368,32 +338,17 @@ def reference_network(spec, m, root=(), stop=None):
 @PROPERTY
 @given(specs(), st.data())
 def test_level_network_is_the_fraction_keyed_reference(spec, data):
-    # below a root word of depth 0..2, unstopped or with a random stop set
-    # keyed on each builder's own walk state
+    # below a root word of depth 0..2
     root = data.draw(st.sampled_from(walked_words(spec, data.draw(st.integers(0, 2)))))
     m = network_depth(spec)
-    above = sorted({w[:k] for w in walked_words(spec, m, root) for k in range(m)})
-    stopped = data.draw(st.sets(st.sampled_from(above), max_size=5)) if above else set()
-    P = _denominator(spec, m, root)
-    fraction_keys = set()
-    for w in stopped:
-        scale, offset = reference_root_affine(spec, root + w)
-        fraction_keys.add((scale, tuple(offset)))
-    integer_keys = {_root_cell(spec, root + w, P) for w in stopped}
-    fraction_stop = (lambda state: (state[0][0], tuple(state[0][1])) in fraction_keys) if stopped else None
-    want = reference_network(spec, m, root, stop=fraction_stop)
-    got = level_network(spec, m, root, stop=(lambda state: state[:2] in integer_keys) if stopped else None)
+    want = reference_network(spec, m, root)
+    got = level_network(spec, m, root)
     assert got.coords == want.coords
     assert all(type(x) is Fraction for coord in got.coords for x in coord)
     assert got.coord_index == want.coord_index
     assert got.edges == want.edges
     assert got.cells == want.cells
     assert (got.boundary, got.root_r, got.root, got.depth) == (want.boundary, want.root_r, root, m)
-    # the unstopped walk numbers the whole network's vertices as it does
-    unstopped = level_network(spec, m, root) if stopped else got
-    whole = reference_network(spec, m, root) if stopped else want
-    assert unstopped.coords == whole.coords
-    assert unstopped.boundary == whole.boundary
 
 
 def test_explicit_entries_are_matched_by_canonical_text():
