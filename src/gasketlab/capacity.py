@@ -62,7 +62,6 @@ from .gasket import (
     _coord,
     _corner_keys,
     _denominator,
-    _misses,
     _mix_keys,
     _root_cell,
     _seed_state,
@@ -166,6 +165,14 @@ def inner_set_pins(spec: GasketSpec, word: Word, N: int, net: ConductanceNetwork
     return pins
 
 
+def _misses(point, cell) -> bool:
+    """Whether the closed cell (q, offset), the map z -> (q z + offset) / P,
+    misses the vertex with integer key `point` over the same P.  The cell
+    holds it iff point[k] >= offset[k] for every k, since both key sums are
+    fixed."""
+    return any(x < o for x, o in zip(point, cell[1]))
+
+
 def _point_capacity(spec: GasketSpec, word: Word, base_depth: int, point) -> Fraction:
     """The capacity between the vertex with integer key `point` in the
     depth-base_depth network below the word (`_point_key`) and its corners,
@@ -201,14 +208,13 @@ def _point_capacity(spec: GasketSpec, word: Word, base_depth: int, point) -> Fra
 
 
 def _point_key(spec: GasketSpec, word: Word, vertex: int, base_depth: int, budget: int) -> tuple:
-    """The integer key of vertex id `vertex`, not a corner of the word, of the
-    depth-base_depth network below the word, which is neither built nor
-    numbered: `vertex_numbering` counts its vertices from the labels of its
-    internal cells, refuses more than `budget` leaves as its walk would, and
-    unranks the one id along one path down the word tree."""
-    numbering = vertex_numbering(spec, base_depth, word, budget)
-    point = numbering.key_of(vertex)
-    if vertex in numbering.boundary():
+    """The integer key of vertex id `vertex` of the depth-base_depth network
+    below the word, which is neither built nor numbered: `vertex_numbering`
+    counts its vertices from the labels of its internal cells, refuses more
+    than `budget` leaves as its walk would, and unranks the one id along one
+    path down the word tree.  A key among the word's corner keys is refused."""
+    point = vertex_numbering(spec, base_depth, word, budget).key_of(vertex)
+    if point in _corner_keys(_root_cell(spec, word, _denominator(spec, base_depth, word))):
         raise InvalidVertexError("point capacity target must not be a corner of the word")
     return point
 
@@ -389,11 +395,12 @@ def a3_report(
 
     C_b uses the relative capacity of each subsampled word from the same
     record, exact at every refinement.  C_c uses point capacities at
-    vertices of the depth-N network below the word, which `vertex_numbering`
-    counts and finds once per word without numbering that network; each is
-    the exact value of one `_point_capacity` descent, which `capacity
-    --point` uses too.  All three constants are scale invariant, so root
-    normalization cancels.
+    vertices of the depth-N network below the word, equispaced among the
+    ids that are not the word's corners: `vertex_numbering` counts them once
+    per word without numbering that network, and its inner `key_of` unranks
+    each pick straight to its key.  Each is the exact value of one
+    `_point_capacity` descent, which `capacity --point` uses too.  All
+    three constants are scale invariant, so root normalization cancels.
     """
     if samples < 1:
         raise InvalidParameterError("need at least one sample per word")
@@ -463,17 +470,12 @@ def a3_report(
         # equispaced among the ids of that network that are not its corners
         numbering = vertex_numbering(spec, N, word, budget)
         cap_rel = float(records[idx][2])
-        boundary = sorted(numbering.boundary())
-        n_inner = numbering.n_vertices - len(boundary)
+        n_inner = numbering.n_vertices - (d + 1)
         pcount = min(point_samples, n_inner)
-        pt_caps = []
-        for j in range(pcount):
-            v = (j * n_inner) // pcount
-            for b in boundary:  # the v-th id that is not a corner
-                if b <= v:
-                    v += 1
-            point = numbering.key_of(v)
-            pt_caps.append(float(_point_capacity(spec, word, N, point)))
+        pt_caps = [
+            float(_point_capacity(spec, word, N, numbering.key_of((j * n_inner) // pcount, inner=True)))
+            for j in range(pcount)
+        ]
         cap_pt = min(pt_caps)
         inv_r = 1.0 / float(spec.r_of_word(word))
         for s_idx, q0, nu_V, osc in picked_samples[idx]:

@@ -681,22 +681,14 @@ class ConductanceNetwork:
 # below a cell has its d+1 corners plus V(d, l) - (d+1) more vertices for
 # each internal cell of level l in its subtree, and the range is that count
 # less the cell's corners numbered before it is entered.  `VertexNumbering`
-# finds one id or one key along one path from those counts; the whole
+# unranks one id to its key along one path from those counts; the whole
 # network, `level_network`, stays as its oracle in the tests.
-
-
-def _misses(point, cell) -> bool:
-    """Whether the closed cell (q, offset), the map z -> (q z + offset) / P,
-    misses the vertex with integer key `point` over the same P.  The cell
-    holds it iff point[k] >= offset[k] for every k, since both key sums are
-    fixed.  A numbering or a point capacity descends into the cells that do
-    not miss it."""
-    return any(x < o for x, o in zip(point, cell[1]))
 
 
 @dataclass
 class VertexNumbering:
-    """The vertex ids of `level_network(spec, m, root)`, from label counts.
+    """The vertex ids of `level_network(spec, m, root)`, from label counts,
+    unranked to integer keys by `key_of`.
 
     Depth k < m lists its cells in depth-lexicographic order: `labels[k]`
     their labels, `first[k]` the index at depth k+1 of each one's first
@@ -713,22 +705,27 @@ class VertexNumbering:
     first: list = field(repr=False)
     extra: list = field(repr=False)
     stride: int
-    n_leaves: int
 
     @property
     def n_vertices(self) -> int:
         return self.spec.d + 1 + (int(self.extra[0][0]) if self.m else 0)
 
-    def _descend(self, enter) -> tuple:
-        """Go down from the root to one depth-m cell, taking at each depth the
-        first child for which enter(child cell, ids given out before it, ids
-        it gives out) holds.  Returns (that cell, which of its corners were
-        numbered before it, ids given out before it).  A child's corner was
-        numbered on entry if it is a numbered corner of its parent or a
-        vertex of an earlier sibling."""
+    def key_of(self, v: int, inner: bool = False) -> tuple:
+        """The integer key over `_denominator(spec, m, root)` of vertex v, or
+        with `inner` of the v-th vertex, in id order, that is not a corner of
+        the root word.
+
+        The descent goes down from the root to the depth-m cell where v is
+        first numbered, skipping each earlier child by the ids it gives out.
+        A child's corner was numbered on entry if it is a numbered corner of
+        its parent or a vertex of an earlier sibling; `inner` starts with the
+        root's corners numbered, and a root corner is a corner of every cell
+        on its path, so it is never counted."""
         d = self.spec.d
+        seen = (inner,) * (d + 1)
+        if not 0 <= v < self.n_vertices - sum(seen):
+            raise InvalidVertexError(f"vertex {v} not in depth-{self.m} network")
         cell = _root_cell(self.spec, self.root, _denominator(self.spec, self.m, self.root))
-        seen = (False,) * (d + 1)
         base = i = 0
         for k in range(self.m):
             l = int(self.labels[k][i])
@@ -737,35 +734,15 @@ class VertexNumbering:
             done = {cell_vertices[c][c] for c, s in enumerate(seen) if s}
             first = int(self.first[k][i])
             for c, vertices in enumerate(cell_vertices):
-                child = _cell_step(cell, (c + 1, l))
-                child_seen = tuple(p in done for p in vertices)
-                j = first + self.stride * c
-                new = d + 1 - sum(child_seen) + (int(self.extra[k + 1][j]) if k + 1 < self.m else 0)
-                if enter(child, base, new):
+                seen = tuple(p in done for p in vertices)
+                i = first + self.stride * c
+                new = d + 1 - sum(seen) + (int(self.extra[k + 1][i]) if k + 1 < self.m else 0)
+                if v < base + new:
                     break
                 base += new
                 done.update(vertices)
-            cell, seen, i = child, child_seen, j
-        return cell, seen, base
-
-    def key_of(self, v: int) -> tuple:
-        """The integer key over `_denominator(spec, m, root)` of vertex v."""
-        if not 0 <= v < self.n_vertices:
-            raise InvalidVertexError(f"vertex {v} not in depth-{self.m} network")
-        cell, seen, base = self._descend(lambda child, before, new: v < before + new)
+            cell = _cell_step(cell, (c + 1, l))
         return [key for key, s in zip(_corner_keys(cell), seen) if not s][v - base]
-
-    def id_of(self, key) -> int:
-        """The id of the vertex with integer key `key`: the descent enters the
-        first child whose closed cell holds it, where the walk first reaches
-        it."""
-        cell, seen, base = self._descend(lambda child, before, new: not _misses(key, child))
-        return base + [k for k, s in zip(_corner_keys(cell), seen) if not s].index(key)
-
-    def boundary(self) -> list:
-        """The ids of the root word's corners, in corner order."""
-        P = _denominator(self.spec, self.m, self.root)
-        return [self.id_of(key) for key in _corner_keys(_root_cell(self.spec, self.root, P))]
 
 
 def _one_level_numbering(spec: GasketSpec, m: int, root: Word, budget: int) -> VertexNumbering:
@@ -777,7 +754,7 @@ def _one_level_numbering(spec: GasketSpec, m: int, root: Word, budget: int) -> V
     _check_budget(n**m, budget, m)
     extra = subdivide(d, l).n_vertices - (d + 1)
     return VertexNumbering(
-        spec, m, root, [[l]] * m, [[0]] * m, [[extra * (n ** (m - k) - 1) // (n - 1)] for k in range(m)], 0, n**m
+        spec, m, root, [[l]] * m, [[0]] * m, [[extra * (n ** (m - k) - 1) // (n - 1)] for k in range(m)], 0
     )
 
 
@@ -790,7 +767,6 @@ def _label_pass_numbering(spec: GasketSpec, m: int, root: Word, budget: int) -> 
     for level, starts, _ in frontier(spec, m, root, budget):
         labels.append(level)
         first.append(starts)
-    n_leaves = int(first[-1][-1]) + cell_count(d, int(labels[-1][-1])) if m else 1
     extra_of = np.zeros(max(spec.levels) + 1, dtype=np.int64)
     extra_of[list(spec.levels)] = [subdivide(d, l).n_vertices - (d + 1) for l in spec.levels]
     extra = [None] * m
@@ -798,7 +774,7 @@ def _label_pass_numbering(spec: GasketSpec, m: int, root: Word, budget: int) -> 
         extra[k] = extra_of[labels[k]]
         if k + 1 < m:
             extra[k] = extra[k] + np.add.reduceat(extra[k + 1], first[k])
-    return VertexNumbering(spec, m, root, labels, first, extra, 1, n_leaves)
+    return VertexNumbering(spec, m, root, labels, first, extra, 1)
 
 
 def vertex_numbering(

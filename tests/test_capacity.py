@@ -14,6 +14,7 @@ from gasketlab.capacity import (
     _corner_chain_form,
     _draws,
     _point_capacity,
+    _point_key,
     _quotient_coefficients,
     a3_report,
     corner_chain_capacity,
@@ -25,6 +26,7 @@ from gasketlab.capacity import (
 )
 from gasketlab.errors import InadmissibleWordError, InvalidParameterError, InvalidVertexError
 from gasketlab.gasket import (
+    DEFAULT_WORD_BUDGET,
     GasketSpec,
     _corner_keys,
     _denominator,
@@ -399,6 +401,65 @@ def test_the_descent_is_the_full_network_solve_at_every_inner_vertex(spec, word,
         point = tuple(int(x * P) for x in net.coords[v])
         pins = {**dict.fromkeys(net.boundary, Fraction(0)), v: Fraction(1)}
         assert _point_capacity(spec, word, N, point) == dirichlet_solve(net, pins)[1], v
+
+
+@pytest.mark.parametrize(
+    "spec, word, N",
+    [
+        (GasketSpec(2, [2]), (), 3),
+        (GasketSpec(2, [2, 3], {"type": "seeded", "seed": 1, "weights": {2: 1.0, 3: 1.0}}), ((1, 3),), 3),
+        (GasketSpec(3, [2]), (), 2),
+    ],
+    ids=["sg-N3", "seeded-d2-T23-below-1^3-N3", "d3-T2-N2"],
+)
+def test_point_key_refuses_exactly_the_corner_ids(spec, word, N):
+    # every id of the network: a corner of the word is refused, any other
+    # id is keyed by its coordinates times P
+    net = level_network(spec, N, root=word)
+    P = _denominator(spec, N, word)
+    for v in range(net.n_vertices):
+        if v in net.boundary:
+            with pytest.raises(InvalidVertexError, match="must not be a corner of the word"):
+                _point_key(spec, word, v, N, DEFAULT_WORD_BUDGET)
+        else:
+            want = tuple(int(x * P) for x in net.coords[v])
+            assert _point_key(spec, word, v, N, DEFAULT_WORD_BUDGET) == want, v
+
+
+@pytest.mark.parametrize(
+    "spec, m, N",
+    [
+        (GasketSpec(2, [2, 3], {"type": "seeded", "seed": 1, "weights": {2: 1.0, 3: 1.0}}), 2, None),
+        (GasketSpec(3, [2]), 2, 3),
+    ],
+    ids=["seeded-d2-T23-depth2", "d3-T2-depth2-N3"],
+)
+def test_a3_point_samples_are_the_equispaced_non_corner_ids(spec, m, N, monkeypatch):
+    # with every word picked, the samples of each word are the
+    # (j * n_inner) // pcount-th ids of its depth-N network that are not its corners
+    recorded = []
+
+    def descend(spec, word, depth, point):
+        recorded.append((word, point))
+        return real(spec, word, depth, point)
+
+    real = capacity._point_capacity
+    monkeypatch.setattr(capacity, "_point_capacity", descend)
+    N = default_inner_depth(spec) if N is None else N
+    inner = {}
+    for word, *_ in enumerate_words(spec, m):
+        net, P = level_network(spec, N, root=word), _denominator(spec, N, word)
+        ids = [v for v in range(net.n_vertices) if v not in net.boundary]
+        inner[word] = [tuple(int(x * P) for x in net.coords[v]) for v in ids]
+    for point_samples in (1, 3, 7):
+        recorded.clear()
+        a3_report(spec, m, N, samples=1, cap_words=10**6, point_samples=point_samples)
+        want = [
+            (word, keys[(j * len(keys)) // min(point_samples, len(keys))])
+            for word, keys in inner.items()
+            for j in range(min(point_samples, len(keys)))
+        ]
+        assert recorded == want
 
 
 def _refuse_networks(monkeypatch):

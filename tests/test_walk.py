@@ -24,7 +24,7 @@ from gasketlab.energy import (
     basis_from_vectors,
     default_basis,
 )
-from gasketlab.errors import BudgetExceededError, DegenerateBasisError, GasketLabError
+from gasketlab.errors import BudgetExceededError, DegenerateBasisError, GasketLabError, InvalidVertexError
 from gasketlab.gasket import (
     DEFAULT_WORD_BUDGET,
     ConductanceNetwork,
@@ -378,9 +378,13 @@ def test_vertex_numbering_is_the_numbering_walk(spec, data):
     numbering = vertex_numbering(spec, m, root)
     assert numbering.n_vertices == len(keys)
     assert [numbering.key_of(v) for v in range(len(keys))] == keys
-    assert [numbering.id_of(key) for key in keys] == list(range(len(keys)))
-    assert numbering.boundary() == boundary
-    assert numbering.n_leaves == len(walked_words(spec, m, root))
+    # inner ids count only the vertices that are not the root's corners
+    n_inner = numbering.n_vertices - (spec.d + 1)
+    inner = [key for v, key in enumerate(keys) if v not in boundary]
+    assert [numbering.key_of(v, inner=True) for v in range(n_inner)] == inner
+    for v in (-1, n_inner):
+        with pytest.raises(InvalidVertexError):
+            numbering.key_of(v, inner=True)
 
 
 @PROPERTY
@@ -390,12 +394,14 @@ def test_the_one_level_closed_form_is_the_label_pass(spec, data):
     m = data.draw(st.integers(0, max_depth(spec)))
     closed = _one_level_numbering(spec, m, root, DEFAULT_WORD_BUDGET)
     passed = _label_pass_numbering(spec, m, root, DEFAULT_WORD_BUDGET)
-    assert (closed.n_leaves, closed.n_vertices) == (passed.n_leaves, passed.n_vertices)
+    assert closed.n_vertices == passed.n_vertices
     for k in range(m):
         assert list(passed.labels[k]) == [spec.levels[0]] * len(passed.labels[k])
         assert list(passed.extra[k]) == [closed.extra[k][0]] * len(passed.extra[k])
     for v in data.draw(st.lists(st.integers(0, closed.n_vertices - 1), max_size=5)):
         assert closed.key_of(v) == passed.key_of(v)
+        if v < closed.n_vertices - (spec.d + 1):
+            assert closed.key_of(v, inner=True) == passed.key_of(v, inner=True)
 
 
 # --- the array frontier, against the walk ---------------------------------------
