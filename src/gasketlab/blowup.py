@@ -90,9 +90,11 @@ class BlowupCloud:
     `weights`, `masses` and `e_means` keep each cell's exact value as an
     integer numerator over an integer denominator (`Quotients`): their
     Fractions are built only when read, and their floats, which the density
-    grid and the cloud CSV read, are int / int.  `labels[k]` holds the level
-    of each depth-k cell, k < depth, and `letters[l]` the texts "i^l" of a
-    level-l cell's children's letters, so `words()` can name the cells.
+    grid and the cloud CSV read, are int / int.  `total_mass` is the exact
+    sum of `weights`, the grid's total, not of `masses`.  `labels[k]` holds
+    the level of each depth-k cell, k < depth, and `letters[l]` the texts
+    "i^l" of a level-l cell's children's letters, so `words()` can name the
+    cells.
     """
 
     word: Word

@@ -16,11 +16,12 @@ So every capacity is one exact value, and nothing takes a refinement count.
 `_chain_record` reads it off that identity for `corner_chain_capacity` and
 the balance report alike; the network solve stays in the tests as its
 oracle.  A point capacity pins only vertices of its base depth, so it is the
-base depth's value: `_point_capacity` takes it in one descent of exterior
-traces along the cells that hold the target vertex, and builds no network.
-`vertex_numbering` finds that vertex from its id without numbering the
-others: it counts each subtree's vertices from the labels of its internal
-cells and unranks the id along one path of the word tree.
+base depth's value.  Its target is where the numbering first reaches it,
+corner j of a base-depth cell word + letters: `vertex_numbering` counts each
+subtree's vertices from the labels of its internal cells and unranks the id
+along one path of the word tree.  `_point_capacity` takes exterior traces
+down those letters, on nodes named by each level's subdivision, and builds
+no network and keys no vertex.
 
 The corner masses of the A3 report are read off the corner-chain
 eigenstructure: on u = a 1 + (u_i, u) v_i + y, the chain form
@@ -58,7 +59,6 @@ from .gasket import (
     ConductanceNetwork,
     GasketSpec,
     Word,
-    _cell_step,
     _coord,
     _corner_keys,
     _denominator,
@@ -71,7 +71,7 @@ from .gasket import (
     word_hash_unit,
 )
 from .harmonic import base_form, check_corner, dual_vector, extension_matrices
-from .subdivision import cell_count
+from .subdivision import subdivide
 
 
 def corner_decay_N(spec_or_dims, c, max_N: int = 64) -> int:
@@ -165,67 +165,64 @@ def inner_set_pins(spec: GasketSpec, word: Word, N: int, net: ConductanceNetwork
     return pins
 
 
-def _misses(point, cell) -> bool:
-    """Whether the closed cell (q, offset), the map z -> (q z + offset) / P,
-    misses the vertex with integer key `point` over the same P.  The cell
-    holds it iff point[k] >= offset[k] for every k, since both key sums are
-    fixed."""
-    return any(x < o for x, o in zip(point, cell[1]))
+def _point_capacity(spec: GasketSpec, letters: tuple, j: int) -> Fraction:
+    """The root-normalized capacity between corner j of the cell
+    word + letters (`_point_target`) and the word's corners, merged into one
+    ground node, by one descent of exterior traces along `letters`.
 
-
-def _point_capacity(spec: GasketSpec, word: Word, base_depth: int, point) -> Fraction:
-    """The capacity between the vertex with integer key `point` in the
-    depth-base_depth network below the word (`_point_key`) and its corners,
-    merged into one ground node, by one descent along the cells that hold it.
-
-    At each cell the local network is `exterior`, the trace of everything
-    outside the cell onto its corners and ground, plus each child's complete
-    graph with conductance 1/r_child, the exact trace of its subtree.  Once
-    the vertex is a child's corner, the value is the local network's
-    effective conductance to ground; else the holding child's exterior is
-    the local network without that child's graph, traced onto its corners
-    and ground."""
-    P = _denominator(spec, base_depth, word)
-    cell, key, r = _root_cell(spec, word, P), spec.validate_word(word), Fraction(1)
-    ground, *others = _corner_keys(cell)
-    merged = dict.fromkeys(others, ground)
-    exterior = []
-    while True:
-        l = spec.key_label(key)
-        letters = [(i, l) for i in range(1, cell_count(spec.d, l) + 1)]
-        r *= spec.r_of_letter(letters[0])  # every child's r relative to the word
-        cells = [_cell_step(cell, letter) for letter in letters]
-        nodes = [[merged.get(k, k) for k in _corner_keys(child)] for child in cells]
+    A trailing letter j + 1 is a corner cell that keeps the vertex its
+    parent's corner j, so those letters are dropped: the vertex first
+    appears in the subdivision of the last cell left.  At each cell the
+    local network is `exterior`, the trace of everything outside the cell
+    onto its corners and ground, plus each child's complete graph with
+    conductance 1/r_child, the exact trace of its subtree.  Its nodes are
+    the level-l subdivision's vertices p: the cell's corner c where p is
+    subdivision corner c, else (depth, p).  At the last letter the value is
+    the local network's effective conductance between the vertex and
+    ground; above it, the next cell's exterior is the local network without
+    that cell's graph, traced onto its corners and ground."""
+    while letters[-1][0] == j + 1:
+        letters = letters[:-1]
+    d, r = spec.d, Fraction(1)
+    ground = (0, -1)  # a tuple like every other node, since eliminate breaks ties by comparing nodes
+    corners, exterior = [ground] * (d + 1), []
+    for k, (i, l) in enumerate(letters):
+        cell_vertices = subdivide(d, l).cell_vertices
+        named = {cell_vertices[c][c]: corner for c, corner in enumerate(corners)}
+        nodes = [[named.get(p, (k, p)) for p in vertices] for vertices in cell_vertices]
+        r *= spec.r_of_letter((i, l))  # every child's r relative to the word
         graphs = [[(a, b, 1 / r) for a, b in combinations(ns, 2)] for ns in nodes]
-        if any(point in ns for ns in nodes):
+        if k + 1 == len(letters):
+            point = nodes[i - 1][j]
             local = adjacency_from_edges(exterior + [e for graph in graphs for e in graph])
             return eliminate(local, {point, ground})[0][point][ground]
-        h = next(j for j, child in enumerate(cells) if not _misses(point, child))
-        outside = adjacency_from_edges(exterior + [e for j, graph in enumerate(graphs) if j != h for e in graph])
-        trace, _ = eliminate(outside, {*nodes[h], ground})
+        outside = adjacency_from_edges(exterior + [e for c, graph in enumerate(graphs) if c != i - 1 for e in graph])
+        trace, _ = eliminate(outside, {*nodes[i - 1], ground})
         exterior = [(a, b, c) for a, nbrs in trace.items() for b, c in nbrs.items() if a < b]
-        cell, key = cells[h], spec.child_key(key, letters[h])
+        corners = nodes[i - 1]
 
 
-def _point_key(spec: GasketSpec, word: Word, vertex: int, base_depth: int, budget: int) -> tuple:
-    """The integer key of vertex id `vertex` of the depth-base_depth network
-    below the word, which is neither built nor numbered: `vertex_numbering`
-    counts its vertices from the labels of its internal cells, refuses more
-    than `budget` leaves as its walk would, and unranks the one id along one
-    path down the word tree.  A key among the word's corner keys is refused."""
-    point = vertex_numbering(spec, base_depth, word, budget).key_of(vertex)
-    if point in _corner_keys(_root_cell(spec, word, _denominator(spec, base_depth, word))):
+def _point_target(spec: GasketSpec, word: Word, vertex: int, base_depth: int, budget: int) -> tuple:
+    """(letters, j): vertex id `vertex` of the depth-base_depth network below
+    the word, which is neither built nor numbered, as corner j of the cell
+    word + letters where that network's walk first reaches it
+    (`VertexNumbering.corner_of`).  Corner cell c holds one corner of its
+    parent, its own corner c, so the vertex is the word's corner j iff every
+    letter is j + 1, and such a target is refused."""
+    letters, j = vertex_numbering(spec, base_depth, word, budget).corner_of(vertex)
+    if all(i == j + 1 for i, _ in letters):
         raise InvalidVertexError("point capacity target must not be a corner of the word")
-    return point
+    return letters, j
 
 
 def point_capacity(
     spec: GasketSpec, word: Word, vertex: int, base_depth: int = 1, budget: int = DEFAULT_WORD_BUDGET
 ) -> Fraction:
     """Root-normalized capacity between vertex id `vertex` of the
-    depth-base_depth network below the word (`_point_key`) and the word's
-    corners, by the `_point_capacity` descent; divide by r_w for the absolute scale."""
-    return _point_capacity(spec, word, base_depth, _point_key(spec, word, vertex, base_depth, budget))
+    depth-base_depth network below the word and the word's corners, by the
+    `_point_capacity` descent to its `_point_target`; divide by r_w for the
+    absolute scale."""
+    return _point_capacity(spec, *_point_target(spec, word, vertex, base_depth, budget))
 
 
 # --- the balance report ---------------------------------------------------------
@@ -397,10 +394,10 @@ def a3_report(
     record, exact at every refinement.  C_c uses point capacities at
     vertices of the depth-N network below the word, equispaced among the
     ids that are not the word's corners: `vertex_numbering` counts them once
-    per word without numbering that network, and its inner `key_of` unranks
-    each pick straight to its key.  Each is the exact value of one
-    `_point_capacity` descent, which `capacity --point` uses too.  All
-    three constants are scale invariant, so root normalization cancels.
+    per word without numbering that network, and its inner `corner_of`
+    unranks each pick straight to its cell corner.  Each is the exact value
+    of one `_point_capacity` descent, which `capacity --point` uses too.
+    All three constants are scale invariant, so root normalization cancels.
     """
     if samples < 1:
         raise InvalidParameterError("need at least one sample per word")
@@ -473,7 +470,7 @@ def a3_report(
         n_inner = numbering.n_vertices - (d + 1)
         pcount = min(point_samples, n_inner)
         pt_caps = [
-            float(_point_capacity(spec, word, N, numbering.key_of((j * n_inner) // pcount, inner=True)))
+            float(_point_capacity(spec, *numbering.corner_of((j * n_inner) // pcount, inner=True)))
             for j in range(pcount)
         ]
         cap_pt = min(pt_caps)

@@ -215,15 +215,15 @@ def cmd_capacity(args) -> int:
     word = parse_word(args.word)
     spec.validate_word(word)
     resolved = {}
-    point = args.point
-    if point is not None:  # a bad target vertex is refused before --refine, and solved only after it
-        point = capacity_mod._point_key(spec, word, point, args.base_depth, args.budget)
+    target = args.point
+    if target is not None:  # a bad target vertex is refused before --refine, and solved only after it
+        target = capacity_mod._point_target(spec, word, target, args.base_depth, args.budget)
     refinements = _refinements(args)
-    if point is None:
+    if target is None:
         resolved["inner_n"] = capacity_mod.inner_depth(spec, args.inner_n)
         value = capacity_mod.corner_chain_capacity(spec, word, resolved["inner_n"])
     else:
-        value = capacity_mod._point_capacity(spec, word, args.base_depth, point)
+        value = capacity_mod._point_capacity(spec, *target)
     payload = {
         "config": _config(args, spec, **resolved),
         "report": {

@@ -681,14 +681,15 @@ class ConductanceNetwork:
 # below a cell has its d+1 corners plus V(d, l) - (d+1) more vertices for
 # each internal cell of level l in its subtree, and the range is that count
 # less the cell's corners numbered before it is entered.  `VertexNumbering`
-# unranks one id to its key along one path from those counts; the whole
-# network, `level_network`, stays as its oracle in the tests.
+# unranks one id along one path from those counts, to the depth-m cell that
+# first numbers it and the corner it is there; the whole network,
+# `level_network`, stays as its oracle in the tests.
 
 
 @dataclass
 class VertexNumbering:
     """The vertex ids of `level_network(spec, m, root)`, from label counts,
-    unranked to integer keys by `key_of`.
+    unranked to cell corners by `corner_of`.
 
     Depth k < m lists its cells in depth-lexicographic order: `labels[k]`
     their labels, `first[k]` the index at depth k+1 of each one's first
@@ -700,7 +701,6 @@ class VertexNumbering:
 
     spec: GasketSpec
     m: int
-    root: Word
     labels: list = field(repr=False)
     first: list = field(repr=False)
     extra: list = field(repr=False)
@@ -710,14 +710,14 @@ class VertexNumbering:
     def n_vertices(self) -> int:
         return self.spec.d + 1 + (int(self.extra[0][0]) if self.m else 0)
 
-    def key_of(self, v: int, inner: bool = False) -> tuple:
-        """The integer key over `_denominator(spec, m, root)` of vertex v, or
-        with `inner` of the v-th vertex, in id order, that is not a corner of
-        the root word.
+    def corner_of(self, v: int, inner: bool = False) -> tuple:
+        """(letters, j): vertex v is corner j (0-based) of the depth-m cell
+        root + letters where the numbering first reaches it.  With `inner`,
+        v counts, in id order, only the vertices that are not the root's
+        corners.
 
-        The descent goes down from the root to the depth-m cell where v is
-        first numbered, skipping each earlier child by the ids it gives out.
-        A child's corner was numbered on entry if it is a numbered corner of
+        The descent skips each earlier child by the ids it gives out.  A
+        child's corner was numbered on entry if it is a numbered corner of
         its parent or a vertex of an earlier sibling; `inner` starts with the
         root's corners numbered, and a root corner is a corner of every cell
         on its path, so it is never counted."""
@@ -725,8 +725,7 @@ class VertexNumbering:
         seen = (inner,) * (d + 1)
         if not 0 <= v < self.n_vertices - sum(seen):
             raise InvalidVertexError(f"vertex {v} not in depth-{self.m} network")
-        cell = _root_cell(self.spec, self.root, _denominator(self.spec, self.m, self.root))
-        base = i = 0
+        letters, base, i = [], 0, 0
         for k in range(self.m):
             l = int(self.labels[k][i])
             cell_vertices = subdivide(d, l).cell_vertices
@@ -741,8 +740,8 @@ class VertexNumbering:
                     break
                 base += new
                 done.update(vertices)
-            cell = _cell_step(cell, (c + 1, l))
-        return [key for key, s in zip(_corner_keys(cell), seen) if not s][v - base]
+            letters.append((c + 1, l))
+        return tuple(letters), [j for j, s in enumerate(seen) if not s][v - base]
 
 
 def _one_level_numbering(spec: GasketSpec, m: int, root: Word, budget: int) -> VertexNumbering:
@@ -753,9 +752,8 @@ def _one_level_numbering(spec: GasketSpec, m: int, root: Word, budget: int) -> V
     n = cell_count(d, l)
     _check_budget(n**m, budget, m)
     extra = subdivide(d, l).n_vertices - (d + 1)
-    return VertexNumbering(
-        spec, m, root, [[l]] * m, [[0]] * m, [[extra * (n ** (m - k) - 1) // (n - 1)] for k in range(m)], 0
-    )
+    counts = [[extra * (n ** (m - k) - 1) // (n - 1)] for k in range(m)]
+    return VertexNumbering(spec, m, [[l]] * m, [[0]] * m, counts, 0)
 
 
 def _label_pass_numbering(spec: GasketSpec, m: int, root: Word, budget: int) -> VertexNumbering:
@@ -774,14 +772,14 @@ def _label_pass_numbering(spec: GasketSpec, m: int, root: Word, budget: int) -> 
         extra[k] = extra_of[labels[k]]
         if k + 1 < m:
             extra[k] = extra[k] + np.add.reduceat(extra[k + 1], first[k])
-    return VertexNumbering(spec, m, root, labels, first, extra, 1)
+    return VertexNumbering(spec, m, labels, first, extra, 1)
 
 
 def vertex_numbering(
     spec: GasketSpec, m: int, root: Word = (), budget: int = DEFAULT_WORD_BUDGET
 ) -> VertexNumbering:
     """The vertex numbering of `level_network(spec, m, root, budget)`, with no
-    corner keyed: its inputs are refused as that network's walk refuses them,
+    vertex keyed: its inputs are refused as that network's walk refuses them,
     more than `budget` depth-m leaves included."""
     _check_depth(m, budget)
     if len(spec.levels) == 1:

@@ -14,7 +14,7 @@ from gasketlab.capacity import (
     _corner_chain_form,
     _draws,
     _point_capacity,
-    _point_key,
+    _point_target,
     _quotient_coefficients,
     a3_report,
     corner_chain_capacity,
@@ -395,12 +395,55 @@ def test_point_capacity_is_the_full_network_solve(case):
     ids=["sg-N4", "seeded-d2-T23-below-1^3-N3", "d3-T2-N3"],
 )
 def test_the_descent_is_the_full_network_solve_at_every_inner_vertex(spec, word, N):
+    # each target is the corner of the first cell of the walk that holds it
     net = level_network(spec, N, root=word)
-    P = _denominator(spec, N, word)
+    first = {}
+    for rel, ids, _ in net.cells:
+        for j, v in enumerate(ids):
+            first.setdefault(v, (rel, j))
     for v in set(range(net.n_vertices)) - set(net.boundary):
-        point = tuple(int(x * P) for x in net.coords[v])
+        target = _point_target(spec, word, v, N, DEFAULT_WORD_BUDGET)
+        assert target == first[v], v
         pins = {**dict.fromkeys(net.boundary, Fraction(0)), v: Fraction(1)}
-        assert _point_capacity(spec, word, N, point) == dirichlet_solve(net, pins)[1], v
+        assert _point_capacity(spec, *target) == dirichlet_solve(net, pins)[1], v
+
+
+def _first_depths(spec, word, N):
+    """Each inner vertex id of the depth-N network below the word, with the
+    smallest depth k whose network below the word holds its coordinates."""
+    net = level_network(spec, N, root=word)
+    depth = {v: N for v in range(net.n_vertices) if v not in net.boundary}
+    for k in reversed(range(1, N)):
+        for coord in level_network(spec, k, root=word).coords:
+            if net.coord_index[coord] in depth:
+                depth[net.coord_index[coord]] = k
+    return depth
+
+
+@pytest.mark.parametrize(
+    "spec, word, N",
+    [
+        (GasketSpec(2, [2]), (), 4),
+        (GasketSpec(2, [2, 3], {"type": "seeded", "seed": 1, "weights": {2: 1.0, 3: 1.0}}), ((1, 3),), 3),
+        (GasketSpec(3, [2]), (), 3),
+    ],
+    ids=["sg-N4", "seeded-d2-T23-below-1^3-N3", "d3-T2-N3"],
+)
+def test_the_descent_stops_where_the_vertex_first_appears(spec, word, N, monkeypatch):
+    # one elimination per cell above the vertex's first depth: a trace at
+    # each cell it passes, then the conductance at the last
+    calls = []
+
+    def count(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = capacity.eliminate
+    monkeypatch.setattr(capacity, "eliminate", count)
+    for v, k in _first_depths(spec, word, N).items():
+        calls.clear()
+        point_capacity(spec, word, v, N)
+        assert len(calls) == k, v
 
 
 @pytest.mark.parametrize(
@@ -413,17 +456,18 @@ def test_the_descent_is_the_full_network_solve_at_every_inner_vertex(spec, word,
     ids=["sg-N3", "seeded-d2-T23-below-1^3-N3", "d3-T2-N2"],
 )
 def test_point_key_refuses_exactly_the_corner_ids(spec, word, N):
-    # every id of the network: a corner of the word is refused, any other
-    # id is keyed by its coordinates times P
+    # every id of the network: a corner of the word is refused, and any
+    # other id is the cell corner whose key is its coordinates times P
     net = level_network(spec, N, root=word)
     P = _denominator(spec, N, word)
     for v in range(net.n_vertices):
         if v in net.boundary:
             with pytest.raises(InvalidVertexError, match="must not be a corner of the word"):
-                _point_key(spec, word, v, N, DEFAULT_WORD_BUDGET)
+                _point_target(spec, word, v, N, DEFAULT_WORD_BUDGET)
         else:
+            letters, j = _point_target(spec, word, v, N, DEFAULT_WORD_BUDGET)
             want = tuple(int(x * P) for x in net.coords[v])
-            assert _point_key(spec, word, v, N, DEFAULT_WORD_BUDGET) == want, v
+            assert _corner_keys(_root_cell(spec, word + letters, P))[j] == want, v
 
 
 @pytest.mark.parametrize(
@@ -439,16 +483,17 @@ def test_a3_point_samples_are_the_equispaced_non_corner_ids(spec, m, N, monkeypa
     # (j * n_inner) // pcount-th ids of its depth-N network that are not its corners
     recorded = []
 
-    def descend(spec, word, depth, point):
-        recorded.append((word, point))
-        return real(spec, word, depth, point)
+    def descend(spec, letters, j):
+        recorded.append((letters, j))
+        return real(spec, letters, j)
 
     real = capacity._point_capacity
     monkeypatch.setattr(capacity, "_point_capacity", descend)
     N = default_inner_depth(spec) if N is None else N
     inner = {}
+    P = _denominator(spec, m + N, ())  # of every depth-N network below a depth-m word
     for word, *_ in enumerate_words(spec, m):
-        net, P = level_network(spec, N, root=word), _denominator(spec, N, word)
+        net = level_network(spec, N, root=word)
         ids = [v for v in range(net.n_vertices) if v not in net.boundary]
         inner[word] = [tuple(int(x * P) for x in net.coords[v]) for v in ids]
     for point_samples in (1, 3, 7):
@@ -459,7 +504,12 @@ def test_a3_point_samples_are_the_equispaced_non_corner_ids(spec, m, N, monkeypa
             for word, keys in inner.items()
             for j in range(min(point_samples, len(keys)))
         ]
-        assert recorded == want
+        assert len(recorded) == len(want)
+        got = [
+            (word, _corner_keys(_root_cell(spec, word + letters, P))[j])
+            for (word, _), (letters, j) in zip(want, recorded)
+        ]
+        assert got == want
 
 
 def _refuse_networks(monkeypatch):
@@ -497,14 +547,14 @@ def test_a3_point_samples_solve_only_reduced_networks(mixed, monkeypatch):
     _refuse_networks(monkeypatch)
     descents = []
 
-    def descend(spec, word, depth, point):
-        descents.append(depth)
-        return real(spec, word, depth, point)
+    def descend(spec, letters, j):
+        descents.append((letters, j))
+        return real(spec, letters, j)
 
     real = capacity._point_capacity
     monkeypatch.setattr(capacity, "_point_capacity", descend)
     assert a3_report(mixed, 3, samples=2, cap_words=1, point_samples=3) == want
-    assert descents == [N] * 3
+    assert [len(letters) for letters, _ in descents] == [N] * 3
 
 
 @pytest.mark.parametrize("cap_words", [1, 10**6], ids=["one-word", "every-word"])

@@ -29,12 +29,14 @@ from gasketlab.gasket import (
     DEFAULT_WORD_BUDGET,
     ConductanceNetwork,
     GasketSpec,
+    _corner_keys,
     _denominator,
     _key_ops,
     _label_pass_numbering,
     _mix64,
     _mix_text,
     _one_level_numbering,
+    _root_cell,
     encode_word,
     frontier,
     iter_words,
@@ -181,6 +183,29 @@ def test_the_frontier_is_the_one_caller_of_the_whole_depth_keys():
                 if isinstance(node, ast.Call) and "_key_ops" in (getattr(name, "id", None), getattr(name, "attr", None)):
                     callers.add((path.name, getattr(top, "name", None)))
     assert callers == {("gasket.py", "frontier")}
+
+
+def test_the_point_path_is_key_free():
+    # a point target is a cell corner read off the numbering's own path, so
+    # the point path keys no vertex, composes no cell and hashes no label,
+    # and no module tests a cell for a vertex
+    package = Path(gasketlab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    defined = {
+        getattr(node, "name", None) or getattr(node, "id", None)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) or isinstance(getattr(node, "ctx", None), ast.Store)
+    }
+    assert "_misses" not in defined
+    banned = {"_denominator", "_root_cell", "_cell_step", "_corner_keys", "child_key", "key_label", "validate_word"}
+    for module, *path in (("capacity.py", "_point_capacity"), ("capacity.py", "_point_target"),
+                          ("gasket.py", "VertexNumbering", "corner_of")):
+        body = trees[module]
+        for name in path:
+            body = next(node for node in body.body if getattr(node, "name", None) == name)
+        named = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(body)}
+        assert not named & banned, (module, path, named & banned)
 
 
 def test_the_input_boundary_rules_are_written_once():
@@ -370,21 +395,27 @@ def test_walk_rejects_a_negative_depth():
 @PROPERTY
 @given(specs(), st.data())
 def test_vertex_numbering_is_the_numbering_walk(spec, data):
-    # below a root word of depth 0..2, at depths 0..4
+    # below a root word of depth 0..2, at depths 0..4; each corner_of is
+    # keyed here as its cell's corner, over the network's P
     root = data.draw(st.sampled_from(walked_words(spec, data.draw(st.integers(0, 2)))))
     m = data.draw(st.integers(0, min(4, max_depth(spec))))
     net, P = level_network(spec, m, root), _denominator(spec, m, root)
     keys, boundary = [tuple(int(x * P) for x in coord) for coord in net.coords], net.boundary
     numbering = vertex_numbering(spec, m, root)
+
+    def corner_key(letters, j):
+        assert len(letters) == m
+        return _corner_keys(_root_cell(spec, root + letters, P))[j]
+
     assert numbering.n_vertices == len(keys)
-    assert [numbering.key_of(v) for v in range(len(keys))] == keys
+    assert [corner_key(*numbering.corner_of(v)) for v in range(len(keys))] == keys
     # inner ids count only the vertices that are not the root's corners
     n_inner = numbering.n_vertices - (spec.d + 1)
     inner = [key for v, key in enumerate(keys) if v not in boundary]
-    assert [numbering.key_of(v, inner=True) for v in range(n_inner)] == inner
+    assert [corner_key(*numbering.corner_of(v, inner=True)) for v in range(n_inner)] == inner
     for v in (-1, n_inner):
         with pytest.raises(InvalidVertexError):
-            numbering.key_of(v, inner=True)
+            numbering.corner_of(v, inner=True)
 
 
 @PROPERTY
@@ -399,9 +430,9 @@ def test_the_one_level_closed_form_is_the_label_pass(spec, data):
         assert list(passed.labels[k]) == [spec.levels[0]] * len(passed.labels[k])
         assert list(passed.extra[k]) == [closed.extra[k][0]] * len(passed.extra[k])
     for v in data.draw(st.lists(st.integers(0, closed.n_vertices - 1), max_size=5)):
-        assert closed.key_of(v) == passed.key_of(v)
+        assert closed.corner_of(v) == passed.corner_of(v)
         if v < closed.n_vertices - (spec.d + 1):
-            assert closed.key_of(v, inner=True) == passed.key_of(v, inner=True)
+            assert closed.corner_of(v, inner=True) == passed.corner_of(v, inner=True)
 
 
 # --- the array frontier, against the walk ---------------------------------------
