@@ -28,10 +28,12 @@ eigenstructure: on u = a 1 + (u_i, u) v_i + y, the chain form
 (1/r_chain) Q(A_chain u) is r_chain (u_i, u)^2 / d + (s_chain^2 / r_chain) Q(y),
 since Q(v_i) = 1/d and Q(v_i, y) = 0.
 
-The report's sampling loop works on blocks of words and samples at once.  It
-hashes the directions as uint64 arrays (`_draws`, with `sample_direction`
-as the retry path and oracle), and it takes every form on the quotient by
-constants: Q and each chain form are symmetric with zero row sums, so
+The report takes its capacity words' floats first, then makes one pass of
+its sampling loop over blocks of words and samples, writing each capacity
+word's rows in the block that draws its samples.  It hashes the directions
+as uint64 arrays (`_draws`, with `sample_direction` as the retry path and
+oracle), and it takes every form on the quotient by constants: Q and each
+chain form are symmetric with zero row sums, so
 u^T M u = x^T M[1:, 1:] x with x = u[1:] - u[0], d (d + 1) / 2 monomials
 instead of (d + 1)^2 products.  Q is applied in int64; the summed chain
 forms, one `_chain_record` per distinct tuple of labels, keep Python ints.
@@ -379,24 +381,29 @@ def a3_report(
     """Check the mass inequality exactly on every depth-m word and estimate
     the three balance constants on an equispaced word subsample.
 
-    The inequality nu_h(U) <= 2 nu_h(V) is decided in plain integers for
+    The capacity words come first, in ascending order.  C_b uses each one's
+    relative capacity from the `_chain_record` of its chains, exact at every
+    refinement.  C_c uses point capacities at vertices of the depth-N
+    network below the word, equispaced among the ids that are not the word's
+    corners: `vertex_numbering` counts them without numbering that network,
+    refusing one over the budget, and its inner `corner_of` unranks each
+    pick straight to its cell corner.  Each is the exact value of one
+    `_point_capacity` descent, which `capacity --point` uses too.  cap_rel,
+    the least point capacity and 1/r_w are taken to floats once per word,
+    cap_rel before the descents; a value beyond float range raises
+    InvalidParameterError before any sample is drawn.
+
+    The inequality nu_h(U) <= 2 nu_h(V) is then decided in plain integers for
     `samples` seeded directions per word, drawn by `_draws` for up to
     `_BLOCK` word x sample cells at a time.  The d+1 corner-chain forms are
     summed into one integer form G over their common denominator L, the
-    `_chain_record` of the word's chains, walked once, so nu_U = u^T Q u and
+    word's `_chain_record`, so nu_U = u^T Q u and
     nu_V = (nu_U L - u^T G u) / L.  Both are taken on the monomials of
     x = u[1:] - u[0]: u^T Q u in int64, exact since |x_i| <= 2 _SPAN + 1,
     and u^T G u against G's Python-int coefficients, exact for any L.  The
     worst nu_U / nu_V is kept as an integer pair compared by
-    cross-multiplication, and only the rows of the capacity words are kept.
-
-    C_b uses the relative capacity of each subsampled word from the same
-    record, exact at every refinement.  C_c uses point capacities at
-    vertices of the depth-N network below the word, equispaced among the
-    ids that are not the word's corners: `vertex_numbering` counts them once
-    per word without numbering that network, and its inner `corner_of`
-    unranks each pick straight to its cell corner.  Each is the exact value
-    of one `_point_capacity` descent, which `capacity --point` uses too.
+    cross-multiplication.  A capacity word's rows are written, and C_b and
+    C_c folded, in the block where its samples are drawn.
     All three constants are scale invariant, so root normalization cancels.
     """
     if samples < 1:
@@ -422,9 +429,28 @@ def a3_report(
     G = np.array([g for g, _, _ in records], dtype=object)
     L = np.array([den for _, den, _ in records], dtype=object)
 
+    # numbered first, so a depth-N network over the budget is refused before
+    # anything is solved, and cap_rel is a float before the descents, so a
+    # capacity beyond float range is refused before they run
+    constants = {}  # word index -> (cap_rel, cap_pt, 1/r_w) as floats
+    for idx in picks:
+        word, _ = words[idx]
+        numbering = vertex_numbering(spec, N, word, budget)
+        try:
+            cap_rel = float(records[idx][2])
+            # the point samples are equispaced among the ids that are not the word's corners
+            n_inner = numbering.n_vertices - (d + 1)
+            pcount = min(point_samples, n_inner)
+            targets = (numbering.corner_of((j * n_inner) // pcount, inner=True) for j in range(pcount))
+            cap_pt = float(min(_point_capacity(spec, *target) for target in targets))
+            constants[idx] = cap_rel, cap_pt, 1.0 / float(spec.r_of_word(word))
+        except OverflowError:
+            raise InvalidParameterError("the capacities below a word are too large for floating point") from None
+
     violations = 0
     wp, wq = 0, 1  # the worst nu_U / nu_V so far, as the integer pair wp / wq
-    picked_samples: dict = {idx: [] for idx in picks}
+    C_b = C_c = 0.0
+    rows = []
     block_words = max(1, _BLOCK // samples)
     block_samples = min(samples, _BLOCK)
     for w0 in range(0, n_words, block_words):
@@ -444,60 +470,34 @@ def a3_report(
             for p, q in zip(qL[positive].tolist(), nv[positive].tolist()):
                 if p * wq > wp * q:
                     wp, wq = p, q
-            for w in picked_samples.keys() & range(w0, w1):
+            # a word's samples span blocks only with one word per block, so the
+            # rows come word by word, samples ascending
+            for w in sorted(constants.keys() & range(w0, w1)):
+                cap_rel, cap_pt, inv_r = constants[w]
                 i = w - w0
                 osc = u[i].max(axis=1) - u[i].min(axis=1)
-                # int / int is correctly rounded, so this is float(Fraction(nv, L))
-                picked_samples[w].extend(
-                    (s_idx, q, v / L[w], o)
-                    for s_idx, q, v, o in zip(range(s0, s1), q0[i].tolist(), nv[i].tolist(), osc.tolist())
-                )
+                for s_idx, q, v, o in zip(range(s0, s1), q0[i].tolist(), nv[i].tolist(), osc.tolist()):
+                    nu_U = 2.0 * q * inv_r
+                    nu_V = 2.0 * (v / L[w]) * inv_r  # int / int is correctly rounded, so this is float(Fraction(v, L))
+                    ratio_b = cap_rel * o * o / (2.0 * q)
+                    ratio_c = 2.0 * q / (cap_pt * o * o)
+                    C_b = max(C_b, ratio_b)
+                    C_c = max(C_c, ratio_c)
+                    rows.append(
+                        A3SampleRow(
+                            word=texts[w],
+                            sample_id=s_idx,
+                            nu_U=nu_U,
+                            nu_V=nu_V,
+                            osc=float(o),
+                            cap_rel=cap_rel * inv_r,
+                            cap_pt=cap_pt * inv_r,
+                            ratio_a=nu_U / nu_V if nu_V else float("inf"),
+                            ratio_b=ratio_b,
+                            ratio_c=ratio_c,
+                        )
+                    )
     worst_ratio = Fraction(wp, wq)
-
-    # capacity constants on an equispaced word subsample
-    C_a = float(worst_ratio)
-    C_b = 0.0
-    C_c = 0.0
-    sample_rows = []
-
-    for idx in picks:
-        word, _ = words[idx]
-        # numbered first, so a depth-N network over the budget is refused
-        # before cap_rel is taken to a float; the point samples are
-        # equispaced among the ids of that network that are not its corners
-        numbering = vertex_numbering(spec, N, word, budget)
-        cap_rel = float(records[idx][2])
-        n_inner = numbering.n_vertices - (d + 1)
-        pcount = min(point_samples, n_inner)
-        pt_caps = [
-            float(_point_capacity(spec, *numbering.corner_of((j * n_inner) // pcount, inner=True)))
-            for j in range(pcount)
-        ]
-        cap_pt = min(pt_caps)
-        inv_r = 1.0 / float(spec.r_of_word(word))
-        for s_idx, q0, nu_V, osc in picked_samples[idx]:
-            nu_U_abs = 2.0 * q0 * inv_r
-            nu_V_abs = 2.0 * nu_V * inv_r
-            ratio_a = nu_U_abs / nu_V_abs if nu_V_abs else float("inf")
-            ratio_b = cap_rel * osc * osc / (2.0 * q0)
-            ratio_c = 2.0 * q0 / (cap_pt * osc * osc)
-            C_b = max(C_b, ratio_b)
-            C_c = max(C_c, ratio_c)
-            sample_rows.append(
-                A3SampleRow(
-                    word=encode_word(word),
-                    sample_id=s_idx,
-                    nu_U=nu_U_abs,
-                    nu_V=nu_V_abs,
-                    osc=float(osc),
-                    cap_rel=cap_rel * inv_r,
-                    cap_pt=cap_pt * inv_r,
-                    ratio_a=ratio_a,
-                    ratio_b=ratio_b,
-                    ratio_c=ratio_c,
-                )
-            )
-
     return A3Report(
         spec=spec.describe(),
         depth=m,
@@ -509,8 +509,8 @@ def a3_report(
         point_samples=point_samples,
         inequality_violations=violations,
         worst_mass_ratio=f"{worst_ratio.numerator}/{worst_ratio.denominator}",
-        C_a=C_a,
+        C_a=float(worst_ratio),
         C_b=C_b,
         C_c=C_c,
-        rows=sample_rows,
+        rows=rows,
     )

@@ -211,49 +211,26 @@ def _energy_form(d: int) -> np.ndarray:
     return np.array(base_form(d).M, dtype=float)
 
 
-def _child_term_order(count: int, k: int) -> list:
-    """The order in which np.einsum("cij,njk->ncik") sums the `count` terms
-    A[c, i, j] * parent[j, kk] of one child entry: lists of j, each summed
-    from zero in turn, whose partial sums are then added in turn.
-
-    With k >= 2 einsum's inner loop runs over kk and each entry takes its
-    terms in j order.  With k == 1 the j axis is the contiguous inner loop,
-    which numpy reduces in two 128-bit SIMD lanes (even and odd j): blocks
-    of 8 terms from their last pair down, then the rest in order.  This is
-    numpy's implementation, not its API, so the tests check it against the
-    installed np.einsum.
-    """
-    if k > 1:
-        return [list(range(count))]
-    lanes = [[], []]
-    blocks = count - count % 8
-    for start in range(0, blocks, 8):
-        for pair in (3, 2, 1, 0):
-            lanes[0].append(start + 2 * pair)
-            lanes[1].append(start + 2 * pair + 1)
-    for j in range(blocks, count):
-        lanes[j % 2].append(j)
-    return [lane for lane in lanes if lane]
-
-
 def _child_chains(A_stack: np.ndarray, parents: np.ndarray, out: np.ndarray) -> None:
     """Write out[i, kk, p, c] = sum_j A_stack[c, i, j] * parents[j, kk, p],
     the columns A_c A_w G of child c of each parent, into the zeroed out.
 
-    Each sum starts from zero and takes its terms in _child_term_order, so
-    every entry has the bits of the einsum it replaces."""
+    Every entry has the bits of np.einsum("cij,njk->ncik") on cell-major
+    parents.  A one-vector basis (k == 1) runs that einsum itself, whose
+    reduction over the contiguous j axis numpy splits into SIMD lanes.  With
+    k >= 2 einsum's inner loop runs over kk and each entry takes its terms
+    in j order, so whole-array multiply-adds from zero in j order match it,
+    and run faster than the einsum on this layout."""
     d1, k, g = parents.shape
-    lanes = _child_term_order(d1, k)
-    split = len(lanes) > 1  # each lane is summed apart, then added to out
+    if k == 1:
+        cells = np.ascontiguousarray(parents.transpose(2, 0, 1))
+        out[...] = np.einsum("cij,njk->ncik", A_stack, cells).transpose(2, 3, 0, 1)
+        return
     term = np.empty((k, g, A_stack.shape[0]))
     for i in range(d1):
-        for lane in lanes:
-            acc = np.zeros_like(term) if split else out[i]
-            for j in lane:
-                np.multiply(parents[j][:, :, None], A_stack[:, i, j], out=term)
-                np.add(acc, term, out=acc)
-            if split:
-                np.add(out[i], acc, out=out[i])
+        for j in range(d1):
+            np.multiply(parents[j][:, :, None], A_stack[:, i, j], out=term)
+            np.add(out[i], term, out=out[i])
 
 
 def _cell_energies(chains: np.ndarray, QM: np.ndarray) -> np.ndarray:
@@ -277,12 +254,12 @@ def _depth_scan(spec: GasketSpec, m: int, basis: EnergyBasis, budget: int):
 
     The transported columns A_w G are held as (d+1, k, ncells): one
     contiguous vector of cells per matrix entry.  The children are (d+1)^2
-    whole-array multiply-adds summed in np.einsum's own order
-    (`_child_term_order`), and the cell matrices are one einsum
-    (`_cell_energies`), so every B and mass has the bits of the per-key
-    einsum scan.  matmul, einsum(optimize=True) and the closed form
-    (d+1) C^T C - s s^T each change last bits of most entries, and with
-    them the report's floats.
+    whole-array multiply-adds summed in np.einsum's own order, or for a
+    one-vector basis that einsum itself (`_child_chains`), and the cell
+    matrices are one einsum (`_cell_energies`), so every B and mass has the
+    bits of the per-key einsum scan.  matmul, einsum(optimize=True) and the
+    closed form (d+1) C^T C - s s^T each change last bits of most entries,
+    and with them the report's floats.
     """
     d1, k = spec.d + 1, basis.size
     QM = _energy_form(spec.d)

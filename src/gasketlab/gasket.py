@@ -444,7 +444,8 @@ def walk(spec: GasketSpec, m: int, start, step, root: Word = (), budget: int = D
 
     `start` is the state at the root and a child's state is
     step(parent_state, letter), so each caller carries only what it needs.
-    More than `budget` leaves raise BudgetExceededError.
+    More than `budget` leaves raise BudgetExceededError, before any step
+    when every cell's fewest children already make more than `budget`.
     """
     _check_depth(m, budget)
     key = spec.validate_word(root)
@@ -452,6 +453,14 @@ def walk(spec: GasketSpec, m: int, start, step, root: Word = (), budget: int = D
         yield (), start
         return
     children = {l: [(i, l) for i in range(1, cell_count(spec.d, l) + 1)] for l in spec.levels}
+    # every cell has at least `fewest` children, so at least fewest^m leaves:
+    # that power, taken no further than past the budget, is refused up front
+    fewest, least = min(map(len, children.values())), 1
+    for _ in range(m):
+        least *= fewest
+        if least > budget:
+            break
+    _check_budget(least, budget, m)
     stack = [((), start, key)]
     count = 0
     while stack:

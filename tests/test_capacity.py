@@ -24,7 +24,7 @@ from gasketlab.capacity import (
     point_capacity,
     sample_direction,
 )
-from gasketlab.errors import InadmissibleWordError, InvalidParameterError, InvalidVertexError
+from gasketlab.errors import BudgetExceededError, InadmissibleWordError, InvalidParameterError, InvalidVertexError
 from gasketlab.gasket import (
     DEFAULT_WORD_BUDGET,
     GasketSpec,
@@ -555,6 +555,38 @@ def test_a3_point_samples_solve_only_reduced_networks(mixed, monkeypatch):
     monkeypatch.setattr(capacity, "_point_capacity", descend)
     assert a3_report(mixed, 3, samples=2, cap_words=1, point_samples=3) == want
     assert [len(letters) for letters, _ in descents] == [N] * 3
+
+
+def test_the_capacity_words_come_before_any_sample(mixed, monkeypatch):
+    # each capacity word's constants are taken before the sampling loop, so
+    # a refused depth-N network draws no sample
+    draws = []
+
+    def refuse(*args):
+        raise BudgetExceededError("refused")
+
+    def count(*args):
+        draws.append(args)
+        return real(*args)
+
+    real = capacity._draws
+    monkeypatch.setattr(capacity, "vertex_numbering", refuse)
+    monkeypatch.setattr(capacity, "_draws", count)
+    with pytest.raises(BudgetExceededError, match="^refused$"):
+        a3_report(mixed, 2, samples=4, cap_words=2)
+    assert draws == []
+
+
+def test_a_capacity_past_float_range_is_refused_before_the_descents(monkeypatch):
+    # a level-6 corner chain of depth 640 has 1/r_chain past float range;
+    # its depth-640 network is counted, and cap_rel refused, before any
+    # point descent, which would take minutes at that depth
+    def descend(*args):
+        raise AssertionError("descended")
+
+    monkeypatch.setattr(capacity, "_point_capacity", descend)
+    with pytest.raises(InvalidParameterError, match="^the capacities below a word are too large for floating point$"):
+        a3_report(GasketSpec(2, [6]), 0, N=640, samples=1, cap_words=1, point_samples=1, budget=21**700)
 
 
 @pytest.mark.parametrize("cap_words", [1, 10**6], ids=["one-word", "every-word"])

@@ -117,6 +117,12 @@ def test_words_budget_failure_leaves_no_file(sg_spec, tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == sorted([Path(sg_spec), out])
 
 
+def test_words_refuses_a_depth_that_must_exceed_the_budget_before_a_row(sg_spec, capsys):
+    # 3^12 standard-gasket words at depth 12 are more than the budget
+    assert main(["words", "--spec", sg_spec, "--depth", "12", "--budget", "100000"]) == 2
+    assert capsys.readouterr() == ("word,r_num,r_den,mu_num,mu_den\r\n", "error: more than 100000 words at depth 12\n")
+
+
 @pytest.mark.parametrize(
     "argv, walks",
     [
@@ -268,6 +274,16 @@ def test_verify_a3_refuses_a_depth_n_over_the_budget_before_its_floats(tmp_path,
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: more than {DEFAULT_WORD_BUDGET} words at depth 1200\n")
+
+
+def test_verify_a3_capacities_past_float_range_exit_2(tmp_path, capsys):
+    # 21^640 depth-640 leaves below a level-6 word fit the budget, and the
+    # chain capacity of that depth is past float range
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"dimension": 2, "levels": [6]}')
+    argv = ["verify-a3", "--spec", str(spec), "--depth", "0", "--inner-n", "640", "--budget", str(21**700)]
+    assert main([*argv, "--samples", "1", "--cap-words", "1", "--point-samples", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: the capacities below a word are too large for floating point\n")
 
 
 @pytest.mark.parametrize(

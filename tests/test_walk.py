@@ -389,6 +389,28 @@ def test_walk_rejects_a_negative_depth():
         list(walk(GasketSpec(2, [2]), -1, None, lambda state, letter: None))
 
 
+@pytest.mark.parametrize("m, budget", [(5, 242), (100_000, 1)], ids=["one-short", "deep"])
+def test_a_walk_that_must_exceed_its_budget_refuses_before_any_step(m, budget):
+    # every standard-gasket cell has 3 children, so depth m has 3^m words;
+    # the deep walk would hold its whole stack of word tuples before a leaf
+    def step(state, letter):
+        raise AssertionError("stepped")
+
+    with pytest.raises(BudgetExceededError, match=f"^more than {budget} words at depth {m}$"):
+        next(walk(GasketSpec(2, [2]), m, None, step, budget=budget))
+
+
+def test_a_walk_at_exactly_its_budget_yields_every_word():
+    assert len(list(walk(GasketSpec(2, [2]), 5, None, lambda state, letter: None, budget=243))) == 243
+    # a level-2 cell has 3 children and a level-3 cell 6: 3^4 is below the count
+    mixed = GasketSpec(2, [2, 3], {"type": "seeded", "seed": 1, "weights": {2: 1.0, 3: 1.0}})
+    count = len(list(walk(mixed, 4, None, lambda state, letter: None)))
+    assert 3**4 < count < 6**4
+    assert len(list(walk(mixed, 4, None, lambda state, letter: None, budget=count))) == count
+    with pytest.raises(BudgetExceededError, match=f"^more than {count - 1} words at depth 4$"):
+        list(walk(mixed, 4, None, lambda state, letter: None, budget=count - 1))
+
+
 # --- one vertex from label counts, against the numbering walk ------------------
 
 
@@ -687,8 +709,10 @@ def test_depth_scan_is_the_per_key_reference(spec, data):
 
 @PROPERTY
 @given(st.integers(1, 20), st.integers(1, 4), st.integers(1, 7), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example(count=17, k=1, n_children=3, n=5, seed=0)
 def test_contraction_kernels_are_the_einsums(count, k, n_children, n, seed):
-    # counts past 8 reach the unrolled blocks of the k == 1 einsum reduction
+    # a one-vector basis (k == 1) runs the einsum itself, whose reduction over
+    # j numpy splits into SIMD lanes, so summing in plain j order differs
     rng = np.random.default_rng(seed)
     A_stack = rng.standard_normal((n_children, count, count))
     parents = rng.standard_normal((n, count, k)) * 10.0 ** rng.integers(-8, 3, (n, count, k))
