@@ -61,11 +61,7 @@ from .gasket import (
     ConductanceNetwork,
     GasketSpec,
     Word,
-    _coord,
-    _corner_keys,
-    _denominator,
     _mix_keys,
-    _root_cell,
     _seed_state,
     encode_word,
     vertex_numbering,
@@ -148,21 +144,19 @@ def inner_set_pins(spec: GasketSpec, word: Word, N: int, net: ConductanceNetwork
     """The boundary values of the inner-set capacity problem on `net`, a
     network of depth >= N below `word`: 0 on the word's corners, 1 on every
     vertex of a cell outside the N-deep corner chains and on every corner of
-    a chain cell.  Vertices strictly inside a chain cell are left free."""
+    a chain cell.  Vertices strictly inside a chain cell are left free.
+
+    The child with letter k + 1 keeps its parent's corner k as its own corner
+    k, so corner k of a chain cell is corner k of the network cell below it
+    whose letters past the chain are all k + 1: one pass over `net.cells`."""
     if net.root != word or net.depth < N:
         raise InvalidParameterError(f"inner-set pins need a network of depth >= {N} below the word")
     one = Fraction(1)
-    P = _denominator(spec, net.depth, word)
+    chains = {tuple((c, l) for l in corner_chain_labels(spec, word, c, N)) for c in range(1, spec.d + 2)}
     pins = {}
-    chains = set()
-    for corner in range(1, spec.d + 2):
-        chain = tuple((corner, l) for l in corner_chain_labels(spec, word, corner, N))
-        chains.add(chain)
-        for key in _corner_keys(_root_cell(spec, word + chain, P)):
-            pins[net.coord_index[_coord(key, P)]] = one
     for rel, ids, _ in net.cells:
-        if rel[:N] not in chains:
-            pins.update(dict.fromkeys(ids, one))
+        inside = rel[:N] in chains
+        pins.update((v, one) for k, v in enumerate(ids) if not inside or all(i == k + 1 for i, _ in rel[N:]))
     pins.update(dict.fromkeys(net.boundary, Fraction(0)))
     return pins
 

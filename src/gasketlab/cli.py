@@ -220,9 +220,12 @@ def cmd_capacity(args) -> int:
         target = capacity_mod._point_target(spec, word, target, args.base_depth, args.budget)
     refinements = _refinements(args)
     if target is None:
+        _check_depth(args.base_depth)
         resolved["inner_n"] = capacity_mod.inner_depth(spec, args.inner_n)
         value = capacity_mod.corner_chain_capacity(spec, word, resolved["inner_n"])
     else:
+        if args.inner_n is not None:  # checked, not resolved: from about d = 30 no default depth is found
+            capacity_mod.inner_depth(spec, args.inner_n)
         value = capacity_mod._point_capacity(spec, *target)
     payload = {
         "config": _config(args, spec, **resolved),
@@ -246,7 +249,7 @@ def cmd_blowup(args) -> int:
     spec.validate_word(word)
     if (args.b1 is None) != (args.b2 is None):
         raise InvalidParameterError("give both --b1 and --b2 or neither")
-    if args.b1:
+    if args.b1 is not None:
         b1 = _rationals(args.b1, "--b1")
         b2 = _rationals(args.b2, "--b2")
     else:

@@ -6,8 +6,8 @@ cell's share of the combined energy measure, and its eigenvalue ratios drive
 the empirical index estimate.
 
 Exact rational arithmetic is used for masses, traces and every decision that
-the tests assert exactly; eigenvalues of the small symmetric matrices are
-always floating point.  Label keys are hashed in `gasket` (`frontier`).
+the tests assert exactly; only the rank scan takes eigenvalues, in floating
+point (`_stack_eigvalsh`).  Label keys are hashed in `gasket` (`frontier`).
 
 The corner-chain quantities are read off the eigenstructure that
 `extension_matrices` verifies, not solved for: each corner matrix fixes 1,
@@ -113,17 +113,13 @@ class CellEnergyMatrix:
 
     word: Word
     B: list = field(repr=False)
-    nu_mass: Fraction | float = Fraction(0)
-    eigenvalues: list = field(default_factory=list)
+    nu_mass: Fraction = Fraction(0)
 
 
 def _exact_cell_record(word, U, den, r_w: Fraction, basis: EnergyBasis, normalized: bool) -> CellEnergyMatrix:
     """Build a record from the exact transported columns U / den = A_w G
-    (integer U on the walks, one Fraction per entry of B).
-
-    The eigenvalues come from np.linalg.eigvalsh, not `_stack_eigvalsh`: a
-    record holds one k x k matrix, k = 1..d, where a closed form over a
-    block of cells saves nothing, and eigvalsh is the oracle it matches."""
+    (integer U on the walks, one Fraction per entry of B): B float for a
+    normalized basis, exact otherwise, and the mass exact either way."""
     k, corners = basis.size, basis.d + 1
     Ut = mat_t(U)
     sums = [sum(col) for col in Ut]
@@ -138,11 +134,9 @@ def _exact_cell_record(word, U, den, r_w: Fraction, basis: EnergyBasis, normaliz
         scale = [1.0 / math.sqrt(2.0 * float(n)) for n in basis.norms]
         Bf = [[float(C[i][j]) * scale[i] * scale[j] for j in range(k)] for i in range(k)]
         mass = sum(C[i][i] / (2 * basis.norms[i]) for i in range(k)) / k
-        eig = sorted(np.linalg.eigvalsh(np.array(Bf)).tolist(), reverse=True)
-        return CellEnergyMatrix(word=word, B=Bf, nu_mass=mass, eigenvalues=eig)
+        return CellEnergyMatrix(word=word, B=Bf, nu_mass=mass)
     mass = sum(C[i][i] for i in range(k)) / k
-    eig = sorted(np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in C])).tolist(), reverse=True)
-    return CellEnergyMatrix(word=word, B=C, nu_mass=mass, eigenvalues=eig)
+    return CellEnergyMatrix(word=word, B=C, nu_mass=mass)
 
 
 def _transport_start(basis: EnergyBasis) -> tuple:
@@ -166,7 +160,7 @@ def _transport_step(d: int):
 
 
 def cell_energy_matrix(spec: GasketSpec, word: Word, basis) -> CellEnergyMatrix:
-    """Exact energy-measure matrix of one cell.
+    """Exact energy-measure record of one cell: its word, B and mass.
 
     basis may be a list of boundary vectors (B is then exact rational in that
     basis) or an EnergyBasis / None for the normalized default (B is float,

@@ -551,29 +551,26 @@ def _exact_sum(by_den: dict) -> Fraction:
 
 
 def measure_totals(spec: GasketSpec, m: int, budget: int = DEFAULT_WORD_BUDGET) -> list:
-    """Exact per-depth mass sums [depth 0 .. m] from a single tree walk.
+    """Exact per-depth mass sums [depth 0 .. m], one walk per depth.
 
-    The walk carries the masses of every prefix of a word, each as an
-    unreduced (numerator, denominator) pair of integers.  A prefix is tallied
-    at its first depth-m descendant, the one that continues it with cell 1
-    only, so each node of the tree is counted once.
+    Each walk carries a cell's mass as an unreduced (numerator, denominator)
+    pair of integers.  Depth m, which has the most cells, is walked first,
+    so a budget too small for any depth is refused under depth m.
     """
-    sums = [{} for _ in range(m + 1)]
+    _check_depth(m, budget)
     weights = _letter_pairs(spec, spec.mu_of_letter)
 
-    def step(path, letter):
-        num, den = path[-1]
+    def step(mass, letter):
         w_num, w_den = weights[letter[1]][letter[0] - 1]
-        return path + ((num * w_num, den * w_den),)
+        return mass[0] * w_num, mass[1] * w_den
 
-    for word, path in walk(spec, m, ((1, 1),), step, budget=budget):
-        k = m
-        while k > 0 and word[k - 1][0] == 1:
-            k -= 1
-        for depth in range(k, m + 1):
-            num, den = path[depth]
-            sums[depth][den] = sums[depth].get(den, 0) + num
-    return [_exact_sum(acc) for acc in sums]
+    totals = []
+    for k in range(m, -1, -1):
+        by_den = {}
+        for _, (num, den) in walk(spec, k, (1, 1), step, budget=budget):
+            by_den[den] = by_den.get(den, 0) + num
+        totals.append(_exact_sum(by_den))
+    return totals[::-1]
 
 
 def chain_matrix(spec: GasketSpec, word: Word):

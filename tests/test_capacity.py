@@ -4,7 +4,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gasketlab import capacity, gasket
@@ -28,6 +28,7 @@ from gasketlab.errors import BudgetExceededError, InadmissibleWordError, Invalid
 from gasketlab.gasket import (
     DEFAULT_WORD_BUDGET,
     GasketSpec,
+    _coord,
     _corner_keys,
     _denominator,
     _root_cell,
@@ -332,6 +333,39 @@ def test_depth_n_pins_fix_every_vertex_but_the_word_corners_to_one(case):
     pins = inner_set_pins(spec, word, N, net)
     corners = set(net.boundary)
     assert pins == {v: Fraction(0 if v in corners else 1) for v in range(net.n_vertices)}
+
+
+def keyed_inner_set_pins(spec, word, N, net):
+    """`inner_set_pins` by vertex keys: each chain cell composed over the
+    network's denominator, its corners looked up among the coordinates."""
+    P = _denominator(spec, net.depth, word)
+    pins, chains = {}, set()
+    for corner in range(1, spec.d + 2):
+        chain = tuple((corner, l) for l in corner_chain_labels(spec, word, corner, N))
+        chains.add(chain)
+        for key in _corner_keys(_root_cell(spec, word + chain, P)):
+            pins[net.coord_index[_coord(key, P)]] = Fraction(1)
+    for rel, ids, _ in net.cells:
+        if rel[:N] not in chains:
+            pins.update(dict.fromkeys(ids, Fraction(1)))
+    pins.update(dict.fromkeys(net.boundary, Fraction(0)))
+    return pins
+
+
+@PROPERTY
+@given(inner_set_cases(), st.integers(0, 2))
+@example(case=(GasketSpec(2, [2]), (), 1, 0), extra=2)
+@example(case=(GasketSpec(3, [2, 3], {"type": "seeded", "seed": 7, "weights": {2: 1.0, 3: 1.0}}), ((2, 2),), 1, 0),
+         extra=1)
+def test_inner_set_pins_are_the_keyed_chain_corners(case, extra):
+    # a chain cell's corner k is read off the network cell below it whose
+    # letters past the chain are all k + 1; the keyed lookup is the oracle
+    spec, word, N, _ = case
+    widest = max(cell_count(spec.d, l) for l in spec.levels)
+    while extra and widest ** (N + extra) > 1500:
+        extra -= 1
+    net = level_network(spec, N + extra, root=word)
+    assert inner_set_pins(spec, word, N, net) == keyed_inner_set_pins(spec, word, N, net)
 
 
 @st.composite

@@ -381,6 +381,39 @@ def test_a_bad_point_capacity_input_exits_2_with_one_line(argv, message, sg_spec
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["blowup", "--depth", "2", "--b1", "", "--b2", "1,2,3"], "--b1 must be comma-separated rationals, got ''"),
+        (["blowup", "--depth", "2", "--b1", "", "--b2", ""], "--b1 must be comma-separated rationals, got ''"),
+        (["capacity", "--point", "1", "--inner-n", "0"], "inner-set depth must be >= 1, got 0"),
+        (["capacity", "--base-depth", "-1"], "depth must be >= 0, got -1"),
+    ],
+    ids=["empty-b1", "empty-pair", "point-inner-n", "relative-base-depth"],
+)
+def test_an_empty_pair_or_an_unused_capacity_depth_exits_2_with_one_line(argv, message, sg_spec, tmp_path, capsys):
+    # an empty --b1 is a malformed pair, not the default one, and a capacity
+    # run checks the depth it records but does not use
+    out = tmp_path / "out.json"
+    assert main([*argv, "--spec", sg_spec, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_a_point_run_does_not_resolve_the_default_inner_depth(sg_spec, monkeypatch, capsys):
+    # from about d = 30 no default inner depth is found, and a point run has
+    # no use for one
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point run resolved the default inner depth")
+
+    monkeypatch.setattr(capacity, "default_inner_depth", refuse)
+    assert main(["capacity", "--spec", sg_spec, "--point", "5", "--base-depth", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["inner_n"] is None
+    assert main(["capacity", "--spec", sg_spec, "--point", "5", "--base-depth", "2", "--inner-n", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["inner_n"] == 3
+
+
+@pytest.mark.parametrize(
     "spec_text, argv, message",
     [
         (SG, ["capacity", "--inner-n", "0", "--refine", "-1"], "refinement must be >= 0, got -1"),

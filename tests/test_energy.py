@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 from math import prod
 
@@ -10,6 +11,7 @@ from gasketlab import energy
 from gasketlab.capacity import corner_decay_N
 from gasketlab.errors import BudgetExceededError, DegenerateBasisError, InvalidParameterError, NotFoundError
 from gasketlab.energy import (
+    CellEnergyMatrix,
     _depth_scan,
     basis_from_vectors,
     cell_energy_matrix,
@@ -88,6 +90,22 @@ def test_kusuoka_mass_conservation_and_refinement_additivity(sg):
     for a in range(2):
         for b in range(2):
             assert parent.B[a][b] == sum(k.B[a][b] for k in kids)
+
+
+def test_cell_records_hold_exact_fields_and_take_no_eigenvalues(sg, monkeypatch):
+    # only the rank scan takes eigenvalues; a record is its word, B and mass
+    assert [f.name for f in fields(CellEnergyMatrix)] == ["word", "B", "nu_mass"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell record took eigenvalues")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    seeded = GasketSpec(2, [2, 3], {"type": "seeded", "seed": 1, "weights": {2: 1.0, 3: 1.0}})
+    for basis in (None, [[1, 0, 0], [0, Fraction(1, 2), 0]]):
+        for spec in (sg, seeded):
+            cells = kusuoka_distribution(spec, 2, basis)
+            assert all(isinstance(c.nu_mass, Fraction) for c in cells)
+            assert cell_energy_matrix(spec, cells[-1].word, basis) == cells[-1]
 
 
 def test_index_estimate_depth0_full_rank(sg):

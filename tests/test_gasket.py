@@ -94,6 +94,18 @@ def test_measure_conservation(sg, mixed):
     assert all(t == 1 for t in totals)
 
 
+def test_measure_totals_refuse_an_over_budget_depth_under_the_deepest(sg):
+    # the deepest walk runs first: SG's depth 5 is refused by the walk's early
+    # check (3**5 > 10), the seeded depth 4 by its count (564 cells, 3**4 = 81
+    # and 123 at depth 3), where a shallower walk would be refused first
+    seeded = GasketSpec(2, [2, 3], {"type": "seeded", "seed": 1, "weights": {2: 1.0, 3: 1.0}})
+    for spec, m, budget in ((sg, 5, 10), (seeded, 4, 100)):
+        with pytest.raises(BudgetExceededError, match=f"^more than {budget} words at depth {m}$"):
+            measure_totals(spec, m, budget=budget)
+    with pytest.raises(InvalidParameterError, match="^depth must be >= 0, got -1$"):
+        measure_totals(sg, -1)
+
+
 def test_per_letter_measure():
     spec = GasketSpec(
         2,

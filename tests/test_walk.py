@@ -208,6 +208,15 @@ def test_the_point_path_is_key_free():
         assert not named & banned, (module, path, named & banned)
 
 
+def test_capacity_keys_no_vertex():
+    # a network's vertex keys over its denominator are level_network's alone:
+    # the inner-set pins read the chain corners off the network's cells
+    tree = ast.parse((Path(gasketlab.__file__).parent / "capacity.py").read_text())
+    named = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+             for node in ast.walk(tree)}
+    assert not named & {"_denominator", "_root_cell", "_cell_step", "_corner_keys", "_coord"}
+
+
 def test_the_input_boundary_rules_are_written_once():
     # cli catches library errors only as GasketLabError, whose type sets the
     # exit code, and gasket alone spells the default budget, the depth and
