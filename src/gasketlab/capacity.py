@@ -50,11 +50,11 @@ from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import ceil, lcm, log, prod
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidVertexError, NotFoundError
+from .errors import InvalidParameterError, InvalidVertexError
 from .exactla import adjacency_from_edges, eliminate, integer_form
 from .gasket import (
     DEFAULT_WORD_BUDGET,
@@ -72,7 +72,7 @@ from .harmonic import base_form, check_corner, dual_vector, extension_matrices
 from .subdivision import subdivide
 
 
-def corner_decay_N(spec_or_dims, c, max_N: int = 64) -> int:
+def corner_decay_N(spec_or_dims, c) -> int:
     """Smallest N such that every corner chain of length N contracts the
     energy mass of harmonic functions by the factor c.
 
@@ -80,7 +80,10 @@ def corner_decay_N(spec_or_dims, c, max_N: int = 64) -> int:
     s_chain, and Q(v_i, y) = 0, so sup_u Q(A u) / (r_chain Q(u)) over
     nonconstant u is max(r_chain, s_chain^2 / r_chain) = r_chain, since
     |s| < r.  The worst chain of length N repeats the level of largest r, so
-    N is the smallest with r_max^N <= c, decided exactly.
+    N is the smallest with r_max^N <= c.  Since 0 < r_max < 1 it exists: the
+    ceiling of log c / log r_max, taken in floats from the logs of the
+    numerators and denominators, so a tiny c does not underflow, and then
+    decided exactly at N - 1 and N.
     """
     if isinstance(spec_or_dims, GasketSpec):
         d, levels = spec_or_dims.d, spec_or_dims.levels
@@ -92,12 +95,11 @@ def corner_decay_N(spec_or_dims, c, max_N: int = 64) -> int:
     if not 0 < c < 1:
         raise InvalidParameterError(f"contraction target must be in (0,1), got {c}")
     r_max = max(extension_matrices(d, l).r for l in levels)
-    for N in range(1, max_N + 1):
-        if r_max**N <= c:
-            return N
-    raise NotFoundError(
-        f"no N <= {max_N} achieves contraction {c}; worst sup at N={max_N} is {float(r_max**max_N):.6g}"
-    )
+    log_c, log_r = (log(x.numerator) - log(x.denominator) for x in (c, r_max))
+    N = max(1, ceil(log_c / log_r))
+    if N > 1 and r_max ** (N - 1) <= c:
+        return N - 1
+    return N if r_max**N <= c else N + 1
 
 
 def default_inner_depth(spec: GasketSpec) -> int:
@@ -313,9 +315,11 @@ def _chain_record(d: int, chains: tuple) -> tuple:
     corner_forms = [_corner_chain_form(d, corner, labels) for corner, labels in enumerate(chains, 1)]
     L = lcm(*(den for _, den in corner_forms))
     form = [[sum(fm[i][j] * (L // den) for fm, den in corner_forms) for j in range(d + 1)] for i in range(d + 1)]
-    # corner i's form is r_chain d at (i, i), as P_ii = Q_ii = d, so d / r_chain = d^2 den / fm[i][i]
-    B = lcm(*(fm[i][i] for i, (fm, _) in enumerate(corner_forms)))
-    cap_rel = Fraction(d * d * sum(den * (B // fm[i][i]) for i, (fm, den) in enumerate(corner_forms)), B)
+    # 1/r_chain is the product of the levels' r denominators over that of their numerators
+    rs = [[extension_matrices(d, l).r for l in labels] for labels in chains]
+    nums = [prod(r.numerator for r in chain) for chain in rs]
+    B = lcm(*nums)
+    cap_rel = Fraction(d * sum(prod(r.denominator for r in chain) * (B // num) for chain, num in zip(rs, nums)), B)
     return tuple(_quotient_coefficients(form, *_monomials(d))), L, cap_rel
 
 

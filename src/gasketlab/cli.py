@@ -224,7 +224,8 @@ def cmd_capacity(args) -> int:
         resolved["inner_n"] = capacity_mod.inner_depth(spec, args.inner_n)
         value = capacity_mod.corner_chain_capacity(spec, word, resolved["inner_n"])
     else:
-        if args.inner_n is not None:  # checked, not resolved: from about d = 30 no default depth is found
+        # checked, not resolved: a point capacity does not depend on N, so the report records none
+        if args.inner_n is not None:
             capacity_mod.inner_depth(spec, args.inner_n)
         value = capacity_mod._point_capacity(spec, *target)
     payload = {

@@ -59,10 +59,6 @@ class InvalidVertexError(InputError, ValueError):
     """A vertex reference does not belong to the network in question."""
 
 
-class NotFoundError(NumericalError):
-    """A searched-for integer (e.g. a decay depth) does not exist in range."""
-
-
 class SpecParseError(InputError, ValueError):
     """A gasket spec file is not syntactically valid."""
 

@@ -249,11 +249,13 @@ class GasketSpec:
     # -- label keys -------------------------------------------------------------
     #
     # A word's label key fixes its label, and a child's key comes from its
-    # parent's in O(1), so a tree walk never re-reads a whole word.  The root's
-    # key is None.  Seeded: the splitmix64 state over the word's encoding, so
-    # a child continues it over ".i^l" ("i^l" below the root).  Explicit: the
+    # parent's in O(1), so a descent letter by letter (`validate_word`, a
+    # corner chain) never re-reads a whole word.  The root's key is None.
+    # Seeded: the splitmix64 state over the word's encoding, so a child
+    # continues it over ".i^l" ("i^l" below the root).  Explicit: the
     # canonical encoding.  Homogeneous: always None.  `frontier` takes the
-    # same keys a whole depth at a time, through `_key_ops`.
+    # same keys a whole depth at a time, through `_key_ops`, for the word
+    # tree that `walk` and `vertex_numbering` read.
 
     def child_key(self, key, letter: Letter):
         """The label key of the word `key` belongs to, extended by `letter`."""
@@ -444,36 +446,28 @@ def walk(spec: GasketSpec, m: int, start, step, root: Word = (), budget: int = D
 
     `start` is the state at the root and a child's state is
     step(parent_state, letter), so each caller carries only what it needs.
-    More than `budget` leaves raise BudgetExceededError, before any step
-    when every cell's fewest children already make more than `budget`.
+    The walk is a depth-first fold over `_word_tree`, which refuses more
+    than `budget` leaves before any step.
     """
-    _check_depth(m, budget)
-    key = spec.validate_word(root)
+    labels, first, stride = _word_tree(spec, m, root, budget)
     if m == 0:
         yield (), start
         return
-    children = {l: [(i, l) for i in range(1, cell_count(spec.d, l) + 1)] for l in spec.levels}
-    # every cell has at least `fewest` children, so at least fewest^m leaves:
-    # that power, taken no further than past the budget, is refused up front
-    fewest, least = min(map(len, children.values())), 1
-    for _ in range(m):
-        least *= fewest
-        if least > budget:
-            break
-    _check_budget(least, budget, m)
-    stack = [((), start, key)]
-    count = 0
+    letters = {l: [(i, l) for i in range(1, cell_count(spec.d, l) + 1)] for l in spec.levels}
+    # memoryviews index the int64 arrays as Python ints, with no copy
+    labels, first = [memoryview(level) for level in labels], [memoryview(starts) for starts in first]
+    stack = [((), start, 0)]
     while stack:
-        word, state, key = stack.pop()
-        letters = children[spec.key_label(key)]
-        if len(word) + 1 < m:
+        word, state, i = stack.pop()
+        k = len(word)
+        row = letters[labels[k][i]]
+        if k + 1 < m:
             # pushed last-first, so cell 1 is walked first
-            for letter in reversed(letters):
-                stack.append((word + (letter,), step(state, letter), spec.child_key(key, letter)))
+            at = first[k][i]
+            for c in range(len(row) - 1, -1, -1):
+                stack.append((word + (row[c],), step(state, row[c]), at + stride * c))
             continue
-        count += len(letters)
-        _check_budget(count, budget, m)
-        for letter in letters:
+        for letter in row:
             yield word + (letter,), step(state, letter)
 
 
@@ -511,6 +505,32 @@ def frontier(spec: GasketSpec, m: int, root: Word, budget: int, grouped: bool = 
                 slots = (first[idx, None] + np.arange(n_of[l])).reshape(-1)
                 below[slots] = children_of(keys[idx], l, n_of[l], k == 0)
             keys = below
+
+
+def _word_tree(spec: GasketSpec, m: int, root: Word, budget: int) -> tuple:
+    """(labels, first, stride): the depth-m word tree below `root`, which
+    `walk` folds and `vertex_numbering` counts.  Depth k < m lists its cells
+    in depth-lexicographic order: `labels[k]` their labels and `first[k]` the
+    index at depth k+1 of each one's first child, so child c of cell i is
+    cell first[k][i] + stride * c.  A one-level spec keeps one cell per
+    depth, which stands for all of them, with stride 0; any other spec takes
+    int64 arrays a depth at a time from `frontier`, with stride 1.
+
+    More than `budget` cells at depth m are refused, before any label is
+    taken when every cell's fewest children already make more."""
+    _check_depth(m, budget)
+    spec.validate_word(root)
+    # depth m has at least fewest^m cells, and fewest >= 3, so the power
+    # is past the budget once m >= budget.bit_length() and stops there
+    fewest = min(cell_count(spec.d, l) for l in spec.levels)
+    _check_budget(fewest ** min(m, budget.bit_length()), budget, m)
+    if len(spec.levels) == 1:
+        return [np.array(spec.levels)] * m, [np.zeros(1, dtype=np.int64)] * m, 0
+    labels, first = [], []
+    for level, starts, _ in frontier(spec, m, root, budget):
+        labels.append(level)
+        first.append(starts)
+    return labels, first, 1
 
 
 def _letter_pairs(spec: GasketSpec, weight) -> dict:
@@ -697,12 +717,9 @@ class VertexNumbering:
     """The vertex ids of `level_network(spec, m, root)`, from label counts,
     unranked to cell corners by `corner_of`.
 
-    Depth k < m lists its cells in depth-lexicographic order: `labels[k]`
-    their labels, `first[k]` the index at depth k+1 of each one's first
-    child, and `extra[k]` the vertices each one's subtree adds to its own
-    d+1 corners.  Child c of cell i at depth k is cell
-    first[k][i] + stride * c at depth k+1; a one-level spec keeps one cell
-    per depth, which stands for all of them, with stride 0.
+    `labels`, `first` and `stride` are the `_word_tree` below the root, and
+    `extra[k]` holds the vertices each depth-k cell's subtree adds to its own
+    d+1 corners.
     """
 
     spec: GasketSpec
@@ -750,47 +767,28 @@ class VertexNumbering:
         return tuple(letters), [j for j, s in enumerate(seen) if not s][v - base]
 
 
-def _one_level_numbering(spec: GasketSpec, m: int, root: Word, budget: int) -> VertexNumbering:
-    """A one-level spec's counts in closed form: a subtree of height h has
-    (n**h - 1) / (n - 1) internal cells and n**h leaves, n = N(l)."""
-    spec.validate_word(root)
-    d, l = spec.d, spec.levels[0]
-    n = cell_count(d, l)
-    _check_budget(n**m, budget, m)
-    extra = subdivide(d, l).n_vertices - (d + 1)
-    counts = [[extra * (n ** (m - k) - 1) // (n - 1)] for k in range(m)]
-    return VertexNumbering(spec, m, [[l]] * m, [[0]] * m, counts, 0)
-
-
-def _label_pass_numbering(spec: GasketSpec, m: int, root: Word, budget: int) -> VertexNumbering:
-    """The counts from the internal cells' labels and first children, a depth
-    at a time from `frontier`, summed bottom-up over each cell's contiguous
-    children."""
-    d = spec.d
-    labels, first = [], []
-    for level, starts, _ in frontier(spec, m, root, budget):
-        labels.append(level)
-        first.append(starts)
-    extra_of = np.zeros(max(spec.levels) + 1, dtype=np.int64)
-    extra_of[list(spec.levels)] = [subdivide(d, l).n_vertices - (d + 1) for l in spec.levels]
-    extra = [None] * m
-    for k in reversed(range(m)):
-        extra[k] = extra_of[labels[k]]
-        if k + 1 < m:
-            extra[k] = extra[k] + np.add.reduceat(extra[k + 1], first[k])
-    return VertexNumbering(spec, m, labels, first, extra, 1)
-
-
 def vertex_numbering(
     spec: GasketSpec, m: int, root: Word = (), budget: int = DEFAULT_WORD_BUDGET
 ) -> VertexNumbering:
     """The vertex numbering of `level_network(spec, m, root, budget)`, with no
-    vertex keyed: its inputs are refused as that network's walk refuses them,
-    more than `budget` depth-m leaves included."""
-    _check_depth(m, budget)
-    if len(spec.levels) == 1:
-        return _one_level_numbering(spec, m, root, budget)
-    return _label_pass_numbering(spec, m, root, budget)
+    vertex keyed: its `_word_tree` refuses its inputs as that network's walk
+    does, and each cell's count is its own plus its children's, summed
+    bottom-up.  A one-level spec's one cell per depth stands for all N(l)
+    children of the cell above, and its counts, which pass int64 from about
+    depth 40, are Python ints."""
+    labels, first, stride = _word_tree(spec, m, root, budget)
+    d = spec.d
+    extra_of = np.zeros(max(spec.levels) + 1, dtype=np.int64)
+    extra_of[list(spec.levels)] = [subdivide(d, l).n_vertices - (d + 1) for l in spec.levels]
+    extra, below = [None] * m, None
+    for k in reversed(range(m)):
+        own = extra_of[labels[k]]
+        if stride:  # each cell's children are contiguous from its first
+            below = own if below is None else own + np.add.reduceat(below, first[k])
+        else:
+            below = [int(own[0]) + cell_count(d, int(labels[k][0])) * (below[0] if below else 0)]
+        extra[k] = below
+    return VertexNumbering(spec, m, labels, first, extra, stride)
 
 
 def level_network(spec: GasketSpec, m: int, root: Word = (), budget: int = DEFAULT_WORD_BUDGET) -> ConductanceNetwork:

@@ -69,14 +69,8 @@ class SimplexSubdivision:
         return len(self.vertices)
 
     def boundary_vertex_ids(self) -> list:
-        """Ids of the d+1 original simplex corners."""
-        one = Fraction(1)
-        zero = Fraction(0)
-        ids = []
-        for i in range(self.d + 1):
-            corner = tuple(one if k == i else zero for k in range(self.d + 1))
-            ids.append(self.vertex_index[corner])
-        return ids
+        """Ids of the d+1 original simplex corners: corner cell i fixes corner i."""
+        return [self.cell_vertices[i][i] for i in range(self.d + 1)]
 
 
 @lru_cache(maxsize=None)

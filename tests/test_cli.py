@@ -401,8 +401,8 @@ def test_an_empty_pair_or_an_unused_capacity_depth_exits_2_with_one_line(argv, m
 
 
 def test_a_point_run_does_not_resolve_the_default_inner_depth(sg_spec, monkeypatch, capsys):
-    # from about d = 30 no default inner depth is found, and a point run has
-    # no use for one
+    # a point capacity does not depend on N, so a point run has no use for
+    # the default inner depth and records none
     def refuse(*args, **kwargs):
         raise AssertionError("a point run resolved the default inner depth")
 
@@ -531,7 +531,6 @@ ERROR_EXITS = {
     "ProportionalityError": (3, "numerical failure"),
     "EigenRelationError": (3, "numerical failure"),
     "DisconnectedNetworkError": (3, "numerical failure"),
-    "NotFoundError": (3, "numerical failure"),
 }
 
 

@@ -32,10 +32,8 @@ from gasketlab.gasket import (
     _corner_keys,
     _denominator,
     _key_ops,
-    _label_pass_numbering,
     _mix64,
     _mix_text,
-    _one_level_numbering,
     _root_cell,
     encode_word,
     frontier,
@@ -50,6 +48,7 @@ from gasketlab.harmonic import extension_matrices
 from gasketlab.subdivision import cell_count, subdivide
 
 PROPERTY = settings(max_examples=40, deadline=None)
+SEEDED_MIXED = GasketSpec(2, [2, 3], {"type": "seeded", "seed": 1, "weights": {2: 1.0, 3: 1.0}})
 
 
 @st.composite
@@ -393,6 +392,20 @@ def test_explicit_entries_are_matched_by_canonical_text():
     assert below == [(i, 3) for i in range(1, 7)]
 
 
+@pytest.mark.parametrize("spec", [SEEDED_MIXED, GasketSpec(3, [2, 3, 4], {"type": "seeded", "seed": 7})], ids=["d2", "d3"])
+def test_a_seeded_walk_takes_no_key_one_at_a_time(spec, monkeypatch):
+    # the labels come as whole depths of uint64 keys, so the per-key oracle
+    # is never asked
+    want = reference_words(spec, 3)
+
+    def refuse(*args):
+        raise AssertionError("a key taken one at a time")
+
+    monkeypatch.setattr(GasketSpec, "child_key", refuse)
+    monkeypatch.setattr(GasketSpec, "key_label", refuse)
+    assert walked_words(spec, 3) == want
+
+
 def test_walk_rejects_a_negative_depth():
     with pytest.raises(ValueError):
         list(walk(GasketSpec(2, [2]), -1, None, lambda state, letter: None))
@@ -412,12 +425,17 @@ def test_a_walk_that_must_exceed_its_budget_refuses_before_any_step(m, budget):
 def test_a_walk_at_exactly_its_budget_yields_every_word():
     assert len(list(walk(GasketSpec(2, [2]), 5, None, lambda state, letter: None, budget=243))) == 243
     # a level-2 cell has 3 children and a level-3 cell 6: 3^4 is below the count
-    mixed = GasketSpec(2, [2, 3], {"type": "seeded", "seed": 1, "weights": {2: 1.0, 3: 1.0}})
-    count = len(list(walk(mixed, 4, None, lambda state, letter: None)))
+    count = len(list(walk(SEEDED_MIXED, 4, None, lambda state, letter: None)))
     assert 3**4 < count < 6**4
-    assert len(list(walk(mixed, 4, None, lambda state, letter: None, budget=count))) == count
+    assert len(list(walk(SEEDED_MIXED, 4, None, lambda state, letter: None, budget=count))) == count
+
+    # one word short is refused before any step: the tree counts its
+    # depth-4 cells before the fold starts
+    def step(state, letter):
+        raise AssertionError("stepped")
+
     with pytest.raises(BudgetExceededError, match=f"^more than {count - 1} words at depth 4$"):
-        list(walk(mixed, 4, None, lambda state, letter: None, budget=count - 1))
+        next(walk(SEEDED_MIXED, 4, None, step, budget=count - 1))
 
 
 # --- one vertex from label counts, against the numbering walk ------------------
@@ -449,21 +467,67 @@ def test_vertex_numbering_is_the_numbering_walk(spec, data):
             numbering.corner_of(v, inner=True)
 
 
+def frontier_tree(spec, m, root, budget):
+    """The stride-1 `_word_tree` of any spec, one cell for each cell, a depth
+    at a time from `frontier`."""
+    labels, first = [], []
+    for level, starts, _ in frontier(spec, m, root, budget):
+        labels.append(level)
+        first.append(starts)
+    return labels, first, 1
+
+
 @PROPERTY
 @given(specs().filter(lambda spec: len(spec.levels) == 1), st.data())
-def test_the_one_level_closed_form_is_the_label_pass(spec, data):
+def test_the_stride_0_tree_is_the_frontier_tree(spec, data):
+    # a one-level spec's one cell per depth stands for all of them: its
+    # labels, counts and both corner_of modes are those of the full tree
     root = data.draw(st.sampled_from(walked_words(spec, data.draw(st.integers(0, 1)))))
     m = data.draw(st.integers(0, max_depth(spec)))
-    closed = _one_level_numbering(spec, m, root, DEFAULT_WORD_BUDGET)
-    passed = _label_pass_numbering(spec, m, root, DEFAULT_WORD_BUDGET)
+    closed = vertex_numbering(spec, m, root)
+    assert closed.stride == 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gasket, "_word_tree", frontier_tree)
+        passed = vertex_numbering(spec, m, root)
+    assert passed.stride == 1
     assert closed.n_vertices == passed.n_vertices
     for k in range(m):
-        assert list(passed.labels[k]) == [spec.levels[0]] * len(passed.labels[k])
+        assert list(passed.labels[k]) == [closed.labels[k][0]] * len(passed.labels[k])
         assert list(passed.extra[k]) == [closed.extra[k][0]] * len(passed.extra[k])
     for v in data.draw(st.lists(st.integers(0, closed.n_vertices - 1), max_size=5)):
         assert closed.corner_of(v) == passed.corner_of(v)
         if v < closed.n_vertices - (spec.d + 1):
             assert closed.corner_of(v, inner=True) == passed.corner_of(v, inner=True)
+
+
+def counting_key_ops(hashed: list):
+    """gasket._key_ops with its children_of counted: each call appends the
+    number of child keys it hashed to `hashed`."""
+    real = gasket._key_ops
+
+    def counted_key_ops(spec, root=()):
+        keys, labels_of, children_of = real(spec, root)
+
+        def counted(keys, l, n, at_root):
+            out = children_of(keys, l, n, at_root)
+            hashed.append(len(out))
+            return out
+
+        return keys, labels_of, counted
+
+    return counted_key_ops
+
+
+@pytest.mark.parametrize("m, root", [(4, ()), (3, ((2, 3),))])
+def test_an_over_budget_numbering_hashes_no_children(m, root, monkeypatch):
+    # every cell has at least 3 children, so 3^m - 1 is refused up front
+    hashed = []
+    monkeypatch.setattr(gasket, "_key_ops", counting_key_ops(hashed))
+    budget = 3**m - 1
+    with pytest.raises(BudgetExceededError, match=f"^more than {budget} words at depth {m}$"):
+        vertex_numbering(SEEDED_MIXED, m, root, budget)
+    assert hashed == []
+    assert vertex_numbering(SEEDED_MIXED, m, root).n_vertices > 0 and hashed
 
 
 # --- the array frontier, against the walk ---------------------------------------
@@ -505,11 +569,13 @@ FRONTIER_SPECS = specs() | specs(homogeneous=True)
 @PROPERTY
 @given(FRONTIER_SPECS, st.data())
 def test_frontier_in_depth_lex_order_is_the_walk(spec, data):
+    # against reference_words, which hashes whole words: the walk reads
+    # its tree off the frontier
     for root, m in frontier_roots(spec, data):
         depths, deepest = placed_words(spec, m, root, grouped=False)
-        assert len(depths) == m and deepest == walked_words(spec, m, root)
+        assert len(depths) == m and deepest == reference_words(spec, m, root)
         for k, (words, labels, first) in enumerate(depths):
-            assert words == walked_words(spec, k, root)
+            assert words == reference_words(spec, k, root)
             assert labels == [spec.label_of(root + w) for w in words]
             counts = [cell_count(spec.d, l) for l in labels]
             assert first == [sum(counts[:p]) for p in range(len(counts))]
@@ -549,19 +615,8 @@ def test_frontier_refuses_a_depth_over_budget_before_hashing_its_children(spec, 
     # children_of is counted through a patched _key_ops: depth k has its own
     # keys hashed, to label it, and those of depth k+1 wait until the caller
     # asks for that depth, so a refused depth k hashes none of them
-    real = gasket._key_ops
     hashed = []
-
-    def counted_key_ops(spec, root=()):
-        keys, labels_of, children_of = real(spec, root)
-
-        def counted(keys, l, n, at_root):
-            out = children_of(keys, l, n, at_root)
-            hashed.append(len(out))
-            return out
-
-        return keys, labels_of, counted
-
+    counted_key_ops = counting_key_ops(hashed)
     for root, m in frontier_roots(spec, data):
         k = data.draw(st.integers(0, m - 1))
         counts = [len(walked_words(spec, j, root)) for j in range(k + 2)]
